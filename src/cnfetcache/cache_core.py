@@ -1,9 +1,13 @@
-"""Set-associative cache engine: decomposition, tag match, LRU, baseline policies.
+"""Set-associative cache engine: tag match, LRU replacement, and the per-bank
+policy record that prices hits from a flat latency list.
 
 Line payloads are modeled as last-writer sequence numbers rather than bytes;
 a flat memory dict backs misses and write-backs, which is enough to check
 that any replacement or promotion policy returns the most recently written
-value for every read.  All policy variants plug into this state.
+value for every read.  Every policy is one replacement engine (plain LRU
+here, or the data-shuffling cascade in `vasa`) plus a hit-latency list;
+the engines only decide placement, and the caller charges a hit from the
+list.
 """
 
 from dataclasses import dataclass
@@ -48,35 +52,37 @@ class CacheLine:
                 f"rank={self.lru_rank}, T={self.priority_bit})")
 
 
-@dataclass
 class AccessResult:
-    hit: bool
-    way: int = None
-    latency_cycles: int = 1
-    evicted_tag: int = None
-    shuffle_moves: int = 0
-    write: bool = False
-    value: int = 0
-    evicted_addr: int = None
-    evicted_dirty: bool = False
+    """Outcome of one access.
 
-    def __post_init__(self):
-        if self.hit and self.way is None:
-            raise ValueError("hit result must carry the way")
-        if self.latency_cycles < 1:
-            raise ValueError("latency_cycles must be >= 1")
-
-
-def decompose(address, geometry):
-    """Split an address into (tag, set_index, offset).
-
-    Offset is the low log2(line_bytes) bits, the set index the next
-    log2(num_sets) bits, the tag everything above.
+    latency_cycles is set only on a hit, by whoever prices it; a miss
+    carries none, because a miss costs the memory latency alone (see
+    `metrics.record_access`).
     """
-    offset = address & (geometry.line_bytes - 1)
-    set_index = (address >> geometry.offset_bits) & (geometry.num_sets - 1)
-    tag = address >> (geometry.offset_bits + geometry.set_bits)
-    return tag, set_index, offset
+
+    __slots__ = ("hit", "way", "latency_cycles", "evicted_tag",
+                 "shuffle_moves", "write", "value", "evicted_addr",
+                 "evicted_dirty")
+
+    def __init__(self, hit, way=None, latency_cycles=None, evicted_tag=None,
+                 shuffle_moves=0, write=False, value=0, evicted_addr=None,
+                 evicted_dirty=False):
+        if hit and way is None:
+            raise ValueError("hit result must carry the way")
+        self.hit = hit
+        self.way = way
+        self.latency_cycles = latency_cycles
+        self.evicted_tag = evicted_tag
+        self.shuffle_moves = shuffle_moves
+        self.write = write
+        self.value = value
+        self.evicted_addr = evicted_addr
+        self.evicted_dirty = evicted_dirty
+
+    def __repr__(self):
+        return (f"AccessResult(hit={self.hit}, way={self.way}, "
+                f"latency_cycles={self.latency_cycles}, "
+                f"shuffle_moves={self.shuffle_moves})")
 
 
 class CacheState:
@@ -93,6 +99,7 @@ class CacheState:
         self._tag_shift = geometry.offset_bits + geometry.set_bits
 
     def locate(self, address):
+        """(tag, set_index, line-aligned address) of a byte address."""
         line_addr = address >> self._offset_bits
         set_index = line_addr & self._set_mask
         tag = address >> self._tag_shift
@@ -172,31 +179,53 @@ def install(state, lines, way, tag, line_addr, write, value, allowed=None):
     return evicted_tag, evicted_addr, evicted_dirty
 
 
-def _lru_access(state, address, hit_latency, miss_latency, write, value,
-                allowed=None):
-    tag, set_index, line_addr = state.locate(address)
+def lru_access(state, set_index, tag, line_addr, write, value, ways=None):
+    """Plain LRU lookup and fill of one set.
+
+    `ways` restricts lookup, replacement and recency to those ways (the
+    ways partial disabling leaves enabled); None means every way.  The
+    result names the hit way and leaves the latency to the caller.
+    """
     lines = state.sets[set_index]
-    way = find_way(lines, tag, allowed)
+    way = find_way(lines, tag, ways)
     if way is not None:
         line = lines[way]
         if write:
             line.data = value
             line.dirty = True
-        promote_lru(lines, way, allowed)
-        return AccessResult(hit=True, way=way, latency_cycles=hit_latency,
-                            write=write, value=line.data)
-    way, _ = pick_victim(lines, allowed)
+        promote_lru(lines, way, ways)
+        return AccessResult(True, way, write=write, value=line.data)
+    way, _ = pick_victim(lines, ways)
     ev_tag, ev_addr, ev_dirty = install(state, lines, way, tag, line_addr,
-                                        write, value, allowed)
-    return AccessResult(hit=False, way=None, latency_cycles=miss_latency,
-                        evicted_tag=ev_tag, write=write,
+                                        write, value, ways)
+    return AccessResult(False, evicted_tag=ev_tag, write=write,
                         value=lines[way].data, evicted_addr=ev_addr,
                         evicted_dirty=ev_dirty)
 
 
-def access_baseline(state, address, latmap, worst_cycles, write=False, value=0):
-    """Plain LRU lookup with the whole cache clocked at the worst timing."""
-    return _lru_access(state, address, worst_cycles, worst_cycles, write, value)
+def bypass_access(state, line_addr, write, value):
+    """A request to a disabled set: served by memory, nothing is allocated."""
+    if write:
+        state.memory[line_addr] = value
+        return AccessResult(False, write=True, value=value)
+    return AccessResult(False, value=state.memory.get(line_addr, 0))
+
+
+@dataclass
+class BankPolicy:
+    """How one bank serves an access.
+
+    latency holds the hit cycles per way on a set aligned bank and per set
+    on a way aligned bank.  engine is `lru_access` or `vasa.access_vasa_ds`
+    and ways is its last argument: the enabled ways for LRU (None = all),
+    the way groups for data shuffling.  Requests to a set in bypass go
+    straight to memory.
+    """
+
+    latency: list
+    engine: object = lru_access
+    ways: object = None
+    bypass: frozenset = frozenset()
 
 
 def worst_groups(latmap):
@@ -208,33 +237,23 @@ def worst_groups(latmap):
     return disabled
 
 
-def access_partial_disable(state, address, latmap, disabled, write=False,
-                           value=0):
-    """Baseline with the worst-timing groups disabled.
+def partial_disable(latmap, disabled=None):
+    """BankPolicy of the partial-disabling (PD) baseline.
 
-    Set aligned: lookups and fills skip the disabled ways.  Way aligned:
+    The `disabled` groups (default: the worst-timing ones) are turned off
+    and the rest run at the fastest uniform clock they support.  Set
+    aligned: lookups and fills skip the disabled ways.  Way aligned:
     requests to disabled sets bypass the cache and are served by memory.
-    The remaining groups run at the fastest uniform clock they support.
     """
-    if latmap.layout is LayoutKind.SET_ALIGNED:
-        enabled = [w for w in range(state.geometry.num_ways) if w not in disabled]
-        if not enabled:
-            raise ValueError("all cache ways disabled")
-        clock = max(latmap.latencies[w] for w in enabled)
-        return _lru_access(state, address, clock, clock, write, value,
-                           allowed=enabled)
-
-    enabled_lat = [c for i, c in enumerate(latmap.latencies) if i not in disabled]
-    if not enabled_lat:
-        raise ValueError("all cache sets disabled")
-    clock = max(enabled_lat)
-    tag, set_index, line_addr = state.locate(address)
-    if set_index in disabled:
-        # Forced miss straight to memory; nothing is allocated.
-        if write:
-            state.memory[line_addr] = value
-            return AccessResult(hit=False, latency_cycles=1, write=True,
-                                value=value)
-        return AccessResult(hit=False, latency_cycles=1,
-                            value=state.memory.get(line_addr, 0))
-    return _lru_access(state, address, clock, clock, write, value)
+    if disabled is None:
+        disabled = worst_groups(latmap)
+    n = len(latmap.latencies)
+    enabled = [i for i in range(n) if i not in disabled]
+    set_aligned = latmap.layout is LayoutKind.SET_ALIGNED
+    if not enabled:
+        raise ValueError("all cache " + ("ways" if set_aligned else "sets")
+                         + " disabled")
+    clock = max(latmap.latencies[i] for i in enabled)
+    if set_aligned:
+        return BankPolicy([clock] * n, ways=enabled)
+    return BankPolicy([clock] * n, bypass=frozenset(disabled))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import (cache_core, metrics, nuca, pagemap, timing, variation, vasa,
                vawa, workload)
-from .cache_core import PolicyKind
+from .cache_core import BankPolicy, PolicyKind
 from .timing import CacheGeometry, LayoutKind
 
 
@@ -76,7 +76,6 @@ class ExperimentConfig:
     p_metallic: float = 0.05
     p_remove_metallic: float = 0.999
     p_remove_semiconducting: float = 0.05
-    p_align: float = 0.05
     cnt_seed: int = 1
     stages: int = 8
     min_cycles: int = None
@@ -124,7 +123,6 @@ class ExperimentConfig:
         "cnt.p_metallic": "p_metallic",
         "cnt.p_remove_metallic": "p_remove_metallic",
         "cnt.p_remove_semiconducting": "p_remove_semiconducting",
-        "cnt.p_align": "p_align",
         "cnt.seed": "cnt_seed",
         "timing.stages": "stages",
         "timing.min_cycles": "min_cycles",
@@ -220,7 +218,7 @@ class ExperimentConfig:
         from .variation import CntParams
         return CntParams(self.mu, self.sigma, self.p_metallic,
                          self.p_remove_metallic, self.p_remove_semiconducting,
-                         self.p_align, self.cnt_seed)
+                         self.cnt_seed)
 
     @property
     def cycle_range(self):
@@ -340,6 +338,18 @@ def build_latency_maps(cfg):
         if len(latmap.latencies) != expect:
             raise ConfigError(f"map file has {len(latmap.latencies)} groups, "
                               f"geometry needs {expect}")
+        if latmap.geometry is not None and latmap.geometry != cfg.geometry:
+            g = latmap.geometry
+            raise ConfigError(
+                f"map file geometry ({g.capacity_bytes} B, {g.num_ways}-way, "
+                f"{g.line_bytes} B lines) does not match the config's "
+                f"({cfg.capacity_bytes} B, {cfg.num_ways}-way, "
+                f"{cfg.line_bytes} B lines)")
+        lo, hi = cfg.cycle_range
+        if (latmap.min_cycles, latmap.max_cycles) != (lo, hi):
+            raise ConfigError(
+                f"map file cycle range {latmap.min_cycles}..{latmap.max_cycles}"
+                f" does not match the configured range {lo}..{hi}")
         return [latmap]
     lo, hi = cfg.cycle_range
     params = cfg.cnt_params
@@ -361,72 +371,48 @@ class Machinery:
     """Per-bank policy state built from the latency maps."""
 
     latmaps: list
-    worst_cycles: int = 0
-    disabled: list = None
-    shuffle_groups: list = None
-    latency_sources: list = None
+    banks: list            # one cache_core.BankPolicy per bank
+    tables: list = None    # NG segment tables, for the register accounting
 
     def set_latency(self, bank, set_index):
-        """Effective latency the cache charges for a hit in this set."""
-        if self.latency_sources is not None:
-            src = self.latency_sources[bank]
-            if isinstance(src, vawa.UniformGroups):
-                return src.latency_of_set(set_index)
-            return vawa.lookup_latency(src, set_index)
+        """Effective latency the cache charges for a hit in this set; a set
+        aligned bank is costed at its mean way latency."""
+        if self.latmaps[bank].layout is LayoutKind.WAY_ALIGNED:
+            return self.banks[bank].latency[set_index]
         return nuca.bank_average_latency(self.latmaps[bank])
 
 
 def build_machinery(cfg, latmaps):
+    """Resolve the policy for every bank into a cache_core.BankPolicy: a
+    flat hit-latency list, the engine and its restriction.  This is the one
+    place that chooses access behaviour by policy."""
     policy = cfg.policy_kind
-    m = Machinery(latmaps)
-    m.worst_cycles = max(lm.worst() for lm in latmaps)
-    if policy is PolicyKind.BASELINE_PD:
-        m.disabled = [cache_core.worst_groups(lm) for lm in latmaps]
-    if policy is PolicyKind.VASA_DS:
-        m.shuffle_groups = [vasa.WayGroups.from_latency_map(lm, cfg.way_groups)
-                            for lm in latmaps]
-    if policy is PolicyKind.VAWA_UG:
-        m.latency_sources = [vawa.build_uniform_groups(lm, cfg.uniform_groups)
-                             for lm in latmaps]
-    if policy is PolicyKind.VAWA_NG:
-        m.latency_sources = [vawa.build_nonuniform_groups(
+    tables = None
+    if policy is PolicyKind.BASELINE_WORST:
+        worst = max(lm.worst() for lm in latmaps)
+        banks = [BankPolicy([worst] * len(lm.latencies)) for lm in latmaps]
+    elif policy is PolicyKind.BASELINE_PD:
+        banks = [cache_core.partial_disable(lm) for lm in latmaps]
+    elif policy is PolicyKind.VASA:
+        banks = [BankPolicy(list(lm.latencies)) for lm in latmaps]
+    elif policy is PolicyKind.VASA_DS:
+        banks = [BankPolicy(list(lm.latencies), vasa.access_vasa_ds,
+                            vasa.WayGroups.from_latency_map(lm, cfg.way_groups))
+                 for lm in latmaps]
+    elif policy is PolicyKind.VAWA_UG:
+        groups = [vawa.build_uniform_groups(lm, cfg.uniform_groups)
+                  for lm in latmaps]
+        banks = [BankPolicy([c for c in g.group_latency
+                             for _ in range(g.sets_per_group)])
+                 for g in groups]
+    else:
+        tables = [vawa.build_nonuniform_groups(
             lm, list(cfg.classes), cfg.budget, cfg.effective_granularity)
             for lm in latmaps]
-    return m
-
-
-def _uca_accessor(cfg, machinery):
-    policy = cfg.policy_kind
-    state = cache_core.CacheState(cfg.geometry)
-    latmap = machinery.latmaps[0]
-    if policy is PolicyKind.BASELINE_WORST:
-        worst = machinery.worst_cycles
-        return state, lambda core, addr, w, v: cache_core.access_baseline(
-            state, addr, latmap, worst, w, v)
-    if policy is PolicyKind.BASELINE_PD:
-        disabled = machinery.disabled[0]
-        return state, lambda core, addr, w, v: cache_core.access_partial_disable(
-            state, addr, latmap, disabled, w, v)
-    if policy is PolicyKind.VASA:
-        return state, lambda core, addr, w, v: vasa.access_vasa(
-            state, addr, latmap, w, v)
-    if policy is PolicyKind.VASA_DS:
-        groups = machinery.shuffle_groups[0]
-        return state, lambda core, addr, w, v: vasa.access_vasa_ds(
-            state, addr, latmap, groups, w, v)
-    source = machinery.latency_sources[0]
-    return state, lambda core, addr, w, v: vawa.access_vawa(
-        state, addr, source, w, v)
-
-
-def _nuca_accessor(cfg, machinery):
-    cache = nuca.NucaCache(cfg.geometry, cfg.topology, cfg.layout_kind,
-                           machinery.latmaps, policy=cfg.policy_kind,
-                           shuffle_groups=machinery.shuffle_groups,
-                           latency_sources=machinery.latency_sources,
-                           disabled=machinery.disabled)
-    cache.worst_cycles = machinery.worst_cycles
-    return cache, lambda core, addr, w, v: nuca.access_nuca(cache, core, addr, w, v)
+        banks = [BankPolicy([vawa.lookup_latency(t, s)
+                             for s in range(len(lm.latencies))])
+                 for t, lm in zip(tables, latmaps)]
+    return Machinery(latmaps, banks, tables)
 
 
 def build_page_mapping(cfg, machinery, llc_records, raw_records):
@@ -460,10 +446,12 @@ def build_page_mapping(cfg, machinery, llc_records, raw_records):
 
 def make_accessor(cfg, machinery):
     """Callable (core_id, addr, write, value) -> AccessResult for the
-    configured policy, over a fresh cache instance."""
-    if cfg.nuca_enabled:
-        return _nuca_accessor(cfg, machinery)[1]
-    return _uca_accessor(cfg, machinery)[1]
+    configured policy, over a fresh cache instance.  A UCA is the one-bank
+    NucaCache with no NoC cost."""
+    topology = cfg.topology if cfg.nuca_enabled else None
+    cache = nuca.NucaCache(cfg.geometry, topology, cfg.layout_kind,
+                           machinery.banks)
+    return cache.access
 
 
 def simulate_records(records, accessor, stats, translate_fn=None):
@@ -515,16 +503,14 @@ def run_experiment(cfg, records=None):
         page_bytes = cfg.pm_page_bytes
         translate_fn = lambda vaddr: pagemap.translate(vaddr, mapping, page_bytes)
 
+    accessor = make_accessor(cfg, machinery)
     if cfg.nuca_enabled:
-        _, accessor = _nuca_accessor(cfg, machinery)
         averages = [nuca.bank_average_latency(lm) for lm in latmaps]
         spread = max(averages) - min(averages)
         notes.append("bank_avg_hit_latency=" +
                      ";".join(f"{a:.4f}" for a in averages))
         if spread > 0.25:
             notes.append(f"bank_avg_spread={spread:.4f} (banks differ materially)")
-    else:
-        _, accessor = _uca_accessor(cfg, machinery)
 
     policy = cfg.policy_kind
     if policy in (PolicyKind.VASA, PolicyKind.VASA_DS):
@@ -532,8 +518,7 @@ def run_experiment(cfg, records=None):
         notes.append("overhead: " + " ".join(f"{k}={v}" for k, v
                                              in sorted(report.items())))
     elif policy in (PolicyKind.VAWA_UG, PolicyKind.VAWA_NG):
-        table = (machinery.latency_sources[0]
-                 if policy is PolicyKind.VAWA_NG else None)
+        table = machinery.tables[0] if machinery.tables else None
         report = vawa.overhead_report(table)
         notes.append("overhead: " + " ".join(f"{k}={v}" for k, v
                                              in sorted(report.items())))
@@ -547,15 +532,21 @@ def run_experiment(cfg, records=None):
 # -- subcommands ----------------------------------------------------------
 
 
-def _config_from_args(args):
-    keys = {}
-    if getattr(args, "config", None):
-        keys.update(parse_config_file(args.config))
-    for item in getattr(args, "set", None) or []:
+def _apply_sets(keys, items):
+    """Fold `--set key=value` overrides into a key dict."""
+    for item in items or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         keys[key.strip()] = _parse_value(value)
+    return keys
+
+
+def _config_from_args(args):
+    keys = {}
+    if getattr(args, "config", None):
+        keys.update(parse_config_file(args.config))
+    _apply_sets(keys, getattr(args, "set", None))
     return ExperimentConfig.from_keys(keys)
 
 
@@ -692,10 +683,7 @@ def cmd_compare(args):
             raise ConfigError("compare needs --recipe or at least two config files")
         labelled = []
         for path in args.configs:
-            keys = parse_config_file(path)
-            for item in args.set or []:
-                key, value = item.split("=", 1)
-                keys[key.strip()] = _parse_value(value)
+            keys = _apply_sets(parse_config_file(path), args.set)
             labelled.append((path, ExperimentConfig.from_keys(keys)))
     sig = labelled[0][1].workload_signature()
     for label, cfg in labelled[1:]:

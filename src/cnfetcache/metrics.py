@@ -47,7 +47,14 @@ class RunStats:
 
 
 def record_access(stats, result):
-    """Fold one AccessResult into the running counters."""
+    """Fold one AccessResult into the running counters.
+
+    A hit costs its priced latency_cycles (hit latency plus, in NUCA, the
+    NoC round trip).  A miss costs memory_latency_cycles and nothing else:
+    no NoC trip and no hit latency, whatever the bank or the policy, and a
+    request that partial disabling sends straight to memory is priced the
+    same way.
+    """
     stats.accesses += 1
     if result.write:
         stats.writes += 1
@@ -81,22 +88,6 @@ def energy(stats, params, total_cycles=None):
     dynamic = (params.e_read_units * stats.reads
                + params.e_write_units * (stats.writes + stats.shuffle_moves))
     return static, dynamic
-
-
-def merge_stats(a, b):
-    """Associative addition of two runs' counters."""
-    if a.memory_latency_cycles != b.memory_latency_cycles:
-        raise ValueError("cannot merge stats with different memory latencies")
-    out = RunStats(memory_latency_cycles=a.memory_latency_cycles)
-    out.accesses = a.accesses + b.accesses
-    out.hits = a.hits + b.hits
-    out.misses = a.misses + b.misses
-    out.reads = a.reads + b.reads
-    out.writes = a.writes + b.writes
-    out.shuffle_moves = a.shuffle_moves + b.shuffle_moves
-    out.hit_latency_histogram = a.hit_latency_histogram + b.hit_latency_histogram
-    out.total_llc_cycles = a.total_llc_cycles + b.total_llc_cycles
-    return out
 
 
 CSV_FIELDS = ["policy", "layout", "workload", "accesses", "hits", "misses",

@@ -7,9 +7,10 @@ so a page's lines always land in a single bank.  Routing cost is hop count
 times cycles per hop, doubled by default for the request/response round
 trip.  Contention is not modeled (single-cycle routers)."""
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from . import cache_core, vasa, vawa
+from . import cache_core
 from .timing import CacheGeometry, LayoutKind
 
 
@@ -68,20 +69,6 @@ def bank_of(address, num_banks, bank_geometry):
     return (address >> shift) & (num_banks - 1)
 
 
-@dataclass
-class UnifiedLatency:
-    hit_lat: int
-    noc_lat: int
-
-    def __post_init__(self):
-        if self.hit_lat < 0 or self.noc_lat < 0:
-            raise ValueError("latency components must be >= 0")
-
-    @property
-    def total(self):
-        return self.hit_lat + self.noc_lat
-
-
 def bank_average_latency(latmap):
     """Mean way latency of a bank, the per-bank cost metric for page mapping
     on set aligned banks."""
@@ -91,69 +78,62 @@ def bank_average_latency(latmap):
 class NucaCache:
     """LLC distributed over mesh-attached banks, one cache instance each.
 
-    Set aligned banks run the per-way delay-register policy (with optional
-    data shuffling, which never crosses banks); way aligned banks each carry
-    their own segment table or uniform grouping, forming one logical way
-    aligned cache with many latency groups.  Baseline and partial-disabling
-    policies apply bank by bank at a uniform clock.
+    Every bank serves its requests through its own BankPolicy: data
+    shuffling never crosses banks, and way aligned banks each carry their
+    own grouping, forming one logical way aligned cache with many latency
+    groups.  A hit costs the bank's list latency plus noc_lat(core, bank).
+    A uniform cache (UCA) is the one-bank case: topology None, no NoC cost
+    for any core id.
     """
 
-    def __init__(self, total_geometry, topology, layout, latmaps,
-                 policy=cache_core.PolicyKind.VASA, shuffle_groups=None,
-                 latency_sources=None, disabled=None, memory=None):
-        self.topology = topology
-        self.layout = layout
-        self.policy = policy
-        banks = topology.num_banks
+    def __init__(self, total_geometry, topology, layout, policies,
+                 memory=None):
+        banks = len(policies)
+        if banks & (banks - 1):
+            raise ValueError("num_banks must be a power of two")
+        if topology is not None and topology.num_banks != banks:
+            raise ValueError("need one bank policy per mesh bank")
         if total_geometry.capacity_bytes % banks != 0:
             raise ValueError("capacity must divide evenly across banks")
+        self.per_set = layout is LayoutKind.WAY_ALIGNED
         self.bank_geometry = CacheGeometry(
             total_geometry.capacity_bytes // banks,
             total_geometry.num_ways, total_geometry.line_bytes)
-        if len(latmaps) != banks:
-            raise ValueError("need one latency map per bank")
-        self.latmaps = latmaps
-        self.shuffle_groups = shuffle_groups
-        self.latency_sources = latency_sources
-        self.disabled = disabled
+        groups = (self.bank_geometry.num_sets if self.per_set
+                  else self.bank_geometry.num_ways)
+        if any(len(p.latency) != groups for p in policies):
+            raise ValueError(f"each bank needs {groups} hit latencies")
         self.memory = {} if memory is None else memory
         self.banks = [cache_core.CacheState(self.bank_geometry, self.memory)
                       for _ in range(banks)]
-        self.worst_cycles = max(m.worst() for m in latmaps)
-
-    def bank_of(self, address):
-        return bank_of(address, self.topology.num_banks, self.bank_geometry)
-
-    def _bank_access(self, bank, address, write, value):
-        state = self.banks[bank]
-        latmap = self.latmaps[bank]
-        kind = cache_core.PolicyKind
-        if self.policy is kind.BASELINE_WORST:
-            return cache_core.access_baseline(state, address, latmap,
-                                              self.worst_cycles, write, value)
-        if self.policy is kind.BASELINE_PD:
-            return cache_core.access_partial_disable(state, address, latmap,
-                                                     self.disabled[bank],
-                                                     write, value)
-        if self.layout is LayoutKind.SET_ALIGNED:
-            if self.policy is kind.VASA_DS:
-                return vasa.access_vasa_ds(state, address, latmap,
-                                           self.shuffle_groups[bank],
-                                           write, value)
-            return vasa.access_vasa(state, address, latmap, write, value)
-        return vawa.access_vawa(state, address, self.latency_sources[bank],
-                                write, value)
+        self._slots = [(state, p.engine, p.ways, p.bypass, p.latency)
+                       for state, p in zip(self.banks, policies)]
+        if topology is None:
+            self.noc = defaultdict(lambda: (0,))
+        else:
+            self.noc = {core: tuple(noc_latency(topology, core, b)
+                                    for b in range(banks))
+                        for core in topology.core_coords}
+        geometry = self.bank_geometry
+        self._offset_bits = geometry.offset_bits
+        self._set_mask = geometry.num_sets - 1
+        # The bank id is the low bits of the tag: see bank_of.
+        self._tag_shift = geometry.offset_bits + geometry.set_bits
+        self._bank_mask = banks - 1
 
     def access(self, core_id, address, write=False, value=0):
-        """One LLC reference; the result's latency is hit_lat + noc_lat."""
-        bank = self.bank_of(address)
-        result = self._bank_access(bank, address, write, value)
-        parts = UnifiedLatency(result.latency_cycles,
-                               noc_latency(self.topology, core_id, bank))
-        result.latency_cycles = parts.total
-        return result, parts, bank
-
-
-def access_nuca(nuca_cache, core_id, address, write=False, value=0):
-    result, _, _ = nuca_cache.access(core_id, address, write, value)
-    return result
+        """One LLC reference; a hit's latency is hit_lat + noc_lat."""
+        line = address >> self._offset_bits
+        set_index = line & self._set_mask
+        tag = address >> self._tag_shift
+        bank = tag & self._bank_mask
+        state, engine, ways, bypass, latency = self._slots[bank]
+        line_addr = line << self._offset_bits
+        if bypass and set_index in bypass:
+            return cache_core.bypass_access(state, line_addr, write, value)
+        result = engine(state, set_index, tag, line_addr, write, value, ways)
+        if result.hit:
+            result.latency_cycles = (
+                latency[set_index if self.per_set else result.way]
+                + self.noc[core_id][bank])
+        return result

@@ -13,6 +13,8 @@ core), the greedy order minimizes total count-weighted latency.
 import io
 from dataclasses import dataclass, field
 
+from .nuca import bank_of
+
 
 @dataclass
 class PageProfile:
@@ -64,15 +66,6 @@ class FrameInventory:
         return [f for f in self.frames if f.free]
 
 
-def page_granularity(page_bytes, line_bytes, num_ways):
-    """Grouping granularity in cache sets implied by page-level mapping:
-    one page of data equals the capacity of page_bytes/(line_bytes*num_ways)
-    sets."""
-    if page_bytes % (line_bytes * num_ways) != 0:
-        raise ValueError("page size not divisible by line_bytes*num_ways")
-    return page_bytes // (line_bytes * num_ways)
-
-
 def frame_span_sets(page_bytes, line_bytes, num_sets):
     """Consecutive sets actually touched by one frame's lines: one line per
     set under standard indexing, bounded by the set count."""
@@ -93,12 +86,11 @@ def build_frame_inventory(geometry, page_bytes, num_frames, set_latency,
     class and any straddling frame is tagged conservatively.
     """
     span = frame_span_sets(page_bytes, geometry.line_bytes, geometry.num_sets)
-    blocks_per_bank = geometry.num_sets // span
     frames = []
     for idx in range(num_frames):
-        block = idx % blocks_per_bank
-        bank = (idx // blocks_per_bank) % num_banks
-        start = block * span
+        address = idx * page_bytes
+        bank = bank_of(address, num_banks, geometry)
+        start = (address >> geometry.offset_bits) & (geometry.num_sets - 1)
         lat = max(set_latency(bank, s) for s in range(start, start + span))
         frames.append(Frame(idx, start, span, bank, lat))
     return FrameInventory(frames, page_bytes)
@@ -151,38 +143,6 @@ def translate(vaddr, mapping, page_bytes):
     if frame is None:
         return vaddr
     return frame * page_bytes + offset
-
-
-def serialize_page_map(mapping, inventory=None, stream=None):
-    """`vpage,frame[,bank]` lines, ordered by virtual page."""
-    out = stream if stream is not None else io.StringIO()
-    banks = {}
-    if inventory is not None:
-        banks = {f.index: f.bank for f in inventory.frames}
-    for vpage in sorted(mapping):
-        frame = mapping[vpage]
-        if banks:
-            out.write(f"{vpage},{frame},{banks[frame]}\n")
-        else:
-            out.write(f"{vpage},{frame}\n")
-    if stream is None:
-        return out.getvalue()
-    return None
-
-
-def load_page_map(stream):
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    mapping = {}
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected `vpage,frame[,bank]`")
-        mapping[int(parts[0])] = int(parts[1])
-    return mapping
 
 
 def serialize_profile(profile, stream=None):

@@ -234,10 +234,12 @@ def load_latency_map(stream):
         if key not in header:
             raise ValueError(f"missing header key {key}")
     geometry = None
-    if "capacity_bytes" in header:
-        geometry = CacheGeometry(int(header["capacity_bytes"]),
-                                 int(header["num_ways"]),
-                                 int(header["line_bytes"]))
+    geometry_keys = ("capacity_bytes", "num_ways", "line_bytes")
+    if any(key in header for key in geometry_keys):
+        missing = [key for key in geometry_keys if key not in header]
+        if missing:
+            raise ValueError(f"geometry header lacks {', '.join(missing)}")
+        geometry = CacheGeometry(*(int(header[key]) for key in geometry_keys))
     ordered = [latencies[i] for i in sorted(latencies)]
     if sorted(latencies) != list(range(len(ordered))):
         raise ValueError("group indices must be 0..n-1 without gaps")

@@ -10,7 +10,6 @@ accidental semiconducting-CNT removal.  The group's usable drive strength
 is the weakest stage.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +24,11 @@ class CntParams:
     p_metallic: float = 0.05
     p_remove_metallic: float = 0.999
     p_remove_semiconducting: float = 0.05
-    # Alignment probability of the growth process. Kept for completeness of
-    # the parameter set; it has no operational role in the current model.
-    p_align: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
         for name in ("p_metallic", "p_remove_metallic",
-                     "p_remove_semiconducting", "p_align"):
+                     "p_remove_semiconducting"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0,1]")
@@ -63,11 +59,6 @@ class GroupStrength:
             raise ValueError("failed must hold exactly when effective_count == 0")
 
 
-def sample_cnfet_count(params, rng):
-    """Draw one raw CNT count: Normal(mu, sigma) rounded, clamped at zero."""
-    return int(draw_raw_counts(params, 1, rng)[0])
-
-
 def draw_raw_counts(params, n, rng):
     """Vectorized raw CNT counts for n independent tracks."""
     if params.sigma == 0:
@@ -76,21 +67,13 @@ def draw_raw_counts(params, n, rng):
     return np.maximum(np.rint(x), 0).astype(np.int64)
 
 
-def effective_conducting_count(raw_count, params, rng):
-    """Surviving conducting CNTs out of raw_count after processing.
+def surviving_counts(raw_counts, params, rng):
+    """Surviving conducting CNTs out of each raw count after processing.
 
     Each CNT is independently metallic with p_metallic.  Metallic tubes are
     targeted for removal and survive with 1 - p_remove_metallic;
     semiconducting tubes are accidentally removed with p_remove_semiconducting.
     """
-    if raw_count < 0:
-        raise ValueError("raw_count must be >= 0")
-    return int(surviving_counts(np.asarray([raw_count], dtype=np.int64),
-                                params, rng)[0])
-
-
-def surviving_counts(raw_counts, params, rng):
-    """Vectorized effective_conducting_count over an array of raw counts."""
     raw = np.asarray(raw_counts, dtype=np.int64)
     metallic = rng.binomial(raw, params.p_metallic)
     kept_m = rng.binomial(metallic, 1.0 - params.p_remove_metallic)
@@ -120,30 +103,3 @@ def sample_group_strengths(params, num_groups, stages_per_group, rng=None):
         stage_counts[s] = surviving_counts(raw, params, rng)
     eff = stage_counts.min(axis=0)
     return [GroupStrength(i, int(e), e == 0) for i, e in enumerate(eff)]
-
-
-def serialize_strengths(strengths, stream=None):
-    """Write strengths as `group_index,effective_count,failed` lines."""
-    out = stream if stream is not None else io.StringIO()
-    for g in strengths:
-        out.write(f"{g.group_index},{g.effective_count},{int(g.failed)}\n")
-    if stream is None:
-        return out.getvalue()
-    return None
-
-
-def load_strengths(stream):
-    """Parse the line format written by serialize_strengths."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    strengths = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        idx, eff, failed = int(parts[0]), int(parts[1]), int(parts[2])
-        strengths.append(GroupStrength(idx, eff, bool(failed)))
-    return strengths

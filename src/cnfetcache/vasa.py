@@ -12,7 +12,7 @@ displaced group-LRU blocks one group down instead of evicting them.
 
 from dataclasses import dataclass
 
-from .cache_core import AccessResult, find_way, install, pick_victim, promote_lru
+from .cache_core import AccessResult, find_way, install
 
 DELAY_REGISTER_BITS = 4
 # Register file for shuffle buffering and way latency bookkeeping, plus the
@@ -73,29 +73,6 @@ def overhead_report(geometry):
     }
 
 
-def access_vasa(state, address, latmap, write=False, value=0):
-    """Per-way latency lookup without shuffling: plain set-level LRU."""
-    tag, set_index, line_addr = state.locate(address)
-    lines = state.sets[set_index]
-    way = find_way(lines, tag)
-    miss_latency = max(latmap.latencies)
-    if way is not None:
-        line = lines[way]
-        if write:
-            line.data = value
-            line.dirty = True
-        promote_lru(lines, way)
-        return AccessResult(hit=True, way=way,
-                            latency_cycles=latmap.latencies[way],
-                            write=write, value=line.data)
-    way, _ = pick_victim(lines)
-    ev_tag, ev_addr, ev_dirty = install(state, lines, way, tag, line_addr,
-                                        write, value)
-    return AccessResult(hit=False, latency_cycles=miss_latency,
-                        evicted_tag=ev_tag, write=write, value=lines[way].data,
-                        evicted_addr=ev_addr, evicted_dirty=ev_dirty)
-
-
 def _group_mru_update(lines, group_ways, way):
     """Make `way` the group's most recent line and refresh T bits."""
     prev = lines[way].lru_rank
@@ -140,7 +117,7 @@ def _snapshot(line):
     return (line.tag, line.addr, line.data, line.dirty)
 
 
-def access_vasa_ds(state, address, latmap, groups, write=False, value=0):
+def access_vasa_ds(state, set_index, tag, line_addr, write, value, groups):
     """Set aligned access with latency-aware data shuffling.
 
     Hit in G0: the line just becomes its group's most recent (no movement).
@@ -148,17 +125,15 @@ def access_vasa_ds(state, address, latmap, groups, write=False, value=0):
     displaced group-LRU block cascades one group down, the last one landing
     in the slot the hit vacated.  Miss: the incoming block enters G0's T=1
     slot, the cascade runs through all groups, and the slowest group's T=1
-    block is the victim.  The reported hit latency is that of the way where
-    the block resided before any shuffling; moves are counted for the energy
-    model only.
+    block is the victim.  The result's way is where the block resided
+    before any shuffling, so a hit is charged that way's latency; moves are
+    counted for the energy model only.
     """
-    tag, set_index, line_addr = state.locate(address)
     lines = state.sets[set_index]
     way = find_way(lines, tag)
     num_groups = len(groups.groups)
 
     if way is not None:
-        hit_latency = latmap.latencies[way]
         line = lines[way]
         if write:
             line.data = value
@@ -167,15 +142,13 @@ def access_vasa_ds(state, address, latmap, groups, write=False, value=0):
         k = groups.group_of[way]
         if k == 0:
             _group_mru_update(lines, groups.groups[0], way)
-            return AccessResult(hit=True, way=way, latency_cycles=hit_latency,
-                                write=write, value=hit_value, shuffle_moves=0)
+            return AccessResult(True, way, write=write, value=hit_value)
         moves = _promote_chain(lines, groups, way, k)
-        return AccessResult(hit=True, way=way, latency_cycles=hit_latency,
-                            write=write, value=hit_value, shuffle_moves=moves)
+        return AccessResult(True, way, write=write, value=hit_value,
+                            shuffle_moves=moves)
 
     # Miss: fill an invalid slot in the fastest group that has one, else
     # insert at G0's T=1 slot and cascade with eviction from the last group.
-    miss_latency = max(latmap.latencies)
     free = None
     for gi in range(num_groups):
         free = _group_free_way(lines, groups.groups[gi])
@@ -185,9 +158,7 @@ def access_vasa_ds(state, address, latmap, groups, write=False, value=0):
         install(state, lines, free, tag, line_addr, write, value,
                 allowed=groups.groups[gi])
         _group_mru_update(lines, groups.groups[gi], free)
-        return AccessResult(hit=False, latency_cycles=miss_latency,
-                            write=write, value=lines[free].data,
-                            shuffle_moves=0)
+        return AccessResult(False, write=write, value=lines[free].data)
 
     victim_way = _group_lru_way(lines, groups.groups[-1])
     victim = lines[victim_way]
@@ -210,10 +181,9 @@ def access_vasa_ds(state, address, latmap, groups, write=False, value=0):
         _group_mru_update(lines, gw, dst)
         carried = displaced
         moves += 1
-    return AccessResult(hit=False, latency_cycles=miss_latency,
-                        evicted_tag=ev_tag, write=write, value=incoming_data,
-                        shuffle_moves=moves, evicted_addr=ev_addr,
-                        evicted_dirty=ev_dirty)
+    return AccessResult(False, evicted_tag=ev_tag, write=write,
+                        value=incoming_data, shuffle_moves=moves,
+                        evicted_addr=ev_addr, evicted_dirty=ev_dirty)
 
 
 def _promote_chain(lines, groups, way, k):

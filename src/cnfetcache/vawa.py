@@ -6,15 +6,14 @@ grouping (evenly sized groups clocked at their slowest member) and
 non-uniform grouping, which spends a fixed register budget recording only
 the (start,end) index segments of the low-latency classes and leaves every
 uncovered set at the worst timing.  Lookups walk the classes fastest-first,
-so a request is charged the latency of the first class whose segment list
-contains its set.
+so a set is charged the latency of the first class whose segment list
+contains it.  The simulator expands either grouping once into a flat
+per-set latency list; the segment table itself serves the register
+accounting.
 """
 
-import io
 from bisect import bisect_right
 from dataclasses import dataclass
-
-from .cache_core import AccessResult, find_way, install, pick_victim, promote_lru
 
 # Register-file sizes of the two grouping schemes as modeled for the
 # overhead report (4096-set reference configuration).
@@ -76,9 +75,6 @@ class UniformGroups:
     num_groups: int
     group_latency: list
     sets_per_group: int
-
-    def latency_of_set(self, set_index):
-        return self.group_latency[set_index // self.sets_per_group]
 
 
 def build_uniform_groups(latmap, num_groups):
@@ -165,34 +161,6 @@ def coverage_savings(table):
     return saved
 
 
-def access_vawa(state, address, latency_source, write=False, value=0):
-    """Way aligned access: set-level LRU, hit latency from the grouping.
-
-    latency_source is either a SegmentTable or UniformGroups.
-    """
-    tag, set_index, line_addr = state.locate(address)
-    if isinstance(latency_source, UniformGroups):
-        set_latency = latency_source.latency_of_set(set_index)
-    else:
-        set_latency = lookup_latency(latency_source, set_index)
-    lines = state.sets[set_index]
-    way = find_way(lines, tag)
-    if way is not None:
-        line = lines[way]
-        if write:
-            line.data = value
-            line.dirty = True
-        promote_lru(lines, way)
-        return AccessResult(hit=True, way=way, latency_cycles=set_latency,
-                            write=write, value=line.data)
-    way, _ = pick_victim(lines)
-    ev_tag, ev_addr, ev_dirty = install(state, lines, way, tag, line_addr,
-                                        write, value)
-    return AccessResult(hit=False, latency_cycles=set_latency,
-                        evicted_tag=ev_tag, write=write, value=lines[way].data,
-                        evicted_addr=ev_addr, evicted_dirty=ev_dirty)
-
-
 def overhead_report(table=None):
     report = {
         "uniform_register_bytes": UNIFORM_GROUPING_REGISTER_BYTES,
@@ -202,41 +170,3 @@ def overhead_report(table=None):
     if table is not None:
         report["index_registers_used"] = table.index_registers_used()
     return report
-
-
-def serialize_segment_table(table, stream=None):
-    """`class,start,end` lines plus a trailing `default,<cycles>` line."""
-    out = stream if stream is not None else io.StringIO()
-    for cycles, segs in table.classes:
-        for seg in segs:
-            out.write(f"{cycles},{seg.start_set},{seg.end_set}\n")
-    out.write(f"default,{table.default_latency}\n")
-    if stream is None:
-        return out.getvalue()
-    return None
-
-
-def load_segment_table(stream, register_budget=16):
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    by_class = {}
-    default = None
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if parts[0] == "default":
-            default = int(parts[1])
-            continue
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected `class,start,end`")
-        cycles = int(parts[0])
-        by_class.setdefault(cycles, []).append(
-            Segment(int(parts[1]), int(parts[2]), cycles))
-    if default is None:
-        raise ValueError("missing `default,<cycles>` line")
-    classes = [(c, sorted(by_class[c], key=lambda s: s.start_set))
-               for c in sorted(by_class)]
-    return SegmentTable(classes, default_latency=default,
-                        register_budget=register_budget)

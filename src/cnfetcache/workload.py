@@ -38,7 +38,6 @@ class L1Config:
     enabled: bool = True
     icache: CacheGeometry = CacheGeometry(16 * 1024, 2, 64)
     dcache: CacheGeometry = CacheGeometry(32 * 1024, 2, 64)
-    latency_cycles: int = 1
 
 
 class TraceParseError(ValueError):
@@ -131,9 +130,9 @@ def l1_filter(records, config):
             state = cache_core.CacheState(geometry)
             caches[rec.core_id] = state
         accesses[rec.core_id] = accesses.get(rec.core_id, 0) + 1
-        result = cache_core.access_baseline(state, rec.vaddr, None,
-                                            config.latency_cycles,
-                                            write=(rec.op == "W"))
+        tag, set_index, line_addr = state.locate(rec.vaddr)
+        result = cache_core.lru_access(state, set_index, tag, line_addr,
+                                       rec.op == "W", 0)
         if not result.hit:
             misses[rec.core_id] = misses.get(rec.core_id, 0) + 1
             if result.evicted_addr is not None and result.evicted_dirty:

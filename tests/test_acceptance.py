@@ -11,7 +11,6 @@ import pytest
 import test_vasa
 import test_vawa
 from cnfetcache import metrics
-from cnfetcache.cache_core import CacheState
 from cnfetcache.cli import (ExperimentConfig, build_latency_maps,
                             build_machinery, build_page_mapping, main,
                             make_accessor, run_experiment)
@@ -21,7 +20,6 @@ from cnfetcache.pagemap import (PageProfile, assign_pages,
 from cnfetcache.timing import (CacheGeometry, LatencyMap, LayoutKind,
                                build_latency_map)
 from cnfetcache.variation import CntParams, surviving_counts
-from cnfetcache.vasa import access_vasa_ds
 from cnfetcache.vawa import (build_nonuniform_groups, coverage_savings,
                              lookup_latency)
 from cnfetcache.workload import TraceRecord
@@ -40,13 +38,13 @@ def test_criterion_1_shuffle_scenarios_and_oracle():
     test_vasa.test_shuffle_hit_in_slowest_group_cascades()
     test_vasa.test_shuffle_miss_inserts_at_fast_group_and_evicts_slow()
 
-    state = CacheState(test_vasa.GEO_8WAY)
+    cache = test_vasa._ds_cache()
+    state = cache.banks[0]
     oracle = test_vasa.StraightLineShuffleOracle()
     rng = random.Random(20_24)
     for i in range(100_000):
         tag = rng.randrange(24)
-        result = access_vasa_ds(state, test_vasa._addr(tag),
-                                test_vasa.LATMAP, test_vasa.GROUPS)
+        result = cache.access(0, test_vasa._addr(tag))
         hit, way, moves, evicted = oracle.access(tag)
         assert (result.hit, result.shuffle_moves, result.evicted_tag) == \
             (hit, moves, evicted), f"diverged at access {i}"

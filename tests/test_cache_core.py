@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from cnfetcache.cache_core import (CacheState, access_baseline,
-                                   access_partial_disable, decompose,
+from cnfetcache.cache_core import (BankPolicy, CacheState, partial_disable,
                                    worst_groups)
+from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
 
 GEO_2MB = CacheGeometry(2 * 1024 * 1024, 8, 64)
@@ -20,51 +20,61 @@ def _waymap(geometry, latencies, lo=6, hi=10):
                       geometry=geometry)
 
 
+def _uca(geometry, policy, layout=LayoutKind.SET_ALIGNED):
+    """A one-bank cache: the access path every UCA run takes."""
+    cache = NucaCache(geometry, None, layout, [policy])
+    return cache, cache.access
+
+
+def _baseline(geometry, worst=12):
+    return _uca(geometry, BankPolicy([worst] * geometry.num_ways))
+
+
 def test_decompose_zero():
-    assert decompose(0, GEO_2MB) == (0, 0, 0)
+    assert CacheState(GEO_2MB).locate(0) == (0, 0, 0)
 
 
 def test_decompose_bit_arithmetic():
     # 64-byte lines, 4096 sets: offset = bits 0..5, set = bits 6..17.
-    assert decompose(0x10040, GEO_2MB) == (0, 0x401, 0)
-    assert decompose((1 << 18) | (1 << 6), GEO_2MB) == (1, 1, 0)
-    tag, set_index, offset = decompose(0xFFFF_FFC0, GEO_2MB)
-    assert (tag, set_index, offset) == (0xFFFFFFC0 >> 18, 4095, 0)
+    locate = CacheState(GEO_2MB).locate
+    assert locate(0x10040) == (0, 0x401, 0x10040)
+    assert locate((1 << 18) | (1 << 6) | 5) == (1, 1, (1 << 18) | (1 << 6))
+    assert locate(0xFFFF_FFFF) == (0xFFFFFFC0 >> 18, 4095, 0xFFFF_FFC0)
 
 
 def test_decompose_recompose_random():
+    locate = CacheState(GEO_2MB).locate
     rng = random.Random(0)
     for _ in range(1000):
         addr = rng.getrandbits(40)
-        tag, set_index, offset = decompose(addr, GEO_2MB)
-        rebuilt = (tag << 18) | (set_index << 6) | offset
-        assert rebuilt == addr
+        tag, set_index, line_addr = locate(addr)
+        assert (tag << 18) | (set_index << 6) == line_addr
+        assert line_addr | (addr & 63) == addr
 
 
 def test_empty_cache_misses():
-    state = CacheState(GEO_SMALL)
-    latmap = _setmap(GEO_SMALL, [12] * 4)
-    result = access_baseline(state, 0x1234, latmap, 12)
+    _, access = _baseline(GEO_SMALL)
+    result = access(0, 0x1234)
     assert not result.hit
     assert result.evicted_tag is None
+    assert result.latency_cycles is None
 
 
 def test_hit_costs_worst_timing():
-    state = CacheState(GEO_SMALL)
     latmap = _setmap(GEO_SMALL, [6, 6, 6, 12])
-    access_baseline(state, 0x40, latmap, 12)
-    result = access_baseline(state, 0x40, latmap, 12)
+    _, access = _baseline(GEO_SMALL, latmap.worst())
+    access(0, 0x40)
+    result = access(0, 0x40)
     assert result.hit and result.latency_cycles == 12
 
 
 def test_lru_keeps_recent_line():
-    state = CacheState(GEO_SMALL)
-    latmap = _setmap(GEO_SMALL, [12] * 4)
+    _, access = _baseline(GEO_SMALL)
     stride = GEO_SMALL.num_sets * GEO_SMALL.line_bytes
     addrs = [i * stride for i in range(4)]       # same set, distinct tags
     for a in addrs:
-        access_baseline(state, a, latmap, 12)
-    assert access_baseline(state, addrs[0], latmap, 12).hit
+        access(0, a)
+    assert access(0, addrs[0]).hit
 
 
 class TextbookLru:
@@ -93,21 +103,18 @@ class TextbookLru:
 
 def test_lru_reference_property():
     geometry = CacheGeometry(4 * 1024, 4, 64)
-    state = CacheState(geometry)
-    latmap = _setmap(geometry, [12] * 4)
+    _, access = _baseline(geometry)
     oracle = TextbookLru(geometry.num_sets, geometry.num_ways,
                          geometry.line_bytes)
     rng = random.Random(42)
     for _ in range(10_000):
         addr = rng.randrange(64 * 1024)
-        got = access_baseline(state, addr, latmap, 12,
-                              write=rng.random() < 0.3, value=1)
+        got = access(0, addr, rng.random() < 0.3, 1)
         assert got.hit == oracle.access(addr)
 
 
 def test_memory_consistency_baseline():
-    state = CacheState(GEO_SMALL)
-    latmap = _setmap(GEO_SMALL, [12] * 4)
+    _, access = _baseline(GEO_SMALL)
     rng = random.Random(7)
     ref = {}
     seq = 0
@@ -116,21 +123,21 @@ def test_memory_consistency_baseline():
         if rng.random() < 0.4:
             seq += 1
             ref[addr] = seq
-            access_baseline(state, addr, latmap, 12, write=True, value=seq)
+            access(0, addr, True, seq)
         else:
-            result = access_baseline(state, addr, latmap, 12)
+            result = access(0, addr)
             assert result.value == ref.get(addr, 0)
 
 
 def test_tag_multiset_changes_by_at_most_one():
-    state = CacheState(GEO_SMALL)
-    latmap = _setmap(GEO_SMALL, [12] * 4)
+    cache, access = _baseline(GEO_SMALL)
+    state = cache.banks[0]
     rng = random.Random(9)
     for _ in range(5000):
         addr = rng.randrange(32 * 1024) & ~63
-        _, set_index, _ = decompose(addr, GEO_SMALL)
+        _, set_index, _ = state.locate(addr)
         before = state.valid_tags(set_index)
-        result = access_baseline(state, addr, latmap, 12)
+        result = access(0, addr)
         after = state.valid_tags(set_index)
         added = [t for t in after if t not in before or after.count(t) > before.count(t)]
         removed = [t for t in before if t not in after or before.count(t) > after.count(t)]
@@ -143,35 +150,37 @@ def test_partial_disable_hand_trace():
     # One slow way disabled: 7 ways remain, the cache clocks at 6.
     geometry = CacheGeometry(32 * 1024, 8, 64)
     latmap = _setmap(geometry, [6, 6, 6, 6, 6, 6, 6, 12])
-    disabled = worst_groups(latmap)
-    assert disabled == {7}
-    state = CacheState(geometry)
-    access_partial_disable(state, 0x100, latmap, disabled)
-    result = access_partial_disable(state, 0x100, latmap, disabled)
+    assert worst_groups(latmap) == {7}
+    policy = partial_disable(latmap)
+    assert policy.ways == [0, 1, 2, 3, 4, 5, 6]
+    assert policy.latency == [6] * 8
+    cache, access = _uca(geometry, policy)
+    access(0, 0x100)
+    result = access(0, 0x100)
     assert result.hit and result.latency_cycles == 6
-    assert all(not line.valid for lines in state.sets for w, line in
+    assert all(not line.valid for lines in cache.banks[0].sets for w, line in
                enumerate(lines) if w == 7)
 
 
 def test_partial_disable_all_equal_is_baseline():
     latmap = _setmap(GEO_SMALL, [9, 9, 9, 9])
     assert worst_groups(latmap) == set()
-    pd_state = CacheState(GEO_SMALL)
-    base_state = CacheState(GEO_SMALL)
+    _, pd = _uca(GEO_SMALL, partial_disable(latmap))
+    _, base = _baseline(GEO_SMALL, 9)
     rng = random.Random(11)
     for _ in range(3000):
         addr = rng.randrange(16 * 1024) & ~63
-        a = access_partial_disable(pd_state, addr, latmap, set())
-        b = access_baseline(base_state, addr, latmap, 9)
+        a = pd(0, addr)
+        b = base(0, addr)
         assert (a.hit, a.way, a.latency_cycles) == (b.hit, b.way, b.latency_cycles)
 
 
 def test_partial_disable_everything_rejected():
-    geometry = CacheGeometry(1024, 1, 64)
-    latmap = _setmap(geometry, [12])
-    state = CacheState(geometry)
-    with pytest.raises(ValueError):
-        access_partial_disable(state, 0, latmap, {0})
+    # Disabling every group fails when the bank is built, not per access.
+    with pytest.raises(ValueError, match="all cache ways disabled"):
+        partial_disable(_setmap(CacheGeometry(1024, 1, 64), [12]), {0})
+    with pytest.raises(ValueError, match="all cache sets disabled"):
+        partial_disable(_waymap(GEO_SMALL, [10] * 16), set(range(16)))
 
 
 def test_partial_disable_way_aligned_bypass():
@@ -179,16 +188,17 @@ def test_partial_disable_way_aligned_bypass():
     latencies = [6] * 16
     latencies[3] = 10
     latmap = _waymap(geometry, latencies)
-    disabled = worst_groups(latmap)
-    assert disabled == {3}
-    state = CacheState(geometry)
+    assert worst_groups(latmap) == {3}
+    policy = partial_disable(latmap)
+    assert policy.bypass == {3} and policy.latency == [6] * 16
+    cache, access = _uca(geometry, policy, LayoutKind.WAY_ALIGNED)
     addr_disabled = 3 * 64
     # Writes go straight to memory, reads come back from memory, never a hit.
-    access_partial_disable(state, addr_disabled, latmap, disabled,
-                           write=True, value=5)
-    result = access_partial_disable(state, addr_disabled, latmap, disabled)
+    access(0, addr_disabled, True, 5)
+    result = access(0, addr_disabled)
     assert not result.hit and result.value == 5
+    assert not any(line.valid for line in cache.banks[0].sets[3])
     # Enabled sets behave like a 6-cycle cache.
-    access_partial_disable(state, 0x40, latmap, disabled)
-    result = access_partial_disable(state, 0x40, latmap, disabled)
+    access(0, 0x40)
+    result = access(0, 0x40)
     assert result.hit and result.latency_cycles == 6

@@ -217,3 +217,63 @@ def test_simulate_accepts_pregenerated_map(tmp_path):
                  "--set", "layout=way_aligned"] + argv +
                 ["--set", f"timing.map_file={map_path}",
                  "--out", str(tmp_path / "z.csv")]) == 1
+
+
+def _header_without_num_ways(text):
+    return "\n".join(l for l in text.splitlines()
+                     if not l.startswith("num_ways=")) + "\n"
+
+
+def _header_for_1mb_128way(text):
+    return (text.replace("capacity_bytes=65536", "capacity_bytes=1048576")
+                .replace("num_ways=8", "num_ways=128"))
+
+
+def _cycles_20_to_25(text):
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("min_cycles="):
+            line = "min_cycles=20"
+        elif line.startswith("max_cycles="):
+            line = "max_cycles=25"
+        elif "," in line:
+            index, cycles = line.split(",")
+            line = f"{index},{int(cycles) + 14}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_header_without_num_ways, "lacks num_ways"),
+    (_header_for_1mb_128way, "geometry"),
+    (_cycles_20_to_25, "cycle range 20..25"),
+])
+def test_simulate_rejects_bad_map_file(tmp_path, capsys, corrupt, message):
+    # Way aligned 64 KB 8-way: 128 sets, so a 1 MB 128-way header has the
+    # same group count and only the geometry check can catch it.
+    argv = ["--set", "cache.capacity_bytes=65536", "--set", "cnt.seed=4",
+            "--set", "layout=way_aligned", "--set", "policy=vawa_ng"]
+    good = tmp_path / "map.txt"
+    assert main(["gen-variation"] + argv + ["--out", str(good),
+                 "--summary", str(tmp_path / "s.txt")]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text(corrupt(good.read_text()))
+    capsys.readouterr()
+    assert main(["simulate"] + argv +
+                ["--set", f"timing.map_file={bad}",
+                 "--set", "workload.length=2000",
+                 "--out", str(tmp_path / "stats.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "stats.csv").exists()
+
+
+def test_compare_rejects_bare_set_key(tmp_path, capsys):
+    a = tmp_path / "a.cfg"
+    b = tmp_path / "b.cfg"
+    a.write_text("policy=baseline\n")
+    b.write_text("policy=vasa\n")
+    assert main(["compare", str(a), str(b),
+                 "--set", "workload.length"]) == 1
+    assert capsys.readouterr().err == \
+        "error: --set expects key=value, got 'workload.length'\n"

@@ -2,7 +2,7 @@ import pytest
 
 from cnfetcache.cache_core import AccessResult
 from cnfetcache.metrics import (EnergyParams, RunStats, amat, energy,
-                                merge_stats, record_access, stats_row,
+                                record_access, stats_row,
                                 write_histogram_csv, write_stats_csv)
 
 PARAMS = EnergyParams(memory_latency_cycles=30)
@@ -117,20 +117,6 @@ def test_amat_monotone_in_hit_latency():
         record_access(base, _miss())
         record_access(lower, _miss())
     assert amat(lower, PARAMS) <= amat(base, PARAMS)
-
-
-def test_merge_is_associative_addition():
-    a, b = RunStats(), RunStats()
-    record_access(a, _hit(6))
-    record_access(b, _miss(write=True))
-    record_access(b, _hit(9, moves=3))
-    merged = merge_stats(a, b)
-    assert merged.accesses == 3
-    assert merged.hits == 2 and merged.misses == 1
-    assert merged.shuffle_moves == 3
-    assert merged.hit_latency_histogram == {6: 1, 9: 1}
-    both_ways = merge_stats(b, a)
-    assert merged == both_ways
 
 
 def test_csv_shapes():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from cnfetcache.cache_core import PolicyKind
-from cnfetcache.nuca import (MeshTopology, NucaCache, UnifiedLatency,
-                             bank_average_latency, bank_of, noc_latency)
+from cnfetcache.cache_core import BankPolicy, partial_disable
+from cnfetcache.metrics import RunStats, record_access
+from cnfetcache.nuca import (MeshTopology, NucaCache, bank_average_latency,
+                             bank_of, noc_latency)
 from cnfetcache.pagemap import PageProfile, assign_pages, build_frame_inventory
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
 from cnfetcache.vawa import build_nonuniform_groups
@@ -55,37 +56,73 @@ def test_bank_bits_above_set_bits():
         assert len(banks) == 1
 
 
+BANK_GEO = CacheGeometry(GEO_TOTAL.capacity_bytes // 8, 8, 64)   # 16 sets
+BANK_SHIFT = BANK_GEO.offset_bits + BANK_GEO.set_bits
+
+
+def _make_nuca(latencies_per_bank, layout=LayoutKind.WAY_ALIGNED):
+    return NucaCache(GEO_TOTAL, TOPO, layout,
+                     [BankPolicy(lat) for lat in latencies_per_bank])
+
+
 def test_unified_latency_additivity():
-    parts = UnifiedLatency(6, 8)
-    assert parts.total == 14
-    with pytest.raises(ValueError):
-        UnifiedLatency(-1, 0)
-
-
-def _make_nuca(policy, latencies_per_bank, layout=LayoutKind.WAY_ALIGNED,
-               **kw):
-    maps = [LatencyMap(layout, lat, 6, 10) for lat in latencies_per_bank]
-    return NucaCache(GEO_TOTAL, TOPO, layout, maps, policy=policy, **kw)
+    # Every (core, bank) hit costs the bank's set latency plus the NoC trip.
+    lat = [[6 + b % 4] * BANK_GEO.num_sets for b in range(8)]
+    cache = _make_nuca(lat)
+    for bank in range(8):
+        addr = (bank << BANK_SHIFT) | (3 << 6)
+        cache.access(0, addr)
+        for core in TOPO.core_coords:
+            result = cache.access(core, addr)
+            assert result.hit
+            assert result.latency_cycles == 6 + bank % 4 + \
+                noc_latency(TOPO, core, bank)
 
 
 def test_access_totals_obey_unified_model():
-    bank_geo = CacheGeometry(GEO_TOTAL.capacity_bytes // 8, 8, 64)
-    lat = [[6] * bank_geo.num_sets for _ in range(8)]
-    tables = [build_nonuniform_groups(
-        LatencyMap(LayoutKind.WAY_ALIGNED, l, 6, 10), [6], 16)
-        for l in lat]
-    cache = _make_nuca(PolicyKind.VAWA_NG, lat, latency_sources=tables)
-    shift = bank_geo.offset_bits + bank_geo.set_bits
-    addr = 7 << shift                       # bank 7, 4 hops from core 0
+    cache = _make_nuca([[6] * BANK_GEO.num_sets for _ in range(8)])
+    addr = 7 << BANK_SHIFT                  # bank 7, 4 hops from core 0
+    assert bank_of(addr, 8, BANK_GEO) == 7
     cache.access(0, addr)
-    result, parts, bank = cache.access(0, addr)
-    assert bank == 7 and result.hit
-    assert parts.hit_lat == 6 and parts.noc_lat == 8
-    assert result.latency_cycles == 14
+    result = cache.access(0, addr)
+    assert result.hit and result.latency_cycles == 6 + 8
     # Same line from another core differs exactly by the NoC delta.
-    result3, parts3, _ = cache.access(1, addr)
+    result3 = cache.access(1, addr)
     assert result3.latency_cycles - result.latency_cycles == \
-        parts3.noc_lat - parts.noc_lat
+        noc_latency(TOPO, 1, 7) - noc_latency(TOPO, 0, 7)
+
+
+def test_uca_is_one_bank_without_noc_cost():
+    cache = NucaCache(BANK_GEO, None, LayoutKind.SET_ALIGNED,
+                      [BankPolicy([6, 7, 8, 9, 6, 7, 8, 9])])
+    cache.access(0, 0x40)
+    for core in (0, 3, 17):
+        result = cache.access(core, 0x40)
+        assert result.hit and result.latency_cycles == 6 + result.way % 4
+
+
+def test_miss_costs_memory_latency_only():
+    # A miss in the bank farthest from the core pays memory_latency alone:
+    # no NoC round trip and no hit latency.
+    stats = RunStats(memory_latency_cycles=30)
+    cache = _make_nuca([[10] * BANK_GEO.num_sets for _ in range(8)])
+    far = max(range(8), key=lambda b: noc_latency(TOPO, 0, b))
+    assert noc_latency(TOPO, 0, far) == 8
+    result = cache.access(0, far << BANK_SHIFT)
+    assert not result.hit
+    record_access(stats, result)
+    assert stats.total_llc_cycles == 30
+    # So does a request partial disabling sends straight to memory.
+    latencies = [6] * BANK_GEO.num_sets
+    latencies[3] = 10
+    policy = partial_disable(LatencyMap(LayoutKind.WAY_ALIGNED, latencies,
+                                        6, 10))
+    uca = NucaCache(BANK_GEO, None, LayoutKind.WAY_ALIGNED, [policy])
+    for _ in range(2):
+        result = uca.access(0, 3 << 6)
+        assert not result.hit
+        record_access(stats, result)
+    assert stats.total_llc_cycles == 3 * 30
 
 
 def test_equal_banks_reduce_mapping_to_distance_only():

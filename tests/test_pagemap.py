@@ -5,19 +5,10 @@ import pytest
 
 from cnfetcache.pagemap import (Frame, FrameInventory, PageProfile,
                                 assign_pages, build_frame_inventory,
-                                frame_span_sets, load_page_map,
-                                page_granularity, profile_trace,
-                                serialize_page_map, serialize_profile,
-                                translate)
+                                frame_span_sets, profile_trace,
+                                serialize_profile, translate)
 from cnfetcache.timing import CacheGeometry
 from cnfetcache.workload import L1Config, TraceRecord
-
-
-def test_page_granularity_formula():
-    assert page_granularity(4096, 64, 8) == 8
-    assert page_granularity(4096, 64, 4) == 16
-    with pytest.raises(ValueError):
-        page_granularity(2048, 64, 64)
 
 
 def test_frame_span_is_granularity_aligned():
@@ -26,7 +17,7 @@ def test_frame_span_is_granularity_aligned():
     geometry = CacheGeometry(2 * 1024 * 1024, 8, 64)
     span = frame_span_sets(4096, 64, geometry.num_sets)
     assert span == 64
-    g = page_granularity(4096, 64, 8)
+    g = 4096 // (64 * 8)          # sets holding one page's worth of data
     assert span % g == 0
     inventory = build_frame_inventory(geometry, 4096, 128, lambda b, s: 6)
     for frame in inventory.frames:
@@ -160,13 +151,9 @@ def test_inventory_bank_and_set_math():
         assert frame.latency_class == 6 + frame.bank
 
 
-def test_page_map_serialization_round_trip():
+def test_profile_serialization():
     profile = PageProfile()
     profile.record(1, 0, 3)
     profile.record(4, 1, 9)
-    inventory = _inventory([6, 10])
-    mapping = assign_pages(profile, inventory)
-    text = serialize_page_map(mapping, inventory)
-    assert load_page_map(text) == mapping
     dump = serialize_profile(profile)
     assert "4,9,1:9" in dump and "1,3,0:3" in dump

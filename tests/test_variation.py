@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from cnfetcache.variation import (CntParams, GroupStrength, draw_raw_counts,
-                                  effective_conducting_count, load_strengths,
-                                  sample_cnfet_count, sample_group_strengths,
-                                  serialize_strengths, surviving_counts)
+                                  sample_group_strengths, surviving_counts)
 
 TABLE_PARAMS = CntParams(mu=9.0, sigma=2.1, p_metallic=0.05,
                          p_remove_metallic=0.999,
@@ -14,7 +12,7 @@ TABLE_PARAMS = CntParams(mu=9.0, sigma=2.1, p_metallic=0.05,
 def test_zero_variance_gives_constant_count():
     params = CntParams(mu=9.0, sigma=0.0)
     rng = np.random.default_rng(0)
-    assert all(sample_cnfet_count(params, rng) == 9 for _ in range(50))
+    assert np.all(draw_raw_counts(params, 50, rng) == 9)
 
 
 def test_raw_count_mean_matches_distribution():
@@ -34,10 +32,10 @@ def test_rounding_and_clamping_forced():
 
 def test_effective_count_empty_and_lossless():
     rng = np.random.default_rng(3)
-    assert effective_conducting_count(0, TABLE_PARAMS, rng) == 0
+    assert np.all(surviving_counts([0, 0, 0], TABLE_PARAMS, rng) == 0)
     lossless = CntParams(mu=9.0, sigma=0.0, p_metallic=0.0,
                          p_remove_metallic=0.0, p_remove_semiconducting=0.0)
-    assert effective_conducting_count(9, lossless, rng) == 9
+    assert np.all(surviving_counts([9, 4, 0], lossless, rng) == [9, 4, 0])
 
 
 def test_effective_count_monte_carlo_mean():
@@ -133,10 +131,3 @@ def test_params_validation():
         CntParams(p_metallic=1.5)
     with pytest.raises(ValueError):
         CntParams(sigma=-0.1)
-
-
-def test_strengths_round_trip():
-    groups = sample_group_strengths(TABLE_PARAMS, 32, 8)
-    text = serialize_strengths(groups)
-    assert load_strengths(text) == groups
-    assert serialize_strengths(load_strengths(text)) == text

@@ -1,9 +1,10 @@
 import random
 
-from cnfetcache.cache_core import CacheState, access_baseline
+from cnfetcache.cache_core import BankPolicy
+from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
-from cnfetcache.vasa import (WayGroups, access_vasa, access_vasa_ds,
-                             delay_registers, overhead_report)
+from cnfetcache.vasa import (WayGroups, access_vasa_ds, delay_registers,
+                             overhead_report)
 
 GEO_8WAY = CacheGeometry(8 * 64 * 4, 8, 64)          # 4 sets x 8 ways
 LATENCIES = [6, 6, 7, 7, 8, 8, 12, 12]
@@ -13,6 +14,15 @@ GROUPS = WayGroups.from_latency_map(LATMAP, 4)
 
 def _addr(tag, set_index=0):
     return (tag << (6 + 2)) | (set_index << 6)
+
+
+def _uca(policy):
+    """One-bank set aligned cache over GEO_8WAY: the path every UCA run takes."""
+    return NucaCache(GEO_8WAY, None, LayoutKind.SET_ALIGNED, [policy])
+
+
+def _ds_cache():
+    return _uca(BankPolicy(list(LATENCIES), access_vasa_ds, GROUPS))
 
 
 def _fill_set(state, groups, tags):
@@ -56,10 +66,11 @@ def test_way_groups_partition_by_latency():
 
 def test_shuffle_hit_in_fastest_group():
     # Hit on Way 1 (G0): only the T bits flip, nothing moves.
-    state = CacheState(GEO_8WAY)
+    cache = _ds_cache()
+    state = cache.banks[0]
     _fill_set(state, GROUPS, list(range(10, 18)))
     _set_tbits(state, GROUPS, t_one_ways={1, 3, 5, 7})
-    result = access_vasa_ds(state, _addr(11), LATMAP, GROUPS)
+    result = cache.access(0, _addr(11))
     assert result.hit and result.way == 1
     assert result.shuffle_moves == 0
     assert result.latency_cycles == 6
@@ -70,10 +81,11 @@ def test_shuffle_hit_in_fastest_group():
 def test_shuffle_hit_in_second_group_swaps():
     # Hit on Way 3 (G1) with G0's T=1 on Way 0: blocks of Way 0 and Way 3
     # swap, both arriving blocks get T=0, their siblings T=1.
-    state = CacheState(GEO_8WAY)
+    cache = _ds_cache()
+    state = cache.banks[0]
     _fill_set(state, GROUPS, list(range(10, 18)))
     _set_tbits(state, GROUPS, t_one_ways={0, 3, 5, 7})
-    result = access_vasa_ds(state, _addr(13), LATMAP, GROUPS)
+    result = cache.access(0, _addr(13))
     assert result.hit and result.way == 3
     assert result.shuffle_moves == 2
     assert result.latency_cycles == 7
@@ -84,10 +96,11 @@ def test_shuffle_hit_in_second_group_swaps():
 def test_shuffle_hit_in_slowest_group_cascades():
     # Hit on Way 7 (G3): promoted to Way 1 (G0's T=1), each displaced T=1
     # block drops one group, the last lands in the vacated Way 7.
-    state = CacheState(GEO_8WAY)
+    cache = _ds_cache()
+    state = cache.banks[0]
     _fill_set(state, GROUPS, list(range(10, 18)))
     _set_tbits(state, GROUPS, t_one_ways={1, 3, 5, 7})
-    result = access_vasa_ds(state, _addr(17), LATMAP, GROUPS)
+    result = cache.access(0, _addr(17))
     assert result.hit and result.way == 7
     assert result.shuffle_moves == 4
     assert result.latency_cycles == 12
@@ -99,10 +112,11 @@ def test_shuffle_miss_inserts_at_fast_group_and_evicts_slow():
     # Miss with G0's T=1 on Way 1: the new block takes Way 1, the chain of
     # displaced T=1 blocks runs through every group, and the slowest group's
     # T=1 block (Way 7) is the victim.
-    state = CacheState(GEO_8WAY)
+    cache = _ds_cache()
+    state = cache.banks[0]
     _fill_set(state, GROUPS, list(range(10, 18)))
     _set_tbits(state, GROUPS, t_one_ways={1, 3, 5, 7})
-    result = access_vasa_ds(state, _addr(99), LATMAP, GROUPS)
+    result = cache.access(0, _addr(99))
     assert not result.hit
     assert result.shuffle_moves == 4
     assert result.evicted_tag == 17
@@ -111,34 +125,35 @@ def test_shuffle_miss_inserts_at_fast_group_and_evicts_slow():
 
 
 def test_vasa_hit_latency_is_way_latency():
-    state = CacheState(GEO_8WAY)
-    latmap = LatencyMap(LayoutKind.SET_ALIGNED, [6, 9, 7, 7, 8, 8, 12, 12], 6, 12)
-    access_vasa(state, _addr(5), latmap)
-    result = access_vasa(state, _addr(5), latmap)
-    assert result.hit and result.latency_cycles == latmap.latencies[result.way]
-    miss = access_vasa(state, _addr(6), latmap)
+    latencies = [6, 9, 7, 7, 8, 8, 12, 12]
+    access = _uca(BankPolicy(latencies)).access
+    access(0, _addr(5))
+    result = access(0, _addr(5))
+    assert result.hit and result.latency_cycles == latencies[result.way]
+    miss = access(0, _addr(6))
     assert not miss.hit and miss.shuffle_moves == 0
 
 
 def test_vasa_hit_sequence_matches_baseline():
-    vasa_state = CacheState(GEO_8WAY)
-    base_state = CacheState(GEO_8WAY)
+    vasa = _uca(BankPolicy(list(LATENCIES))).access
+    base = _uca(BankPolicy([12] * 8)).access
     rng = random.Random(3)
     for _ in range(20_000):
         addr = rng.randrange(1 << 14) & ~63
-        a = access_vasa(vasa_state, addr, LATMAP)
-        b = access_baseline(base_state, addr, LATMAP, 12)
+        a = vasa(0, addr)
+        b = base(0, addr)
         assert a.hit == b.hit and a.way == b.way
 
 
 def test_repeated_hits_converge_to_fast_group():
-    state = CacheState(GEO_8WAY)
+    cache = _ds_cache()
+    state = cache.banks[0]
     _fill_set(state, GROUPS, list(range(10, 18)))
     _set_tbits(state, GROUPS, t_one_ways={1, 3, 5, 7})
-    first = access_vasa_ds(state, _addr(16), LATMAP, GROUPS)   # way 6, G3
+    first = cache.access(0, _addr(16))   # way 6, G3
     assert first.shuffle_moves > 0
     for _ in range(5):
-        again = access_vasa_ds(state, _addr(16), LATMAP, GROUPS)
+        again = cache.access(0, _addr(16))
         assert again.hit
         assert again.way in GROUPS.groups[0]
         assert again.latency_cycles <= 6
@@ -146,14 +161,14 @@ def test_repeated_hits_converge_to_fast_group():
 
 
 def test_tbit_wellformed_and_tags_preserved_under_shuffles():
-    state = CacheState(GEO_8WAY)
+    cache = _ds_cache()
+    state = cache.banks[0]
     rng = random.Random(5)
     for _ in range(20_000):
         addr = (rng.randrange(24) << 8) | (rng.randrange(4) << 6)
         _, set_index = addr >> 8, (addr >> 6) & 3
         before = sorted(l.tag for l in state.sets[set_index] if l.valid)
-        result = access_vasa_ds(state, addr, LATMAP, GROUPS,
-                                write=rng.random() < 0.3, value=1)
+        result = cache.access(0, addr, rng.random() < 0.3, 1)
         after = sorted(l.tag for l in state.sets[set_index] if l.valid)
         if result.hit:
             assert before == after
@@ -252,12 +267,13 @@ class StraightLineShuffleOracle:
 
 
 def test_engine_agrees_with_straight_line_oracle():
-    state = CacheState(GEO_8WAY)
+    cache = _ds_cache()
+    state = cache.banks[0]
     oracle = StraightLineShuffleOracle()
     rng = random.Random(77)
     for i in range(10_000):
         tag = rng.randrange(20)
-        result = access_vasa_ds(state, _addr(tag), LATMAP, GROUPS)
+        result = cache.access(0, _addr(tag))
         hit, way, moves, evicted = oracle.access(tag)
         assert result.hit == hit, f"step {i}"
         if hit:

@@ -2,13 +2,11 @@ import random
 
 import pytest
 
-from cnfetcache.cache_core import CacheState
+from cnfetcache.cli import ExperimentConfig, build_machinery, make_accessor
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
-from cnfetcache.vawa import (Segment, SegmentTable, access_vawa,
-                             build_nonuniform_groups, build_uniform_groups,
-                             coverage_savings, load_segment_table,
-                             lookup_latency, overhead_report,
-                             serialize_segment_table)
+from cnfetcache.vawa import (Segment, SegmentTable, build_nonuniform_groups,
+                             build_uniform_groups, coverage_savings,
+                             lookup_latency, overhead_report)
 
 GEO_4K = CacheGeometry(4 * 1024 * 1024, 8, 64)      # 8192 sets
 GEO_SMALL = CacheGeometry(64 * 8 * 64, 8, 64)       # 64 sets x 8 ways
@@ -16,6 +14,14 @@ GEO_SMALL = CacheGeometry(64 * 8 * 64, 8, 64)       # 64 sets x 8 ways
 
 def _waymap(latencies, lo=6, hi=10):
     return LatencyMap(LayoutKind.WAY_ALIGNED, latencies, lo, hi)
+
+
+def _accessor(policy, latmap, **keys):
+    """The CLI's access path for a VAWA policy over GEO_SMALL and latmap."""
+    cfg = ExperimentConfig.from_keys({
+        "cache.capacity_bytes": GEO_SMALL.capacity_bytes,
+        "layout": "way_aligned", "policy": policy, **keys})
+    return make_accessor(cfg, build_machinery(cfg, [latmap]))
 
 
 def test_uniform_groups_all_fast():
@@ -184,39 +190,26 @@ def test_segment_table_register_accounting():
 
 def test_access_vawa_latencies():
     lat = [6] * 32 + [10] * 32
-    m = _waymap(lat)
-    table = build_nonuniform_groups(m, [6], 16)
-    state = CacheState(GEO_SMALL)
+    access = _accessor("vawa_ng", _waymap(lat), **{"grouping.classes": 6})
     fast_addr = 5 * 64
     slow_addr = 40 * 64
-    access_vawa(state, fast_addr, table)
-    assert access_vawa(state, fast_addr, table).latency_cycles == 6
-    access_vawa(state, slow_addr, table)
-    assert access_vawa(state, slow_addr, table).latency_cycles == 10
+    access(0, fast_addr)
+    assert access(0, fast_addr).latency_cycles == 6
+    access(0, slow_addr)
+    assert access(0, slow_addr).latency_cycles == 10
 
 
 def test_uniform_vs_nonuniform_same_hit_miss_sequence():
     lat = [random.Random(8).choice([6, 7, 10]) for _ in range(64)]
     m = _waymap(lat)
-    table = build_nonuniform_groups(m, [6, 7], 16)
-    uniform = build_uniform_groups(m, 8)
-    s1, s2 = CacheState(GEO_SMALL), CacheState(GEO_SMALL)
+    ng = _accessor("vawa_ng", m)
+    ug = _accessor("vawa_ug", m, **{"grouping.num_groups": 8})
     rng = random.Random(9)
     for _ in range(20_000):
         addr = rng.randrange(1 << 16) & ~63
-        a = access_vawa(s1, addr, table)
-        b = access_vawa(s2, addr, uniform)
+        a = ng(0, addr)
+        b = ug(0, addr)
         assert a.hit == b.hit and a.way == b.way
-
-
-def test_segment_table_round_trip():
-    lat = [6] * 8 + [7] * 8 + [10] * 48
-    table = build_nonuniform_groups(_waymap(lat), [6, 7], 4)
-    text = serialize_segment_table(table)
-    loaded = load_segment_table(text, register_budget=4)
-    assert loaded.classes == table.classes
-    assert loaded.default_latency == table.default_latency
-    assert serialize_segment_table(loaded) == text
 
 
 def test_segment_table_validation():
