@@ -286,6 +286,10 @@ class ExperimentConfig:
             if self.nuca_enabled and self.pm_page_bytes // self.line_bytes > self.bank_geometry.num_sets:
                 raise ConfigError("page footprint exceeds one bank's sets; "
                                   "use smaller pages or larger banks")
+        if (policy in (PolicyKind.VASA, PolicyKind.VASA_DS)
+                and hi >= 1 << vasa.DELAY_REGISTER_BITS):
+            raise ConfigError(f"max_cycles {hi} does not fit the "
+                              f"{vasa.DELAY_REGISTER_BITS}-bit delay register")
         if policy is PolicyKind.VASA_DS and geometry.num_ways % self.way_groups != 0:
             raise ConfigError("vasa.way_groups must divide the way count")
         if policy is PolicyKind.VAWA_UG and self.bank_geometry.num_sets % self.uniform_groups != 0:
@@ -419,9 +423,7 @@ def build_page_mapping(cfg, machinery, llc_records, raw_records):
     """Profile the workload and assign hot pages to fast frames."""
     page_bytes = cfg.pm_page_bytes
     source = raw_records if cfg.pm_count_raw else llc_records
-    profile = pagemap.PageProfile()
-    for rec in source:
-        profile.record(rec.vaddr // page_bytes, rec.core_id)
+    profile = pagemap.profile_trace(source, page_bytes)
 
     geometry = cfg.bank_geometry
     span = pagemap.frame_span_sets(page_bytes, cfg.line_bytes, geometry.num_sets)

@@ -3,11 +3,20 @@ cache latency, and allocate the hottest pages to the fastest frames.
 
 The mapping is a two-pass scheme: a profiling pass counts LLC-bound accesses
 per virtual page (optionally behind the L1 filter), then pages sorted by
-access count greedily claim the cheapest free frame.  Frame cost is the
-latency class of the cache sets the frame's lines occupy, plus the NoC
-round-trip to the frame's bank under a NUCA organization.  Because the cost
-of a frame does not depend on which page holds it (for a fixed requesting
-core), the greedy order minimizes total count-weighted latency.
+access count greedily claim the cheapest free frame for their dominant
+core.  Frame cost is the latency class of the cache sets the frame's lines
+occupy, plus the NoC round-trip from the core to the frame's bank under
+unified (NoC-aware) mapping.
+
+When the cost does not depend on the core (a single core, or NoC-oblivious
+mapping), the greedy order minimizes total count-weighted latency.  Under
+unified mapping it charges each page at its dominant core only, while the
+true cost is weighted over every core that touches the page, so the result
+is a close upper bound on the optimum rather than the optimum itself.
+
+A frame's cost depends only on (frame, core), so the free frames are sorted
+once per dominant core and each page takes the first untaken frame of its
+core's order: O(F K log F + P) for F frames, K cores and P pages.
 """
 
 import io
@@ -51,10 +60,6 @@ class Frame:
     bank: int = 0
     latency_class: int = 0
     free: bool = True
-
-    @property
-    def sets(self):
-        return range(self.start_set, self.start_set + self.span_sets)
 
 
 @dataclass
@@ -126,13 +131,21 @@ def assign_pages(profile, inventory, latency_of_frame=None):
     free = inventory.free_frames()
     if len(pages) > len(free):
         raise ValueError(f"{len(pages)} pages exceed {len(free)} free frames")
+    taken = bytearray(len(free))
+    orders = {}   # core -> iterator over free-list positions, cheapest first
     mapping = {}
     for vpage in pages:
         core = profile.dominant_core(vpage)
-        best = min(free, key=lambda f: (latency_of_frame(f, core), f.index))
-        free.remove(best)
-        best.free = False
-        mapping[vpage] = best.index
+        order = orders.get(core)
+        if order is None:
+            order = orders[core] = iter(sorted(
+                range(len(free)),
+                key=lambda i: (latency_of_frame(free[i], core), free[i].index)))
+        pos = next(i for i in order if not taken[i])
+        taken[pos] = 1
+        frame = free[pos]
+        frame.free = False
+        mapping[vpage] = frame.index
     return mapping
 
 

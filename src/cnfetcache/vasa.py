@@ -54,15 +54,6 @@ class WayGroups:
         return cls(groups, lat, per)
 
 
-def delay_registers(latmap):
-    """Per-way delay register contents; values must fit the register width."""
-    limit = 1 << DELAY_REGISTER_BITS
-    for c in latmap.latencies:
-        if c >= limit:
-            raise ValueError(f"latency {c} does not fit {DELAY_REGISTER_BITS} bits")
-    return list(latmap.latencies)
-
-
 def overhead_report(geometry):
     """Bookkeeping storage added by the set aligned architecture."""
     return {

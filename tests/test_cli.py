@@ -268,6 +268,25 @@ def test_simulate_rejects_bad_map_file(tmp_path, capsys, corrupt, message):
     assert not (tmp_path / "stats.csv").exists()
 
 
+@pytest.mark.parametrize("policy", ["vasa", "vasa_ds"])
+def test_vasa_rejects_cycles_beyond_delay_register(tmp_path, capsys, policy):
+    # A 4-bit delay register holds 0..15: a 14..24 cycle range would charge
+    # way latencies the register cannot time.
+    out = tmp_path / "stats.csv"
+    assert main(["simulate", "--set", f"policy={policy}",
+                 "--set", "layout=set_aligned",
+                 "--set", "timing.min_cycles=14",
+                 "--set", "timing.max_cycles=24",
+                 "--set", "cache.capacity_bytes=65536",
+                 "--set", "cnt.seed=3", "--set", "workload.length=3000",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "delay register" in err
+    assert not out.exists()
+    # The default 6..12 range fits.
+    _config(policy=policy, layout="set_aligned")
+
+
 def test_compare_rejects_bare_set_key(tmp_path, capsys):
     a = tmp_path / "a.cfg"
     b = tmp_path / "b.cfg"

@@ -1,5 +1,6 @@
 """Property tests of the one access path: replacement invariants of the LRU
-and data-shuffling engines, and safety of the flattened grouping latency."""
+and data-shuffling engines, safety of the flattened grouping latency, and
+the trace text round trip."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from cnfetcache.cli import ExperimentConfig, build_machinery
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
 from cnfetcache.vasa import WayGroups, access_vasa_ds
+from cnfetcache.workload import TraceRecord, parse_trace, serialize_trace
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -74,3 +76,14 @@ def test_flattened_ng_never_undercuts_physical_latency(data, classes, budget,
     flat = build_machinery(cfg, [latmap]).banks[0].latency
     assert len(flat) == 64
     assert all(f >= c for f, c in zip(flat, latencies))
+
+
+trace_records = st.lists(st.builds(
+    TraceRecord, core_id=st.integers(0, 64), op=st.sampled_from("RW"),
+    vaddr=st.integers(0, 2 ** 64), kind=st.sampled_from("ID")), max_size=50)
+
+
+@PROPERTY
+@given(records=trace_records)
+def test_trace_text_round_trips(records):
+    assert parse_trace(serialize_trace(records)) == records

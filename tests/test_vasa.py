@@ -3,8 +3,7 @@ import random
 from cnfetcache.cache_core import BankPolicy
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
-from cnfetcache.vasa import (WayGroups, access_vasa_ds, delay_registers,
-                             overhead_report)
+from cnfetcache.vasa import WayGroups, access_vasa_ds, overhead_report
 
 GEO_8WAY = CacheGeometry(8 * 64 * 4, 8, 64)          # 4 sets x 8 ways
 LATENCIES = [6, 6, 7, 7, 8, 8, 12, 12]
@@ -288,7 +287,6 @@ def test_engine_agrees_with_straight_line_oracle():
 
 
 def test_delay_registers_and_overhead():
-    assert delay_registers(LATMAP) == LATENCIES
     geo = CacheGeometry(2 * 1024 * 1024, 8, 64)
     report = overhead_report(geo)
     assert report["delay_register_bytes"] == 4
