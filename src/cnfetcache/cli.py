@@ -10,9 +10,12 @@ Subcommands: gen-variation, simulate, profile, compare, gen-trace.
 """
 
 import argparse
+import copy
+import math
+import numbers
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,11 +60,29 @@ def parse_config_file(path):
 
 
 def _int_list(value):
-    if isinstance(value, int):
-        return [value]
     if isinstance(value, str):
-        return [int(x) for x in value.split(",") if x.strip()]
-    return list(value)
+        try:
+            return [int(x) for x in value.split(",") if x.strip()]
+        except ValueError:
+            raise ConfigError(f"grouping.classes={value!r} is not a "
+                              f"comma-separated list of integers") from None
+    return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# The test a config value must pass, and its wording, by its field's type.
+_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    int: (_is_int, "an integer"),
+    float: (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
+            "a finite number"),
+    list: (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+           "a list of integers"),
+}
 
 
 @dataclass
@@ -160,6 +181,17 @@ class ExperimentConfig:
         "energy.memory_latency": "memory_latency",
     }
 
+    # Smallest value of each integer key the model gives a meaning to; the
+    # cache geometry and the cycle range are checked on their own.
+    MINIMUM = {"timing.stages": 1, "vasa.way_groups": 1,
+               "grouping.num_groups": 1, "grouping.budget": 0,
+               "grouping.granularity": 1, "pagemap.page_bytes": 1,
+               "nuca.rows": 1, "nuca.cols": 1, "nuca.cycles_per_hop": 0,
+               "nuca.round_trip_factor": 0, "workload.num_pages": 1,
+               "workload.length": 0, "workload.num_cores": 1,
+               "workload.page_bytes": 1, "cnt.seed": 0, "workload.seed": 0,
+               "energy.memory_latency": 0}
+
     @classmethod
     def from_keys(cls, keys):
         cfg = cls()
@@ -170,16 +202,10 @@ class ExperimentConfig:
             if attr == "classes":
                 value = _int_list(value)
             setattr(cfg, attr, value)
-        cfg.validate()
-        return cfg
+        return cfg.validate()
 
     def copy_with(self, **overrides):
-        import copy
-        cfg = copy.deepcopy(self)
-        for attr, value in overrides.items():
-            setattr(cfg, attr, value)
-        cfg.validate()
-        return cfg
+        return replace(copy.deepcopy(self), **overrides).validate()
 
     # -- derived pieces -------------------------------------------------
 
@@ -203,11 +229,8 @@ class ExperimentConfig:
 
     @property
     def bank_geometry(self):
-        if not self.nuca_enabled:
-            return self.geometry
-        banks = self.num_banks
-        return CacheGeometry(self.capacity_bytes // banks, self.num_ways,
-                             self.line_bytes)
+        return CacheGeometry(self.capacity_bytes // self.num_banks,
+                             self.num_ways, self.line_bytes)
 
     @property
     def num_banks(self):
@@ -215,16 +238,22 @@ class ExperimentConfig:
 
     @property
     def cnt_params(self):
-        from .variation import CntParams
-        return CntParams(self.mu, self.sigma, self.p_metallic,
-                         self.p_remove_metallic, self.p_remove_semiconducting,
-                         self.cnt_seed)
+        return variation.CntParams(self.mu, self.sigma, self.p_metallic,
+                                   self.p_remove_metallic,
+                                   self.p_remove_semiconducting, self.cnt_seed)
 
     @property
     def cycle_range(self):
         lo, hi = timing.DEFAULT_CYCLE_RANGE[self.layout_kind]
         return (self.min_cycles if self.min_cycles is not None else lo,
                 self.max_cycles if self.max_cycles is not None else hi)
+
+    @property
+    def nominal(self):
+        """timing.nominal_count, or the calibrated median group strength."""
+        if self.nominal_count is not None:
+            return self.nominal_count
+        return timing.calibrate_nominal_count(self.cnt_params, self.stages)
 
     @property
     def energy_params(self):
@@ -261,9 +290,28 @@ class ExperimentConfig:
                 self.wl_instr_stream, self.wl_seed, self.wl_page_bytes,
                 self.wl_core_affinity)
 
+    def _check_values(self):
+        """Every key holds its field's type, and no integer key is below its
+        MINIMUM."""
+        for key, attr in self.KEYMAP.items():
+            value = getattr(self, attr)
+            spec = self.__dataclass_fields__[attr]
+            if value is None and spec.default is None:
+                continue
+            fits, wording = _TYPES[spec.type]
+            if not fits(value):
+                raise ConfigError(f"{key}={value!r} must be {wording}")
+            if key in self.MINIMUM and value < self.MINIMUM[key]:
+                raise ConfigError(f"{key} must be >= {self.MINIMUM[key]}, "
+                                  f"got {value}")
+
     def validate(self):
+        self._check_values()
+        if self.nuca_enabled and self.capacity_bytes % self.num_banks != 0:
+            raise ConfigError("capacity must divide across banks")
         try:
             geometry = self.geometry
+            bank_geometry = self.bank_geometry
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         policy = self.policy_kind
@@ -283,7 +331,7 @@ class ExperimentConfig:
                                   "(all sets share one latency)")
             if self.pm_page_bytes % self.line_bytes != 0:
                 raise ConfigError("page size must be a multiple of the line size")
-            if self.nuca_enabled and self.pm_page_bytes // self.line_bytes > self.bank_geometry.num_sets:
+            if self.nuca_enabled and self.pm_page_bytes // self.line_bytes > bank_geometry.num_sets:
                 raise ConfigError("page footprint exceeds one bank's sets; "
                                   "use smaller pages or larger banks")
         if (policy in (PolicyKind.VASA, PolicyKind.VASA_DS)
@@ -292,18 +340,15 @@ class ExperimentConfig:
                               f"{vasa.DELAY_REGISTER_BITS}-bit delay register")
         if policy is PolicyKind.VASA_DS and geometry.num_ways % self.way_groups != 0:
             raise ConfigError("vasa.way_groups must divide the way count")
-        if policy is PolicyKind.VAWA_UG and self.bank_geometry.num_sets % self.uniform_groups != 0:
+        if policy is PolicyKind.VAWA_UG and bank_geometry.num_sets % self.uniform_groups != 0:
             raise ConfigError("grouping.num_groups must divide the set count")
         if policy is PolicyKind.VAWA_NG:
             if sorted(self.classes) != list(self.classes):
                 raise ConfigError("grouping.classes must be ascending")
             if any(c >= hi for c in self.classes):
                 raise ConfigError("grouping.classes must be below max_cycles")
-        if self.nuca_enabled:
-            if self.capacity_bytes % self.num_banks != 0:
-                raise ConfigError("capacity must divide across banks")
-            if self.wl_num_cores > len(self.topology.core_coords):
-                raise ConfigError("more trace cores than cores on the mesh")
+        if self.nuca_enabled and self.wl_num_cores > len(self.topology.core_coords):
+            raise ConfigError("more trace cores than cores on the mesh")
         return self
 
 
@@ -322,6 +367,14 @@ def load_records(cfg):
                                   cfg.wl_seed, cfg.wl_page_bytes,
                                   cfg.line_bytes, cfg.wl_core_affinity)
     return workload.generate_synthetic(spec)
+
+
+def llc_records(cfg, records):
+    """The stream the LLC sees: what the per-core L1s forward when
+    l1.enabled, otherwise the raw records."""
+    if cfg.l1_enabled:
+        return workload.l1_filter(records, workload.L1Config()).records
+    return records
 
 
 def build_latency_maps(cfg):
@@ -356,18 +409,12 @@ def build_latency_maps(cfg):
                 f" does not match the configured range {lo}..{hi}")
         return [latmap]
     lo, hi = cfg.cycle_range
-    params = cfg.cnt_params
-    nominal = cfg.nominal_count
-    if nominal is None:
-        nominal = timing.calibrate_nominal_count(params, cfg.stages)
+    nominal = cfg.nominal
     seeds = np.random.SeedSequence(cfg.cnt_seed).spawn(cfg.num_banks)
-    maps = []
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        maps.append(timing.build_latency_map(cfg.bank_geometry, cfg.layout_kind,
-                                             params, cfg.stages, lo, hi,
-                                             nominal_count=nominal, rng=rng))
-    return maps
+    return [timing.build_latency_map(cfg.bank_geometry, cfg.layout_kind,
+                                     cfg.cnt_params, cfg.stages, lo, hi,
+                                     nominal, np.random.default_rng(seq))
+            for seq in seeds]
 
 
 @dataclass
@@ -473,10 +520,6 @@ def simulate_records(records, accessor, stats, translate_fn=None):
 class ExperimentOutput:
     config: ExperimentConfig
     stats: metrics.RunStats
-    latmaps: list
-    profile: object = None
-    mapping: dict = None
-    inventory: object = None
     notes: list = field(default_factory=list)
 
     def stats_row(self):
@@ -485,23 +528,22 @@ class ExperimentOutput:
                                  self.config.workload_label())
 
 
-def run_experiment(cfg, records=None):
+def run_experiment(cfg, records=None, llc=None):
+    """Simulate one config over raw `records` (loaded from the config when
+    omitted); `llc` is their LLC-bound stream when the caller has it."""
     cfg.validate()
     if records is None:
         records = load_records(cfg)
-    llc_records = records
-    if cfg.l1_enabled:
-        llc_records = workload.l1_filter(records, workload.L1Config()).records
+    if llc is None:
+        llc = llc_records(cfg, records)
 
     latmaps = build_latency_maps(cfg)
     machinery = build_machinery(cfg, latmaps)
 
     translate_fn = None
-    profile = mapping = inventory = None
     notes = []
     if cfg.pm_enabled:
-        profile, inventory, mapping = build_page_mapping(
-            cfg, machinery, llc_records, records)
+        _, _, mapping = build_page_mapping(cfg, machinery, llc, records)
         page_bytes = cfg.pm_page_bytes
         translate_fn = lambda vaddr: pagemap.translate(vaddr, mapping, page_bytes)
 
@@ -515,20 +557,19 @@ def run_experiment(cfg, records=None):
             notes.append(f"bank_avg_spread={spread:.4f} (banks differ materially)")
 
     policy = cfg.policy_kind
+    report = None
     if policy in (PolicyKind.VASA, PolicyKind.VASA_DS):
         report = vasa.overhead_report(cfg.bank_geometry)
-        notes.append("overhead: " + " ".join(f"{k}={v}" for k, v
-                                             in sorted(report.items())))
     elif policy in (PolicyKind.VAWA_UG, PolicyKind.VAWA_NG):
-        table = machinery.tables[0] if machinery.tables else None
-        report = vawa.overhead_report(table)
+        report = vawa.overhead_report(machinery.tables[0] if machinery.tables
+                                      else None)
+    if report is not None:
         notes.append("overhead: " + " ".join(f"{k}={v}" for k, v
                                              in sorted(report.items())))
 
     stats = metrics.RunStats(memory_latency_cycles=cfg.memory_latency)
-    simulate_records(llc_records, accessor, stats, translate_fn)
-    return ExperimentOutput(cfg, stats, latmaps, profile, mapping, inventory,
-                            notes)
+    simulate_records(llc, accessor, stats, translate_fn)
+    return ExperimentOutput(cfg, stats, notes)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -553,24 +594,13 @@ def _config_from_args(args):
 
 
 def cmd_gen_variation(args):
+    """Write bank 0 of the latency maps `simulate` samples from this config
+    (timing.map_file is ignored), and summarize its distribution."""
     cfg = _config_from_args(args)
-    params = cfg.cnt_params
-    nominal = cfg.nominal_count
-    if nominal is None:
-        nominal = timing.calibrate_nominal_count(params, cfg.stages)
-    lo, hi = cfg.cycle_range
-    layout = cfg.layout_kind
-    geometry = cfg.bank_geometry
-    num_groups = (geometry.num_ways if layout is LayoutKind.SET_ALIGNED
-                  else geometry.num_sets)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.cnt_seed).spawn(1)[0])
-    strengths = variation.sample_group_strengths(params, num_groups,
-                                                 cfg.stages, rng)
-    latencies = timing.strengths_to_latency(strengths, nominal, lo, hi)
-    latmap = timing.LatencyMap(layout, latencies, lo, hi, geometry=geometry,
-                               failed=[g.failed for g in strengths])
+    latmap = build_latency_maps(cfg.copy_with(map_file=None))[0]
+    nominal = cfg.nominal
     with open(args.out, "w") as fh:
-        timing.serialize_latency_map(latmap, fh)
+        fh.write(timing.serialize_latency_map(latmap))
     hist = Counter(latmap.latencies)
     mode = min(c for c in hist if hist[c] == max(hist.values()))
     lines = [
@@ -578,16 +608,14 @@ def cmd_gen_variation(args):
         f"min={latmap.best()}",
         f"max={latmap.worst()}",
         f"mode={mode}",
-        f"failed={sum(latmap.failed)}",
+        f"failed={latmap.strengths.count(0)}",
         f"nominal_count={nominal}",
         f"quantized_spread={latmap.worst() / latmap.best():.4f}",
     ]
-    ratios = timing.delay_ratios(strengths, nominal)
+    ratios = timing.delay_ratios(latmap.strengths, nominal)
     if ratios:
         lines.append(f"prequant_spread={max(ratios) / min(ratios):.4f}")
-    lines.append("histogram:")
-    for cycles in sorted(hist):
-        lines.append(f"{cycles},{hist[cycles]}")
+    lines += ["histogram:"] + [f"{c},{hist[c]}" for c in sorted(hist)]
     summary = "\n".join(lines) + "\n"
     if args.summary:
         with open(args.summary, "w") as fh:
@@ -604,7 +632,7 @@ def cmd_simulate(args):
     with open(args.out, "w") as fh:
         fh.write(csv_text)
     with open(args.out + ".hist.csv", "w") as fh:
-        metrics.write_histogram_csv(out.stats, fh)
+        fh.write(metrics.write_histogram_csv(out.stats))
     for note in out.notes:
         sys.stdout.write(note + "\n")
     sys.stdout.write(csv_text)
@@ -613,10 +641,8 @@ def cmd_simulate(args):
 
 def cmd_profile(args):
     cfg = _config_from_args(args)
-    records = load_records(cfg)
-    l1 = workload.L1Config(enabled=cfg.l1_enabled)
-    profile = pagemap.profile_trace(records, cfg.pm_page_bytes,
-                                    l1 if cfg.l1_enabled else None)
+    profile = pagemap.profile_trace(llc_records(cfg, load_records(cfg)),
+                                    cfg.pm_page_bytes)
     text = pagemap.serialize_profile(profile)
     with open(args.out, "w") as fh:
         fh.write(text)
@@ -692,13 +718,18 @@ def cmd_compare(args):
         if cfg.workload_signature() != sig:
             raise ConfigError(f"config {label!r} uses a different workload")
 
+    # One LLC-bound stream per l1.enabled value: a recipe's rows share one,
+    # config-file rows may differ.
     records = load_records(labelled[0][1])
+    streams = {}
     rows = []
     baseline = None
     header = ["label", "policy", "pm", "mean_hit_latency", "amat", "miss_rate",
               "total_energy", "hit_latency_ratio", "amat_ratio", "energy_ratio"]
     for label, cfg in labelled:
-        out = run_experiment(cfg, records=list(records))
+        if cfg.l1_enabled not in streams:
+            streams[cfg.l1_enabled] = llc_records(cfg, records)
+        out = run_experiment(cfg, records, streams[cfg.l1_enabled])
         stats = out.stats
         static, dynamic = metrics.energy(stats, cfg.energy_params)
         rec = {
@@ -711,13 +742,11 @@ def cmd_compare(args):
             "miss_rate": stats.llc_miss_rate,
             "total_energy": static + dynamic,
         }
-        if baseline is None:
-            baseline = rec
-        rec["hit_latency_ratio"] = (rec["mean_hit_latency"] / baseline["mean_hit_latency"]
-                                    if baseline["mean_hit_latency"] else 1.0)
-        rec["amat_ratio"] = rec["amat"] / baseline["amat"] if baseline["amat"] else 1.0
-        rec["energy_ratio"] = (rec["total_energy"] / baseline["total_energy"]
-                               if baseline["total_energy"] else 1.0)
+        baseline = baseline or rec
+        for col, ratio in (("mean_hit_latency", "hit_latency_ratio"),
+                           ("amat", "amat_ratio"),
+                           ("total_energy", "energy_ratio")):
+            rec[ratio] = rec[col] / baseline[col] if baseline[col] else 1.0
         rows.append(rec)
 
     lines = [",".join(header)]

@@ -6,7 +6,6 @@ reported in normalized units; dynamic energy charges each read, each write,
 and each block relocation performed by data shuffling as one extra write.
 """
 
-import io
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -71,20 +70,17 @@ def record_access(stats, result):
     return stats
 
 
-def amat(stats, params=None):
+def amat(stats, params):
     """Average memory access time: mean hit latency + miss_rate * memory penalty."""
     if stats.accesses == 0:
         raise ValueError("no accesses recorded")
-    penalty = (params.memory_latency_cycles if params is not None
-               else stats.memory_latency_cycles)
-    return stats.mean_hit_latency + stats.llc_miss_rate * penalty
+    return (stats.mean_hit_latency
+            + stats.llc_miss_rate * params.memory_latency_cycles)
 
 
-def energy(stats, params, total_cycles=None):
+def energy(stats, params):
     """(static, dynamic) energy in normalized units."""
-    if total_cycles is None:
-        total_cycles = stats.total_llc_cycles
-    static = total_cycles * params.static_power_units_per_cycle
+    static = stats.total_llc_cycles * params.static_power_units_per_cycle
     dynamic = (params.e_read_units * stats.reads
                + params.e_write_units * (stats.writes + stats.shuffle_moves))
     return static, dynamic
@@ -120,21 +116,10 @@ def stats_row(stats, params, policy, layout, workload):
     return [str(values[f]) for f in CSV_FIELDS]
 
 
-def write_stats_csv(rows, stream=None):
-    out = stream if stream is not None else io.StringIO()
-    out.write(",".join(CSV_FIELDS) + "\n")
-    for row in rows:
-        out.write(",".join(row) + "\n")
-    if stream is None:
-        return out.getvalue()
-    return None
+def write_stats_csv(rows):
+    return "".join(",".join(row) + "\n" for row in [CSV_FIELDS, *rows])
 
 
-def write_histogram_csv(stats, stream=None):
-    out = stream if stream is not None else io.StringIO()
-    out.write("cycles,count\n")
-    for cycles in sorted(stats.hit_latency_histogram):
-        out.write(f"{cycles},{stats.hit_latency_histogram[cycles]}\n")
-    if stream is None:
-        return out.getvalue()
-    return None
+def write_histogram_csv(stats):
+    hist = stats.hit_latency_histogram
+    return "cycles,count\n" + "".join(f"{c},{hist[c]}\n" for c in sorted(hist))

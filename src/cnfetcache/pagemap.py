@@ -2,7 +2,7 @@
 cache latency, and allocate the hottest pages to the fastest frames.
 
 The mapping is a two-pass scheme: a profiling pass counts LLC-bound accesses
-per virtual page (optionally behind the L1 filter), then pages sorted by
+per virtual page (of the raw or the L1-filtered stream), then pages sorted by
 access count greedily claim the cheapest free frame for their dominant
 core.  Frame cost is the latency class of the cache sets the frame's lines
 occupy, plus the NoC round-trip from the core to the frame's bank under
@@ -101,16 +101,8 @@ def build_frame_inventory(geometry, page_bytes, num_frames, set_latency,
     return FrameInventory(frames, page_bytes)
 
 
-def profile_trace(records, page_bytes, l1_config=None):
-    """Count LLC-bound accesses per virtual page.
-
-    With an enabled L1 config the trace is first run through the L1 filter
-    and only the misses and write-backs are counted; otherwise raw accesses
-    are counted.
-    """
-    if l1_config is not None and l1_config.enabled:
-        from .workload import l1_filter
-        records = l1_filter(records, l1_config).records
+def profile_trace(records, page_bytes):
+    """Count accesses per virtual page, per core."""
     profile = PageProfile()
     for rec in records:
         profile.record(rec.vaddr // page_bytes, rec.core_id)
@@ -158,13 +150,11 @@ def translate(vaddr, mapping, page_bytes):
     return frame * page_bytes + offset
 
 
-def serialize_profile(profile, stream=None):
+def serialize_profile(profile):
     """`vpage,count,core:count,...` lines ordered by virtual page."""
-    out = stream if stream is not None else io.StringIO()
+    out = io.StringIO()
     for vpage in sorted(profile.counts):
         per = profile.core_counts.get(vpage, {})
         cores = ",".join(f"{c}:{per[c]}" for c in sorted(per))
         out.write(f"{vpage},{profile.counts[vpage]}" + ("," + cores if cores else "") + "\n")
-    if stream is None:
-        return out.getvalue()
-    return None
+    return out.getvalue()

@@ -62,14 +62,15 @@ class CacheGeometry:
 
 @dataclass
 class LatencyMap:
-    """Integer cycle latency per aligned group (per way or per set)."""
+    """Integer cycle latency per aligned group (per way or per set); a sampled
+    map keeps each group's effective CNT count (0: failed) in `strengths`."""
 
     layout: LayoutKind
     latencies: list
     min_cycles: int
     max_cycles: int
     geometry: CacheGeometry = None
-    failed: list = field(default=None, repr=False)
+    strengths: list = field(default=None, repr=False)
 
     def __post_init__(self):
         if any(not self.min_cycles <= c <= self.max_cycles for c in self.latencies):
@@ -106,9 +107,9 @@ def strengths_to_latency(strengths, nominal_count, min_cycles, max_cycles):
     return out
 
 
-def delay_ratios(strengths, nominal_count):
-    """Pre-quantization delay factors nominal/effective for working groups."""
-    return [nominal_count / g.effective_count for g in strengths if not g.failed]
+def delay_ratios(counts, nominal_count):
+    """Pre-quantization delay factors nominal/count of the working groups."""
+    return [nominal_count / c for c in counts if c]
 
 
 def _raw_count_pmf(params, tail_sigmas=10.0):
@@ -192,12 +193,13 @@ def build_latency_map(geometry, layout, params, stages=DEFAULT_STAGES,
     strengths = variation.sample_group_strengths(params, num_groups, stages, rng)
     latencies = strengths_to_latency(strengths, nominal_count, min_cycles, max_cycles)
     return LatencyMap(layout, latencies, min_cycles, max_cycles,
-                      geometry=geometry, failed=[g.failed for g in strengths])
+                      geometry=geometry,
+                      strengths=[g.effective_count for g in strengths])
 
 
-def serialize_latency_map(latmap, stream=None):
+def serialize_latency_map(latmap):
     """Header (layout, geometry, cycle range) plus one `index,cycles` line per group."""
-    out = stream if stream is not None else io.StringIO()
+    out = io.StringIO()
     out.write(f"layout={latmap.layout.value}\n")
     if latmap.geometry is not None:
         g = latmap.geometry
@@ -208,9 +210,7 @@ def serialize_latency_map(latmap, stream=None):
     out.write(f"max_cycles={latmap.max_cycles}\n")
     for i, c in enumerate(latmap.latencies):
         out.write(f"{i},{c}\n")
-    if stream is None:
-        return out.getvalue()
-    return None
+    return out.getvalue()
 
 
 def load_latency_map(stream):

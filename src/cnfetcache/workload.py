@@ -35,7 +35,6 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class L1Config:
-    enabled: bool = True
     icache: CacheGeometry = CacheGeometry(16 * 1024, 2, 64)
     dcache: CacheGeometry = CacheGeometry(32 * 1024, 2, 64)
 
@@ -113,10 +112,6 @@ def l1_filter(records, config):
     dirty eviction forwards a write of the victim line, attributed to the
     core that triggered it.
     """
-    if not config.enabled:
-        return L1FilterResult(list(records),
-                              {r.core_id: 0 for r in records},
-                              {r.core_id: 0 for r in records})
     icaches = {}
     dcaches = {}
     out = []

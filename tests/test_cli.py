@@ -1,9 +1,11 @@
 import pytest
 
-from cnfetcache import metrics
-from cnfetcache.cli import (ConfigError, ExperimentConfig, main,
-                            parse_config_file, recipe_configs, run_experiment)
-from cnfetcache.workload import TraceRecord
+from cnfetcache import cli, metrics, workload
+from cnfetcache.cli import (ConfigError, ExperimentConfig, build_latency_maps,
+                            main, parse_config_file, recipe_configs,
+                            run_experiment)
+from cnfetcache.timing import serialize_latency_map
+from cnfetcache.workload import TraceRecord, serialize_trace
 
 SMALL_KEYS = {
     "cache.capacity_bytes": 64 * 1024,
@@ -296,3 +298,124 @@ def test_compare_rejects_bare_set_key(tmp_path, capsys):
                  "--set", "workload.length"]) == 1
     assert capsys.readouterr().err == \
         "error: --set expects key=value, got 'workload.length'\n"
+
+
+@pytest.mark.parametrize("sets", [
+    ["policy=vasa_ds", "vasa.way_groups=0"],
+    ["policy=vawa_ug", "layout=way_aligned", "grouping.num_groups=0"],
+    ["nuca.enabled=true", "nuca.rows=0"],
+    ["cache.ways=abc"],
+    ["cache.line_bytes=3.5"],
+], ids=["way_groups=0", "num_groups=0", "nuca.rows=0", "ways=abc",
+        "line_bytes=3.5"])
+def test_simulate_rejects_malformed_config(tmp_path, capsys, sets):
+    argv = ["simulate", "--set", "workload.length=100"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv + ["--out", str(tmp_path / "stats.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _count_l1_filter(monkeypatch):
+    calls = []
+    real = workload.l1_filter
+
+    def counting(records, config):
+        calls.append(len(records))
+        return real(records, config)
+
+    monkeypatch.setattr(workload, "l1_filter", counting)
+    return calls
+
+
+def _compare_csv(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(["compare"] + argv + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _rows_on_their_own(monkeypatch):
+    """Make compare run every row through run_experiment on its own, so each
+    row filters its own copy of the raw records."""
+    real = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda cfg, records, llc=None: real(cfg, list(records)))
+
+
+def test_compare_filters_the_trace_once(tmp_path, monkeypatch):
+    argv = ["--recipe", "set-uca", "--set", "l1.enabled=true",
+            "--set", "cache.capacity_bytes=65536",
+            "--set", "workload.length=4000", "--set", "workload.num_cores=2"]
+    calls = _count_l1_filter(monkeypatch)
+    shared = _compare_csv(tmp_path, "shared.csv", argv)
+    assert calls == [4000]
+    _rows_on_their_own(monkeypatch)
+    calls.clear()
+    assert _compare_csv(tmp_path, "alone.csv", argv) == shared
+    assert len(calls) == 1 + 4        # the unused shared stream, then each row
+
+
+def test_compare_gives_each_l1_setting_its_own_stream(tmp_path, monkeypatch):
+    a = tmp_path / "a.cfg"
+    b = tmp_path / "b.cfg"
+    common = "cache.capacity_bytes=65536\nworkload.length=4000\n"
+    a.write_text(common + "l1.enabled=false\n")
+    b.write_text(common + "l1.enabled=true\n")
+    calls = _count_l1_filter(monkeypatch)
+    shared = _compare_csv(tmp_path, "shared.csv", [str(a), str(b)])
+    assert len(calls) == 1
+    _rows_on_their_own(monkeypatch)
+    assert _compare_csv(tmp_path, "alone.csv", [str(a), str(b)]) == shared
+    rows = [line.split(",") for line in shared.decode().splitlines()[1:]]
+    assert rows[0][5] != rows[1][5]          # miss rates of the two streams
+
+
+@pytest.mark.parametrize("sets", [
+    ["cache.capacity_bytes=65536", "cnt.seed=7",
+     "timing.map_file=no-such-map.txt"],
+    ["layout=way_aligned", "nuca.enabled=true", "cnt.seed=7"],
+    ["cache.capacity_bytes=65536", "timing.nominal_count=8"],
+], ids=["uca-ignores-map-file", "nuca", "nominal-count"])
+def test_gen_variation_writes_bank_zero_of_the_simulated_maps(tmp_path, sets):
+    out = tmp_path / "map.txt"
+    argv = ["gen-variation"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv + ["--out", str(out),
+                        "--summary", str(tmp_path / "s.txt")]) == 0
+    keys = dict(item.split("=") for item in sets
+                if not item.startswith("timing.map_file"))
+    cfg = ExperimentConfig.from_keys(
+        {k: cli._parse_value(v) for k, v in keys.items()})
+    assert out.read_text() == serialize_latency_map(build_latency_maps(cfg)[0])
+
+
+@pytest.mark.parametrize("sets, golden", [
+    (["cnt.seed=3", "cache.capacity_bytes=65536"],
+     "groups=8\nmin=6\nmax=7\nmode=6\nfailed=0\nnominal_count=7\n"
+     "quantized_spread=1.1667\nprequant_spread=1.6667\nhistogram:\n"
+     "6,6\n7,2\n"),
+    (["cnt.seed=5", "cnt.mu=3", "cnt.sigma=1.5", "layout=way_aligned",
+      "cache.capacity_bytes=16384"],
+     "groups=32\nmin=6\nmax=10\nmode=6\nfailed=2\nnominal_count=2\n"
+     "quantized_spread=1.6667\nprequant_spread=5.0000\nhistogram:\n"
+     "6,21\n10,11\n"),
+], ids=["seed3-64k", "failed-groups"])
+def test_gen_variation_summary_is_unchanged(tmp_path, sets, golden):
+    argv = ["gen-variation"]
+    for item in sets:
+        argv += ["--set", item]
+    summary = tmp_path / "s.txt"
+    assert main(argv + ["--out", str(tmp_path / "map.txt"),
+                        "--summary", str(summary)]) == 0
+    assert summary.read_text() == golden
+
+
+def test_cli_profile_behind_l1_filter(tmp_path):
+    # The same line over and over: exactly one LLC-bound access.
+    trace = tmp_path / "trace.txt"
+    trace.write_text(serialize_trace([TraceRecord(0, "R", 0x7000)] * 100))
+    prof = tmp_path / "prof.csv"
+    assert main(["profile", "--set", f"workload.trace={trace}",
+                 "--set", "l1.enabled=true", "--out", str(prof)]) == 0
+    assert prof.read_text() == "7,1,0:1\n"

@@ -13,7 +13,7 @@ from cnfetcache.pagemap import (Frame, FrameInventory, PageProfile,
                                 frame_span_sets, profile_trace,
                                 serialize_profile, translate)
 from cnfetcache.timing import CacheGeometry
-from cnfetcache.workload import L1Config, TraceRecord
+from cnfetcache.workload import TraceRecord
 
 
 def test_frame_span_is_granularity_aligned():
@@ -51,13 +51,6 @@ def test_profile_dominant_core_majority():
     tied.record(9, 3, 10)
     tied.record(9, 1, 10)
     assert tied.dominant_core(9) == 1
-
-
-def test_profile_behind_l1_filter():
-    # The same line over and over: exactly one LLC-bound access.
-    records = [TraceRecord(0, "R", 0x7000)] * 100
-    profile = profile_trace(records, 4096, L1Config(enabled=True))
-    assert profile.counts == {7: 1}
 
 
 def _inventory(latencies):

@@ -1,12 +1,12 @@
 """Property tests of the one access path: replacement invariants of the LRU
-and data-shuffling engines, safety of the flattened grouping latency, and
-the trace text round trip."""
+and data-shuffling engines, safety of the flattened grouping latency, the
+trace text round trip, and config validation."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnfetcache.cache_core import BankPolicy, partial_disable
-from cnfetcache.cli import ExperimentConfig, build_machinery
+from cnfetcache.cache_core import BankPolicy, PolicyKind, partial_disable
+from cnfetcache.cli import ConfigError, ExperimentConfig, build_machinery
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
 from cnfetcache.vasa import WayGroups, access_vasa_ds
@@ -87,3 +87,22 @@ trace_records = st.lists(st.builds(
 @given(records=trace_records)
 def test_trace_text_round_trips(records):
     assert parse_trace(serialize_trace(records)) == records
+
+
+# Values of every shape a config file or --set can carry, plus the policy
+# and layout names so that policy-specific checks are reached.
+config_values = st.one_of(
+    st.integers(-4, 1 << 22), st.floats(), st.booleans(), st.text(max_size=6),
+    st.sampled_from([k.value for k in PolicyKind]
+                    + [k.value for k in LayoutKind]))
+
+
+@PROPERTY
+@given(keys=st.dictionaries(st.sampled_from(sorted(ExperimentConfig.KEYMAP)),
+                            config_values, max_size=8))
+def test_config_keys_validate_or_raise_config_error(keys):
+    try:
+        cfg = ExperimentConfig.from_keys(keys)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)

@@ -52,12 +52,6 @@ def test_l1_filter_absorbs_repeats():
     assert result.miss_rate(0) == 1 / 50
 
 
-def test_l1_filter_disabled_is_identity():
-    records = [TraceRecord(0, "R", 0x40 * i) for i in range(10)]
-    result = l1_filter(records, L1Config(enabled=False))
-    assert result.records == records
-
-
 def test_l1_filter_streaming_misses_everything():
     # Working set far beyond 32KB: every access misses.
     records = [TraceRecord(0, "R", i * 64) for i in range(20_000)]
