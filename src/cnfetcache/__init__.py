@@ -5,12 +5,11 @@ shuffling, set grouping, page mapping, and a mesh NUCA latency model."""
 from .cache_core import AccessResult, CacheLine, CacheState, PolicyKind
 from .metrics import EnergyParams, RunStats
 from .timing import CacheGeometry, LatencyMap, LayoutKind
-from .variation import CntParams, GroupStrength
+from .variation import CntParams
 
 __all__ = [
     "AccessResult", "CacheGeometry", "CacheLine", "CacheState", "CntParams",
-    "EnergyParams", "GroupStrength", "LatencyMap", "LayoutKind", "PolicyKind",
-    "RunStats",
+    "EnergyParams", "LatencyMap", "LayoutKind", "PolicyKind", "RunStats",
 ]
 
 __version__ = "0.1.0"

@@ -268,7 +268,7 @@ class ExperimentConfig:
 
     @property
     def effective_granularity(self):
-        """Segment granularity in sets; page-mapped tables must be aligned to
+        """NG run granularity in sets; under page mapping runs are aligned to
         a whole frame footprint so every frame falls in one latency class."""
         if self.pm_enabled:
             return min(self.pm_page_bytes // self.line_bytes,
@@ -314,6 +314,10 @@ class ExperimentConfig:
             bank_geometry = self.bank_geometry
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not self.trace_path and self.wl_page_bytes % self.line_bytes != 0:
+            raise ConfigError(f"workload.page_bytes={self.wl_page_bytes} must "
+                              f"be a multiple of cache.line_bytes "
+                              f"({self.line_bytes})")
         policy = self.policy_kind
         layout = self.layout_kind
         lo, hi = self.cycle_range
@@ -421,16 +425,8 @@ def build_latency_maps(cfg):
 class Machinery:
     """Per-bank policy state built from the latency maps."""
 
-    latmaps: list
     banks: list            # one cache_core.BankPolicy per bank
-    tables: list = None    # NG segment tables, for the register accounting
-
-    def set_latency(self, bank, set_index):
-        """Effective latency the cache charges for a hit in this set; a set
-        aligned bank is costed at its mean way latency."""
-        if self.latmaps[bank].layout is LayoutKind.WAY_ALIGNED:
-            return self.banks[bank].latency[set_index]
-        return nuca.bank_average_latency(self.latmaps[bank])
+    overhead: dict         # bookkeeping-storage report; None for baselines
 
 
 def build_machinery(cfg, latmaps):
@@ -438,7 +434,7 @@ def build_machinery(cfg, latmaps):
     flat hit-latency list, the engine and its restriction.  This is the one
     place that chooses access behaviour by policy."""
     policy = cfg.policy_kind
-    tables = None
+    overhead = None
     if policy is PolicyKind.BASELINE_WORST:
         worst = max(lm.worst() for lm in latmaps)
         banks = [BankPolicy([worst] * len(lm.latencies)) for lm in latmaps]
@@ -446,28 +442,28 @@ def build_machinery(cfg, latmaps):
         banks = [cache_core.partial_disable(lm) for lm in latmaps]
     elif policy is PolicyKind.VASA:
         banks = [BankPolicy(list(lm.latencies)) for lm in latmaps]
+        overhead = vasa.overhead_report(cfg.bank_geometry)
     elif policy is PolicyKind.VASA_DS:
         banks = [BankPolicy(list(lm.latencies), vasa.access_vasa_ds,
                             vasa.WayGroups.from_latency_map(lm, cfg.way_groups))
                  for lm in latmaps]
+        overhead = vasa.overhead_report(cfg.bank_geometry)
     elif policy is PolicyKind.VAWA_UG:
-        groups = [vawa.build_uniform_groups(lm, cfg.uniform_groups)
-                  for lm in latmaps]
-        banks = [BankPolicy([c for c in g.group_latency
-                             for _ in range(g.sets_per_group)])
-                 for g in groups]
+        banks = [BankPolicy(vawa.uniform_latencies(lm, cfg.uniform_groups))
+                 for lm in latmaps]
+        overhead = vawa.overhead_report()
     else:
-        tables = [vawa.build_nonuniform_groups(
-            lm, list(cfg.classes), cfg.budget, cfg.effective_granularity)
-            for lm in latmaps]
-        banks = [BankPolicy([vawa.lookup_latency(t, s)
-                             for s in range(len(lm.latencies))])
-                 for t, lm in zip(tables, latmaps)]
-    return Machinery(latmaps, banks, tables)
+        built = [vawa.build_nonuniform_groups(lm, list(cfg.classes), cfg.budget,
+                                              cfg.effective_granularity)
+                 for lm in latmaps]
+        banks = [BankPolicy(latency) for latency, _ in built]
+        overhead = vawa.overhead_report(built[0][1])
+    return Machinery(banks, overhead)
 
 
 def build_page_mapping(cfg, machinery, llc_records, raw_records):
-    """Profile the workload and assign hot pages to fast frames."""
+    """Profile the workload and assign hot pages to fast frames.  A set
+    aligned bank charges every set its mean way latency."""
     page_bytes = cfg.pm_page_bytes
     source = raw_records if cfg.pm_count_raw else llc_records
     profile = pagemap.profile_trace(source, page_bytes)
@@ -479,9 +475,14 @@ def build_page_mapping(cfg, machinery, llc_records, raw_records):
     copies = max(1, -(-pages // blocks))
     num_frames = copies * blocks
 
-    inventory = pagemap.build_frame_inventory(
-        geometry, page_bytes, num_frames, machinery.set_latency,
-        num_banks=cfg.num_banks)
+    banks = machinery.banks
+    if cfg.layout_kind is LayoutKind.WAY_ALIGNED:
+        set_latencies = [bank.latency for bank in banks]
+    else:
+        set_latencies = [[sum(bank.latency) / len(bank.latency)]
+                         * geometry.num_sets for bank in banks]
+    inventory = pagemap.build_frame_inventory(geometry, page_bytes, num_frames,
+                                              set_latencies)
 
     if cfg.nuca_enabled and cfg.pm_unified:
         topology = cfg.topology
@@ -556,16 +557,9 @@ def run_experiment(cfg, records=None, llc=None):
         if spread > 0.25:
             notes.append(f"bank_avg_spread={spread:.4f} (banks differ materially)")
 
-    policy = cfg.policy_kind
-    report = None
-    if policy in (PolicyKind.VASA, PolicyKind.VASA_DS):
-        report = vasa.overhead_report(cfg.bank_geometry)
-    elif policy in (PolicyKind.VAWA_UG, PolicyKind.VAWA_NG):
-        report = vawa.overhead_report(machinery.tables[0] if machinery.tables
-                                      else None)
-    if report is not None:
-        notes.append("overhead: " + " ".join(f"{k}={v}" for k, v
-                                             in sorted(report.items())))
+    if machinery.overhead is not None:
+        notes.append("overhead: " + " ".join(
+            f"{k}={v}" for k, v in sorted(machinery.overhead.items())))
 
     stats = metrics.RunStats(memory_latency_cycles=cfg.memory_latency)
     simulate_records(llc, accessor, stats, translate_fn)

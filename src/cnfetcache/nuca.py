@@ -70,8 +70,8 @@ def bank_of(address, num_banks, bank_geometry):
 
 
 def bank_average_latency(latmap):
-    """Mean way latency of a bank, the per-bank cost metric for page mapping
-    on set aligned banks."""
+    """Mean way latency of a bank, as reported per bank in NUCA runs; page
+    mapping charges every set of a set aligned bank this mean."""
     return sum(latmap.latencies) / len(latmap.latencies)
 
 

@@ -79,24 +79,23 @@ def frame_span_sets(page_bytes, line_bytes, num_sets):
     return min(page_bytes // line_bytes, num_sets)
 
 
-def build_frame_inventory(geometry, page_bytes, num_frames, set_latency,
-                          num_banks=1):
+def build_frame_inventory(geometry, page_bytes, num_frames, set_latencies):
     """Enumerate frames 0..num_frames-1 with their set footprint and latency.
 
     Frame placement follows the address math (frame i starts at physical
     address i*page_bytes, bank bits above the per-bank set bits).
-    set_latency(bank, set_index) supplies the effective latency of a set;
-    the frame is tagged with the maximum over its footprint, so a frame
-    whose footprint falls entirely inside one latency segment gets that
-    class and any straddling frame is tagged conservatively.
+    set_latencies[bank][set_index] is the effective latency of a set, one
+    list per bank; the frame is tagged with the maximum over its footprint,
+    so a frame whose footprint falls entirely inside one latency class gets
+    that class and any straddling frame is tagged conservatively.
     """
     span = frame_span_sets(page_bytes, geometry.line_bytes, geometry.num_sets)
     frames = []
     for idx in range(num_frames):
         address = idx * page_bytes
-        bank = bank_of(address, num_banks, geometry)
+        bank = bank_of(address, len(set_latencies), geometry)
         start = (address >> geometry.offset_bits) & (geometry.num_sets - 1)
-        lat = max(set_latency(bank, s) for s in range(start, start + span))
+        lat = max(set_latencies[bank][start:start + span])
         frames.append(Frame(idx, start, span, bank, lat))
     return FrameInventory(frames, page_bytes)
 

@@ -89,7 +89,7 @@ class LatencyMap:
 
 
 def strengths_to_latency(strengths, nominal_count, min_cycles, max_cycles):
-    """Quantize group strengths into cycles: ceil(min*nominal/effective), clamped.
+    """Quantize effective counts into cycles: ceil(min*nominal/count), clamped.
 
     Failed groups (zero effective count) are pinned at max_cycles.
     """
@@ -98,11 +98,11 @@ def strengths_to_latency(strengths, nominal_count, min_cycles, max_cycles):
     if min_cycles > max_cycles:
         raise ValueError("min_cycles must be <= max_cycles")
     out = []
-    for g in strengths:
-        if g.failed:
+    for count in strengths:
+        if count == 0:
             out.append(max_cycles)
         else:
-            cycles = math.ceil(min_cycles * nominal_count / g.effective_count)
+            cycles = math.ceil(min_cycles * nominal_count / count)
             out.append(min(max(cycles, min_cycles), max_cycles))
     return out
 
@@ -193,8 +193,7 @@ def build_latency_map(geometry, layout, params, stages=DEFAULT_STAGES,
     strengths = variation.sample_group_strengths(params, num_groups, stages, rng)
     latencies = strengths_to_latency(strengths, nominal_count, min_cycles, max_cycles)
     return LatencyMap(layout, latencies, min_cycles, max_cycles,
-                      geometry=geometry,
-                      strengths=[g.effective_count for g in strengths])
+                      geometry=geometry, strengths=strengths)
 
 
 def serialize_latency_map(latmap):
@@ -226,10 +225,15 @@ def load_latency_map(stream):
             key, value = line.split("=", 1)
             header[key] = value
         else:
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected `index,cycles`")
-            latencies[int(parts[0])] = int(parts[1])
+            try:
+                index, cycles = (int(part) for part in line.split(","))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected `index,cycles` "
+                                 f"integers, got {line!r}") from None
+            if index in latencies:
+                raise ValueError(f"line {lineno}: group index {index} "
+                                 f"is repeated")
+            latencies[index] = cycles
     for key in ("layout", "min_cycles", "max_cycles"):
         if key not in header:
             raise ValueError(f"missing header key {key}")

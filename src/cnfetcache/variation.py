@@ -43,22 +43,6 @@ class CntParams:
                 + (1.0 - self.p_metallic) * (1.0 - self.p_remove_semiconducting))
 
 
-@dataclass(frozen=True)
-class GroupStrength:
-    """Drive strength of one aligned group: the conducting-CNT count on its
-    weakest critical-path stage."""
-
-    group_index: int
-    effective_count: int
-    failed: bool
-
-    def __post_init__(self):
-        if self.effective_count < 0:
-            raise ValueError("effective_count must be >= 0")
-        if self.failed != (self.effective_count == 0):
-            raise ValueError("failed must hold exactly when effective_count == 0")
-
-
 def draw_raw_counts(params, n, rng):
     """Vectorized raw CNT counts for n independent tracks."""
     if params.sigma == 0:
@@ -82,7 +66,8 @@ def surviving_counts(raw_counts, params, rng):
 
 
 def sample_group_strengths(params, num_groups, stages_per_group, rng=None):
-    """Sample drive strengths for num_groups independent aligned groups.
+    """Sample the drive strength of num_groups independent aligned groups:
+    each group's effective CNT count as an int, 0 meaning the group failed.
 
     One raw count is shared by all CNFETs of a group (full correlation along
     the growth direction); each of stages_per_group critical-path stages then
@@ -101,5 +86,4 @@ def sample_group_strengths(params, num_groups, stages_per_group, rng=None):
     stage_counts = np.empty((stages_per_group, num_groups), dtype=np.int64)
     for s in range(stages_per_group):
         stage_counts[s] = surviving_counts(raw, params, rng)
-    eff = stage_counts.min(axis=0)
-    return [GroupStrength(i, int(e), e == 0) for i, e in enumerate(eff)]
+    return stage_counts.min(axis=0).tolist()

@@ -27,16 +27,12 @@ class WayGroups:
     """Ways partitioned into latency groups, fastest group first."""
 
     groups: list          # list of way-index lists
-    group_latency: list   # cycles per group (max over member ways)
-    ways_per_group: int
 
     def __post_init__(self):
         flat = sorted(w for g in self.groups for w in g)
         total = sum(len(g) for g in self.groups)
         if flat != list(range(total)):
             raise ValueError("groups must partition the ways")
-        if any(b < a for a, b in zip(self.group_latency, self.group_latency[1:])):
-            raise ValueError("group latencies must be non-decreasing")
         self.group_of = {}
         for gi, ways in enumerate(self.groups):
             for w in ways:
@@ -49,9 +45,8 @@ class WayGroups:
             raise ValueError("num_groups must divide the way count")
         per = ways // num_groups
         order = sorted(range(ways), key=lambda w: (latmap.latencies[w], w))
-        groups = [sorted(order[i * per:(i + 1) * per]) for i in range(num_groups)]
-        lat = [max(latmap.latencies[w] for w in g) for g in groups]
-        return cls(groups, lat, per)
+        return cls([sorted(order[i * per:(i + 1) * per])
+                    for i in range(num_groups)])
 
 
 def overhead_report(geometry):

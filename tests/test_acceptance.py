@@ -20,8 +20,7 @@ from cnfetcache.pagemap import (PageProfile, assign_pages,
 from cnfetcache.timing import (CacheGeometry, LatencyMap, LayoutKind,
                                build_latency_map)
 from cnfetcache.variation import CntParams, surviving_counts
-from cnfetcache.vawa import (build_nonuniform_groups, coverage_savings,
-                             lookup_latency)
+from cnfetcache.vawa import build_nonuniform_groups
 from cnfetcache.workload import TraceRecord
 
 TABLE_PARAMS = CntParams(mu=9.0, sigma=2.1, p_metallic=0.05,
@@ -152,8 +151,8 @@ def test_criterion_3_grouping_optimality_and_lookup_safety():
         lat = [rng.choice([6, 6, 7, 8, 10, 10]) for _ in range(64)]
         budget = rng.randrange(1, 5)
         m = LatencyMap(LayoutKind.WAY_ALIGNED, lat, 6, 10)
-        table = build_nonuniform_groups(m, [6, 7], budget, granularity=1)
-        greedy = coverage_savings(table)
+        latency, _ = build_nonuniform_groups(m, [6, 7], budget, granularity=1)
+        greedy = sum(m.max_cycles - c for c in latency)
         optimum = test_vawa._dp_optimal_savings(tuple(lat), (6, 7), budget, 10)
         assert greedy <= optimum
         if greedy == optimum:
@@ -162,18 +161,18 @@ def test_criterion_3_grouping_optimality_and_lookup_safety():
             gaps.append(optimum - greedy)
             max_gap = max(max_gap, optimum - greedy)
 
-    # Safety: the table never undercuts the physical set latency.
+    # Safety: the flat list never undercuts the physical set latency.
     geometry = CacheGeometry(2 * 1024 * 1024, 8, 64)
     queries = 0
     for seed in range(4):
         m = build_latency_map(geometry, LayoutKind.WAY_ALIGNED,
                               CntParams(seed=seed))
-        table = build_nonuniform_groups(m, [6, 7], 16, granularity=8)
+        latency, _ = build_nonuniform_groups(m, [6, 7], 16, granularity=8)
         idx = np.random.default_rng(seed).integers(0, geometry.num_sets,
                                                    size=250_000)
         for s in idx:
             s = int(s)
-            assert lookup_latency(table, s) >= m.latencies[s]
+            assert latency[s] >= m.latencies[s]
             queries += 1
     assert queries == 1_000_000
     print(f"\nACCEPTANCE 3 PASS: greedy matched the exhaustive optimum on "
@@ -251,12 +250,9 @@ def test_criterion_6_unified_mapping_dominates():
     rng = random.Random(2024)
     lat = [[rng.choice([6, 6, 7, 8, 10, 10]) for _ in range(bank_geo.num_sets)]
            for _ in range(8)]
-    tables = [build_nonuniform_groups(
-        LatencyMap(LayoutKind.WAY_ALIGNED, l, 6, 10), [6, 7], 8)
+    set_latencies = [build_nonuniform_groups(
+        LatencyMap(LayoutKind.WAY_ALIGNED, l, 6, 10), [6, 7], 8)[0]
         for l in lat]
-
-    def set_latency(bank, s):
-        return lookup_latency(tables[bank], s)
 
     page = 512
     wins = 0
@@ -266,8 +262,7 @@ def test_criterion_6_unified_mapping_dominates():
             profile.record(p, rng.randrange(4), rng.randrange(1, 1000))
 
         def build():
-            return build_frame_inventory(bank_geo, page, 64, set_latency,
-                                         num_banks=8)
+            return build_frame_inventory(bank_geo, page, 64, set_latencies)
 
         unified = assign_pages(
             profile, build(),

@@ -231,6 +231,14 @@ def _header_for_1mb_128way(text):
                 .replace("num_ways=8", "num_ways=128"))
 
 
+def _repeated_index_3(text):
+    return text + "3,10\n"
+
+
+def _non_integer_cycles(text):
+    return text + "4,x\n"
+
+
 def _cycles_20_to_25(text):
     lines = []
     for line in text.splitlines():
@@ -249,6 +257,8 @@ def _cycles_20_to_25(text):
     (_header_without_num_ways, "lacks num_ways"),
     (_header_for_1mb_128way, "geometry"),
     (_cycles_20_to_25, "cycle range 20..25"),
+    (_repeated_index_3, "line 135: group index 3 is repeated"),
+    (_non_integer_cycles, "line 135: expected `index,cycles` integers"),
 ])
 def test_simulate_rejects_bad_map_file(tmp_path, capsys, corrupt, message):
     # Way aligned 64 KB 8-way: 128 sets, so a 1 MB 128-way header has the
@@ -306,14 +316,18 @@ def test_compare_rejects_bare_set_key(tmp_path, capsys):
     ["nuca.enabled=true", "nuca.rows=0"],
     ["cache.ways=abc"],
     ["cache.line_bytes=3.5"],
+    ["workload.page_bytes=32"],
+    ["workload.page_bytes=96"],
 ], ids=["way_groups=0", "num_groups=0", "nuca.rows=0", "ways=abc",
-        "line_bytes=3.5"])
+        "line_bytes=3.5", "page_bytes=32", "page_bytes=96"])
 def test_simulate_rejects_malformed_config(tmp_path, capsys, sets):
-    argv = ["simulate", "--set", "workload.length=100"]
+    argv = ["simulate", "--set", "workload.length=200"]
     for item in sets:
         argv += ["--set", item]
     assert main(argv + ["--out", str(tmp_path / "stats.csv")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    # The error names the offending key, not an internal failure.
+    assert err.startswith("error: ") and sets[-1].split("=")[0] in err
 
 
 def _count_l1_filter(monkeypatch):

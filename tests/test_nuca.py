@@ -138,14 +138,13 @@ def test_equal_banks_reduce_mapping_to_distance_only():
         profile.record(p, rng.randrange(4), rng.randrange(1, 100))
 
     span_pages = 1024
-    inventory = build_frame_inventory(geometry, span_pages, 16,
-                                      lambda b, s: avg, num_banks=8)
+    set_latencies = [[avg] * geometry.num_sets] * 8
+    inventory = build_frame_inventory(geometry, span_pages, 16, set_latencies)
     unified = assign_pages(
         profile, inventory,
         lambda f, core: avg + noc_latency(TOPO, core, f.bank))
 
-    inventory2 = build_frame_inventory(geometry, span_pages, 16,
-                                       lambda b, s: avg, num_banks=8)
+    inventory2 = build_frame_inventory(geometry, span_pages, 16, set_latencies)
     distance_only = assign_pages(
         profile, inventory2,
         lambda f, core: noc_latency(TOPO, core, f.bank))
@@ -162,13 +161,9 @@ def test_unified_mapping_beats_noc_oblivious():
     for trial in range(10):
         lat = [[rng.choice([6, 6, 7, 10]) for _ in range(bank_geo.num_sets)]
                for _ in range(8)]
-        tables = [build_nonuniform_groups(
-            LatencyMap(LayoutKind.WAY_ALIGNED, l, 6, 10), [6, 7], 4)
+        set_latencies = [build_nonuniform_groups(
+            LatencyMap(LayoutKind.WAY_ALIGNED, l, 6, 10), [6, 7], 4)[0]
             for l in lat]
-
-        def set_latency(bank, s):
-            from cnfetcache.vawa import lookup_latency
-            return lookup_latency(tables[bank], s)
 
         profile = PageProfile()
         for p in range(24):
@@ -176,8 +171,7 @@ def test_unified_mapping_beats_noc_oblivious():
 
         page = 512                      # 8-set footprint
         def build():
-            return build_frame_inventory(bank_geo, page, 32, set_latency,
-                                         num_banks=8)
+            return build_frame_inventory(bank_geo, page, 32, set_latencies)
 
         unified = assign_pages(profile, build(),
                                lambda f, c: f.latency_class

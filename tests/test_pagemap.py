@@ -24,7 +24,8 @@ def test_frame_span_is_granularity_aligned():
     assert span == 64
     g = 4096 // (64 * 8)          # sets holding one page's worth of data
     assert span % g == 0
-    inventory = build_frame_inventory(geometry, 4096, 128, lambda b, s: 6)
+    inventory = build_frame_inventory(geometry, 4096, 128,
+                                      [[6] * geometry.num_sets])
     for frame in inventory.frames:
         assert frame.start_set % g == 0
         assert frame.start_set % span == 0
@@ -196,8 +197,8 @@ def test_inventory_bank_and_set_math():
     geometry = CacheGeometry(64 * 1024, 8, 64)   # 128 sets per bank
     span = frame_span_sets(4096, 64, geometry.num_sets)
     assert span == 64
-    inventory = build_frame_inventory(geometry, 4096, 16,
-                                      lambda b, s: 6 + b, num_banks=8)
+    inventory = build_frame_inventory(
+        geometry, 4096, 16, [[6 + b] * geometry.num_sets for b in range(8)])
     blocks_per_bank = geometry.num_sets // span
     assert blocks_per_bank == 2
     for frame in inventory.frames:

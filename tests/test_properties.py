@@ -10,6 +10,7 @@ from cnfetcache.cli import ConfigError, ExperimentConfig, build_machinery
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
 from cnfetcache.vasa import WayGroups, access_vasa_ds
+from cnfetcache.vawa import build_nonuniform_groups
 from cnfetcache.workload import TraceRecord, parse_trace, serialize_trace
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -76,6 +77,22 @@ def test_flattened_ng_never_undercuts_physical_latency(data, classes, budget,
     flat = build_machinery(cfg, [latmap]).banks[0].latency
     assert len(flat) == 64
     assert all(f >= c for f, c in zip(flat, latencies))
+    # Each class's runs fit its register budget: sorted, disjoint and
+    # aligned to the granularity.
+    latency, runs = build_nonuniform_groups(latmap, sorted(classes), budget,
+                                            granularity)
+    assert latency == flat and len(runs) == len(classes)
+    for class_runs in runs:
+        assert len(class_runs) <= budget
+        assert all(a <= b for a, b in class_runs)
+        assert all(b < c for (_, b), (c, _) in zip(class_runs, class_runs[1:]))
+        assert all(a % granularity == 0 and (b + 1) % granularity == 0
+                   for a, b in class_runs)
+    # A set is charged the first class whose runs cover it, else the worst.
+    for s, cycles in enumerate(flat):
+        covering = [c for c, class_runs in zip(sorted(classes), runs)
+                    if any(a <= s <= b for a, b in class_runs)]
+        assert cycles == (covering[0] if covering else latmap.max_cycles)
 
 
 trace_records = st.lists(st.builds(

@@ -8,35 +8,30 @@ from cnfetcache.timing import (CacheGeometry, LatencyMap, LayoutKind,
                                build_latency_map, calibrate_nominal_count,
                                effective_count_cdf, load_latency_map,
                                serialize_latency_map, strengths_to_latency)
-from cnfetcache.variation import CntParams, GroupStrength, sample_group_strengths
+from cnfetcache.variation import CntParams, sample_group_strengths
 
 TABLE_PARAMS = CntParams(seed=21)
 GEO_2MB = CacheGeometry(2 * 1024 * 1024, 8, 64)
 
 
-def _strength(i, eff):
-    return GroupStrength(i, eff, eff == 0)
-
-
 def test_nominal_strength_maps_to_min_cycles():
-    lat = strengths_to_latency([_strength(0, 9)], 9, 6, 12)
+    lat = strengths_to_latency([9], 9, 6, 12)
     assert lat == [6]
 
 
 def test_half_strength_doubles_latency():
     # ceil(6 * 2) = 12; the clamp is a no-op.
-    lat = strengths_to_latency([_strength(0, 5)], 10, 6, 12)
+    lat = strengths_to_latency([5], 10, 6, 12)
     assert lat == [12]
 
 
 def test_failed_group_pinned_at_worst():
-    lat = strengths_to_latency([_strength(0, 0)], 9, 6, 12)
+    lat = strengths_to_latency([0], 9, 6, 12)
     assert lat == [12]
 
 
 def test_clamping_bounds():
-    strengths = [_strength(i, e) for i, e in enumerate([1, 2, 20, 9])]
-    lat = strengths_to_latency(strengths, 9, 6, 12)
+    lat = strengths_to_latency([1, 2, 20, 9], 9, 6, 12)
     assert lat == [12, 12, 6, 6]
     assert all(6 <= c <= 12 for c in lat)
 

@@ -4,9 +4,8 @@ import pytest
 
 from cnfetcache.cli import ExperimentConfig, build_machinery, make_accessor
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
-from cnfetcache.vawa import (Segment, SegmentTable, build_nonuniform_groups,
-                             build_uniform_groups, coverage_savings,
-                             lookup_latency, overhead_report)
+from cnfetcache.vawa import (build_nonuniform_groups, overhead_report,
+                             uniform_latencies)
 
 GEO_4K = CacheGeometry(4 * 1024 * 1024, 8, 64)      # 8192 sets
 GEO_SMALL = CacheGeometry(64 * 8 * 64, 8, 64)       # 64 sets x 8 ways
@@ -25,77 +24,73 @@ def _accessor(policy, latmap, **keys):
 
 
 def test_uniform_groups_all_fast():
-    m = _waymap([6] * 4096)
-    groups = build_uniform_groups(m, 64)
-    assert groups.sets_per_group == 64
-    assert groups.group_latency == [6] * 64
+    assert uniform_latencies(_waymap([6] * 4096), 64) == [6] * 4096
 
 
 def test_uniform_groups_max_semantics():
     lat = [6] * 4096
     lat[5] = 10
-    groups = build_uniform_groups(_waymap(lat), 64)
-    assert groups.group_latency[0] == 10
-    assert groups.group_latency[1:] == [6] * 63
+    latency = uniform_latencies(_waymap(lat), 64)
+    assert latency[:64] == [10] * 64
+    assert latency[64:] == [6] * (4096 - 64)
 
 
 def test_uniform_groups_divisibility():
     with pytest.raises(ValueError):
-        build_uniform_groups(_waymap([6] * 4096), 65)
+        uniform_latencies(_waymap([6] * 4096), 65)
 
 
 def test_uniform_degenerate_reproduces_map():
     lat = [random.Random(1).choice([6, 7, 8, 10]) for _ in range(256)]
-    groups = build_uniform_groups(_waymap(lat), 256)
-    assert groups.group_latency == lat
+    assert uniform_latencies(_waymap(lat), 256) == lat
 
 
 def test_nonuniform_all_worst_is_empty():
-    table = build_nonuniform_groups(_waymap([10] * 64), [6, 7], 16)
-    assert all(not segs for _, segs in table.classes)
-    assert lookup_latency(table, 13) == 10
+    latency, runs = build_nonuniform_groups(_waymap([10] * 64), [6, 7], 16)
+    assert runs == [[], []]
+    assert latency == [10] * 64
 
 
 def test_nonuniform_single_maximal_run():
     lat = [6] * 2048 + [10] * 2048
-    table = build_nonuniform_groups(_waymap(lat), [6], 16, granularity=8)
-    assert table.classes[0][1] == [Segment(0, 2047, 6)]
-    assert lookup_latency(table, 100) == 6
-    assert lookup_latency(table, 2048) == 10
+    latency, runs = build_nonuniform_groups(_waymap(lat), [6], 16,
+                                            granularity=8)
+    assert runs == [[(0, 2047)]]
+    assert latency[100] == 6
+    assert latency[2048] == 10
 
 
 def test_nonuniform_budget_keeps_longest_runs():
     # Runs of 6s with lengths 3, 5, 2 separated by worst sets; budget 2 keeps
     # the two longest (5 then 3), ties resolved by start index elsewhere.
     lat = ([6] * 3 + [10] + [6] * 5 + [10] + [6] * 2 + [10] * 52)
-    table = build_nonuniform_groups(_waymap(lat), [6], 2)
-    segs = table.classes[0][1]
-    assert segs == [Segment(0, 2, 6), Segment(4, 8, 6)]
+    latency, runs = build_nonuniform_groups(_waymap(lat), [6], 2)
+    assert runs == [[(0, 2), (4, 8)]]
+    assert latency[10:12] == [10, 10]
 
 
 def test_nonuniform_tie_break_by_start():
     lat = [6, 6, 10, 6, 6, 10, 6, 6] + [10] * 56
-    table = build_nonuniform_groups(_waymap(lat), [6], 2)
-    assert table.classes[0][1] == [Segment(0, 1, 6), Segment(3, 4, 6)]
+    _, runs = build_nonuniform_groups(_waymap(lat), [6], 2)
+    assert runs == [[(0, 1), (3, 4)]]
 
 
 def test_nonuniform_faster_class_claims_first():
     # Sets <= 6 qualify for both classes; the 6-class takes them and the
     # 7-class only covers the residual run.
     lat = [6, 6, 6, 6, 7, 7, 10, 10] + [10] * 56
-    table = build_nonuniform_groups(_waymap(lat), [6, 7], 16)
-    assert table.classes[0][1] == [Segment(0, 3, 6)]
-    assert table.classes[1][1] == [Segment(4, 5, 7)]
-    assert lookup_latency(table, 2) == 6
-    assert lookup_latency(table, 5) == 7
-    assert lookup_latency(table, 7) == 10
+    latency, runs = build_nonuniform_groups(_waymap(lat), [6, 7], 16)
+    assert runs == [[(0, 3)], [(4, 5)]]
+    assert latency[2] == 6
+    assert latency[5] == 7
+    assert latency[7] == 10
 
 
 def test_nonuniform_respects_granularity():
     lat = [6] * 12 + [10] * 52
-    table = build_nonuniform_groups(_waymap(lat), [6], 16, granularity=8)
+    _, runs = build_nonuniform_groups(_waymap(lat), [6], 16, granularity=8)
     # Only one aligned 8-set block is fully fast.
-    assert table.classes[0][1] == [Segment(0, 7, 6)]
+    assert runs == [[(0, 7)]]
 
 
 def _dp_optimal_savings(latencies, classes, budget, worst):
@@ -146,8 +141,8 @@ def test_greedy_vs_exhaustive_on_random_maps():
     for _ in range(trials):
         lat = [rng.choice([6, 6, 7, 8, 10, 10]) for _ in range(64)]
         m = _waymap(lat)
-        table = build_nonuniform_groups(m, [6, 7], 2)
-        greedy = coverage_savings(table)
+        latency, _ = build_nonuniform_groups(m, [6, 7], 2)
+        greedy = sum(m.max_cycles - c for c in latency)
         optimum = _dp_optimal_savings(tuple(lat), (6, 7), 2, 10)
         assert greedy <= optimum
         if greedy == optimum:
@@ -162,8 +157,8 @@ def test_known_suboptimal_instance():
     # Greedy gives class 6 the longest run, stranding the 7-class; the
     # optimum flips the assignment.
     lat = [7, 6, 6, 6, 10, 6, 6] + [10] * 57
-    table = build_nonuniform_groups(_waymap(lat), [6, 7], 1)
-    assert coverage_savings(table) == 18
+    latency, _ = build_nonuniform_groups(_waymap(lat), [6, 7], 1)
+    assert sum(10 - c for c in latency) == 18
     assert _dp_optimal_savings(tuple(lat), (6, 7), 1, 10) == 20
 
 
@@ -172,17 +167,17 @@ def test_lookup_never_undercuts_physical_latency():
     for _ in range(20):
         lat = [rng.choice([6, 7, 8, 9, 10]) for _ in range(256)]
         m = _waymap(lat)
-        table = build_nonuniform_groups(m, [6, 7, 8], 4)
-        for s in range(256):
-            assert lookup_latency(table, s) >= lat[s]
+        latency, _ = build_nonuniform_groups(m, [6, 7, 8], 4)
+        assert all(c >= physical for c, physical in zip(latency, lat))
 
 
 def test_segment_table_register_accounting():
     lat = ([6] * 8 + [10] * 8) * 16   # plenty of short runs
-    table = build_nonuniform_groups(_waymap(lat), [6, 7], 16)
-    assert table.index_registers_used() <= 2 * 16 * 2
-    report = overhead_report(table)
-    assert report["index_registers_used"] == table.index_registers_used()
+    _, runs = build_nonuniform_groups(_waymap(lat), [6, 7], 16)
+    assert runs[0] == [(s, s + 7) for s in range(0, 256, 16)]
+    report = overhead_report(runs)
+    assert report["index_registers_used"] == 2 * 16
+    assert "index_registers_used" not in overhead_report()
     assert report["reported_index_registers"] == 128
     assert report["uniform_register_bytes"] == 224
     assert report["nonuniform_register_bytes"] == 194
@@ -211,10 +206,3 @@ def test_uniform_vs_nonuniform_same_hit_miss_sequence():
         b = ug(0, addr)
         assert a.hit == b.hit and a.way == b.way
 
-
-def test_segment_table_validation():
-    with pytest.raises(ValueError):
-        SegmentTable([(7, []), (6, [])], default_latency=10)
-    with pytest.raises(ValueError):
-        SegmentTable([(6, [Segment(0, 5, 6), Segment(3, 8, 6)])],
-                     default_latency=10)
