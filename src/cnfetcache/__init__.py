@@ -2,14 +2,14 @@
 variation: variation-aware set aligned and way aligned architectures, data
 shuffling, set grouping, page mapping, and a mesh NUCA latency model."""
 
-from .cache_core import AccessResult, CacheLine, CacheState, PolicyKind
+from .cache_core import AccessResult, CacheState, PolicyKind
 from .metrics import EnergyParams, RunStats
 from .timing import CacheGeometry, LatencyMap, LayoutKind
 from .variation import CntParams
 
 __all__ = [
-    "AccessResult", "CacheGeometry", "CacheLine", "CacheState", "CntParams",
-    "EnergyParams", "LatencyMap", "LayoutKind", "PolicyKind", "RunStats",
+    "AccessResult", "CacheGeometry", "CacheState", "CntParams", "EnergyParams",
+    "LatencyMap", "LayoutKind", "PolicyKind", "RunStats",
 ]
 
 __version__ = "0.1.0"

@@ -25,33 +25,6 @@ class PolicyKind(Enum):
     VAWA_NG = "vawa_ng"
 
 
-class CacheLine:
-    """One cache line: tag/valid/dirty plus replacement metadata.
-
-    lru_rank is the recency rank (0 = most recent) within the set, or within
-    the line's way group when the data-shuffling policy manages the set.
-    priority_bit is the 1-bit T field used by way-group shuffling: 0 marks
-    the most recently used line of its group.
-    """
-
-    __slots__ = ("valid", "tag", "addr", "data", "dirty", "lru_rank",
-                 "priority_bit")
-
-    def __init__(self):
-        self.valid = False
-        self.tag = 0
-        self.addr = 0
-        self.data = 0
-        self.dirty = False
-        self.lru_rank = 0
-        # Invalid lines carry the low-priority value; only the group MRU is 0.
-        self.priority_bit = 1
-
-    def __repr__(self):
-        return (f"CacheLine(valid={self.valid}, tag={self.tag:#x}, "
-                f"rank={self.lru_rank}, T={self.priority_bit})")
-
-
 class AccessResult:
     """Outcome of one access.
 
@@ -86,12 +59,21 @@ class AccessResult:
 
 
 class CacheState:
-    """Mutable state of one cache instance (single-threaded)."""
+    """Mutable state of one cache instance (single-threaded).
+
+    Per set: `tags` holds the tag in each physical way (None = invalid),
+    `data` and `dirty` the value and dirty flag of each way, and `order`
+    the set's valid ways, most recent first.  Data shuffling makes it one
+    such list per way group instead, on the set's first access.  A line's
+    address follows from its tag and set (`line_address`).
+    """
 
     def __init__(self, geometry, memory=None):
-        self.geometry = geometry
-        self.sets = [[CacheLine() for _ in range(geometry.num_ways)]
-                     for _ in range(geometry.num_sets)]
+        sets, ways = geometry.num_sets, geometry.num_ways
+        self.tags = [[None] * ways for _ in range(sets)]
+        self.data = [[0] * ways for _ in range(sets)]
+        self.dirty = [[False] * ways for _ in range(sets)]
+        self.order = [[] for _ in range(sets)]
         # line-aligned address -> last written value
         self.memory = {} if memory is None else memory
         self._offset_bits = geometry.offset_bits
@@ -105,101 +87,50 @@ class CacheState:
         tag = address >> self._tag_shift
         return tag, set_index, line_addr << self._offset_bits
 
-    def valid_tags(self, set_index):
-        return sorted(l.tag for l in self.sets[set_index] if l.valid)
-
-
-def find_way(lines, tag, allowed=None):
-    """Index of the valid line holding tag, searched over allowed ways."""
-    if allowed is None:
-        for w, line in enumerate(lines):
-            if line.valid and line.tag == tag:
-                return w
-    else:
-        for w in allowed:
-            line = lines[w]
-            if line.valid and line.tag == tag:
-                return w
-    return None
-
-
-def promote_lru(lines, way, allowed=None):
-    """Make `way` most recent; ranks of younger valid lines age by one."""
-    ways = range(len(lines)) if allowed is None else allowed
-    prev = lines[way].lru_rank
-    for w in ways:
-        line = lines[w]
-        if line.valid and line.lru_rank < prev:
-            line.lru_rank += 1
-    lines[way].lru_rank = 0
-
-
-def pick_victim(lines, allowed=None):
-    """Way to fill: an invalid way if any, else the LRU valid way."""
-    ways = range(len(lines)) if allowed is None else allowed
-    victim = None
-    worst_rank = -1
-    for w in ways:
-        line = lines[w]
-        if not line.valid:
-            return w, False
-        if line.lru_rank > worst_rank:
-            worst_rank = line.lru_rank
-            victim = w
-    return victim, True
-
-
-def install(state, lines, way, tag, line_addr, write, value, allowed=None):
-    """Evict (if needed) and fill `way` with the line for line_addr.
-
-    Returns (evicted_tag, evicted_addr, evicted_dirty).
-    """
-    line = lines[way]
-    evicted_tag = evicted_addr = None
-    evicted_dirty = False
-    if line.valid:
-        evicted_tag = line.tag
-        evicted_addr = line.addr
-        evicted_dirty = line.dirty
-        if line.dirty:
-            state.memory[line.addr] = line.data
-    else:
-        # Newly valid line enters as the oldest, then gets promoted.
-        ways = range(len(lines)) if allowed is None else allowed
-        line.lru_rank = sum(1 for w in ways if lines[w].valid)
-        line.valid = True
-    line.tag = tag
-    line.addr = line_addr
-    line.data = state.memory.get(line_addr, 0)
-    line.dirty = False
-    if write:
-        line.data = value
-        line.dirty = True
-    promote_lru(lines, way, allowed)
-    return evicted_tag, evicted_addr, evicted_dirty
+    def line_address(self, tag, set_index):
+        return (tag << self._tag_shift) | (set_index << self._offset_bits)
 
 
 def lru_access(state, set_index, tag, line_addr, write, value, ways=None):
     """Plain LRU lookup and fill of one set.
 
-    `ways` restricts lookup, replacement and recency to those ways (the
-    ways partial disabling leaves enabled); None means every way.  The
-    result names the hit way and leaves the latency to the caller.
+    `ways` restricts replacement to those ways (the ways partial disabling
+    leaves enabled); None means every way.  Ways are filled in that order
+    and never emptied, so a set that is not full fills `ways[len(order)]`,
+    and a full one evicts its least recent way.  The result names the hit
+    way and leaves the latency to the caller.
     """
-    lines = state.sets[set_index]
-    way = find_way(lines, tag, ways)
-    if way is not None:
-        line = lines[way]
+    tags = state.tags[set_index]
+    data = state.data[set_index]
+    order = state.order[set_index]
+    if tag in tags:
+        way = tags.index(tag)
+        if order[0] != way:
+            order.remove(way)
+            order.insert(0, way)
         if write:
-            line.data = value
-            line.dirty = True
-        promote_lru(lines, way, ways)
-        return AccessResult(True, way, write=write, value=line.data)
-    way, _ = pick_victim(lines, ways)
-    ev_tag, ev_addr, ev_dirty = install(state, lines, way, tag, line_addr,
-                                        write, value, ways)
+            data[way] = value
+            state.dirty[set_index][way] = True
+        return AccessResult(True, way, write=write, value=data[way])
+    dirty = state.dirty[set_index]
+    filled = len(order)
+    ev_tag = ev_addr = None
+    ev_dirty = False
+    if filled < (len(tags) if ways is None else len(ways)):
+        way = filled if ways is None else ways[filled]
+    else:
+        way = order.pop()
+        ev_tag = tags[way]
+        ev_addr = state.line_address(ev_tag, set_index)
+        ev_dirty = dirty[way]
+        if ev_dirty:
+            state.memory[ev_addr] = data[way]
+    order.insert(0, way)
+    tags[way] = tag
+    data[way] = value if write else state.memory.get(line_addr, 0)
+    dirty[way] = write
     return AccessResult(False, evicted_tag=ev_tag, write=write,
-                        value=lines[way].data, evicted_addr=ev_addr,
+                        value=data[way], evicted_addr=ev_addr,
                         evicted_dirty=ev_dirty)
 
 

@@ -212,6 +212,10 @@ def serialize_latency_map(latmap):
     return out.getvalue()
 
 
+_HEADER_TYPES = {"layout": LayoutKind, "capacity_bytes": int, "num_ways": int,
+                 "line_bytes": int, "min_cycles": int, "max_cycles": int}
+
+
 def load_latency_map(stream):
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -223,7 +227,17 @@ def load_latency_map(stream):
             continue
         if "=" in line:
             key, value = line.split("=", 1)
-            header[key] = value
+            if key in header:
+                raise ValueError(f"line {lineno}: header key {key} "
+                                 f"is repeated")
+            kind = _HEADER_TYPES.get(key, str)
+            try:
+                header[key] = kind(value)
+            except ValueError:
+                expected = ("one of " + ", ".join(k.value for k in LayoutKind)
+                            if kind is LayoutKind else "an integer")
+                raise ValueError(f"line {lineno}: {line} is not "
+                                 f"{expected}") from None
         else:
             try:
                 index, cycles = (int(part) for part in line.split(","))
@@ -243,10 +257,9 @@ def load_latency_map(stream):
         missing = [key for key in geometry_keys if key not in header]
         if missing:
             raise ValueError(f"geometry header lacks {', '.join(missing)}")
-        geometry = CacheGeometry(*(int(header[key]) for key in geometry_keys))
+        geometry = CacheGeometry(*(header[key] for key in geometry_keys))
     ordered = [latencies[i] for i in sorted(latencies)]
     if sorted(latencies) != list(range(len(ordered))):
         raise ValueError("group indices must be 0..n-1 without gaps")
-    return LatencyMap(LayoutKind(header["layout"]), ordered,
-                      int(header["min_cycles"]), int(header["max_cycles"]),
-                      geometry=geometry)
+    return LatencyMap(header["layout"], ordered, header["min_cycles"],
+                      header["max_cycles"], geometry=geometry)

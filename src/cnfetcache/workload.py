@@ -100,10 +100,6 @@ class L1FilterResult:
     accesses: dict     # core -> L1 accesses
     misses: dict       # core -> L1 misses
 
-    def miss_rate(self, core_id):
-        n = self.accesses.get(core_id, 0)
-        return self.misses.get(core_id, 0) / n if n else 0.0
-
 
 def l1_filter(records, config):
     """Run per-core L1 i/d caches and emit the LLC-bound stream.

@@ -49,8 +49,7 @@ def test_criterion_1_shuffle_scenarios_and_oracle():
             (hit, moves, evicted), f"diverged at access {i}"
         if hit:
             assert result.way == way, f"diverged at access {i}"
-        got = [(l.valid, l.tag if l.valid else None, l.priority_bit)
-               for l in state.sets[0]]
+        got = test_vasa._way_state(state)
         want = [(oracle.valid[w],
                  oracle.tags[w] if oracle.valid[w] else None, oracle.T[w])
                 for w in range(8)]

@@ -129,6 +129,10 @@ def test_memory_consistency_baseline():
             assert result.value == ref.get(addr, 0)
 
 
+def _valid_tags(state, set_index):
+    return sorted(t for t in state.tags[set_index] if t is not None)
+
+
 def test_tag_multiset_changes_by_at_most_one():
     cache, access = _baseline(GEO_SMALL)
     state = cache.banks[0]
@@ -136,9 +140,9 @@ def test_tag_multiset_changes_by_at_most_one():
     for _ in range(5000):
         addr = rng.randrange(32 * 1024) & ~63
         _, set_index, _ = state.locate(addr)
-        before = state.valid_tags(set_index)
+        before = _valid_tags(state, set_index)
         result = access(0, addr)
-        after = state.valid_tags(set_index)
+        after = _valid_tags(state, set_index)
         added = [t for t in after if t not in before or after.count(t) > before.count(t)]
         removed = [t for t in before if t not in after or before.count(t) > after.count(t)]
         assert len(added) <= 1 and len(removed) <= 1
@@ -158,8 +162,7 @@ def test_partial_disable_hand_trace():
     access(0, 0x100)
     result = access(0, 0x100)
     assert result.hit and result.latency_cycles == 6
-    assert all(not line.valid for lines in cache.banks[0].sets for w, line in
-               enumerate(lines) if w == 7)
+    assert all(tags[7] is None for tags in cache.banks[0].tags)
 
 
 def test_partial_disable_all_equal_is_baseline():
@@ -197,7 +200,7 @@ def test_partial_disable_way_aligned_bypass():
     access(0, addr_disabled, True, 5)
     result = access(0, addr_disabled)
     assert not result.hit and result.value == 5
-    assert not any(line.valid for line in cache.banks[0].sets[3])
+    assert cache.banks[0].tags[3] == [None] * 4
     # Enabled sets behave like a 6-cycle cache.
     access(0, 0x40)
     result = access(0, 0x40)

@@ -239,6 +239,18 @@ def _non_integer_cycles(text):
     return text + "4,x\n"
 
 
+def _min_cycles_abc(text):
+    return text.replace("min_cycles=6", "min_cycles=abc")
+
+
+def _layout_diag(text):
+    return text.replace("layout=way_aligned", "layout=diag")
+
+
+def _repeated_max_cycles(text):
+    return text + "max_cycles=10\n"
+
+
 def _cycles_20_to_25(text):
     lines = []
     for line in text.splitlines():
@@ -259,6 +271,10 @@ def _cycles_20_to_25(text):
     (_cycles_20_to_25, "cycle range 20..25"),
     (_repeated_index_3, "line 135: group index 3 is repeated"),
     (_non_integer_cycles, "line 135: expected `index,cycles` integers"),
+    (_min_cycles_abc, "line 5: min_cycles=abc is not an integer"),
+    (_layout_diag, "line 1: layout=diag is not one of set_aligned, "
+                   "way_aligned"),
+    (_repeated_max_cycles, "line 135: header key max_cycles is repeated"),
 ])
 def test_simulate_rejects_bad_map_file(tmp_path, capsys, corrupt, message):
     # Way aligned 64 KB 8-way: 128 sets, so a 1 MB 128-way header has the

@@ -19,47 +19,73 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
 GEO_4WAY = CacheGeometry(4 * 4 * 64, 4, 64)        # 4 sets x 4 ways
 GEO_8WAY = CacheGeometry(4 * 8 * 64, 8, 64)        # 4 sets x 8 ways
 
-# (tag, set, write) triples over a few tags per set, so sets fill and evict.
+# (tag, set, write) triples over a few tags per set; at least 24, so that
+# sets fill and evict.
 accesses = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 3),
-                              st.booleans()), min_size=1, max_size=200)
+                              st.booleans()), min_size=24, max_size=200)
 
 
-def _ranks_are_permutation(lines, ways):
-    ranks = sorted(lines[w].lru_rank for w in ways if lines[w].valid)
-    return ranks == list(range(len(ranks)))
+def _valid_ways(tags, ways):
+    return [w for w in ways if tags[w] is not None]
 
 
 @PROPERTY
 @given(latencies=st.lists(st.integers(6, 12), min_size=4, max_size=4),
        pd=st.booleans(), trace=accesses)
 def test_lru_valid_ranks_are_a_permutation(latencies, pd, trace):
+    # The recency order ranks every valid way exactly once, and only the
+    # enabled ways ever fill, first to last.
     latmap = LatencyMap(LayoutKind.SET_ALIGNED, latencies, 6, 12)
     policy = partial_disable(latmap) if pd else BankPolicy(latencies)
     allowed = policy.ways if policy.ways is not None else range(4)
     cache = NucaCache(GEO_4WAY, None, LayoutKind.SET_ALIGNED, [policy])
     for seq, (tag, set_index, write) in enumerate(trace, start=1):
         cache.access(0, (tag << 8) | (set_index << 6), write, seq)
-        lines = cache.banks[0].sets[set_index]
-        assert _ranks_are_permutation(lines, allowed)
-        assert not any(lines[w].valid for w in range(4) if w not in allowed)
+        tags = cache.banks[0].tags[set_index]
+        valid = _valid_ways(tags, range(4))
+        assert sorted(cache.banks[0].order[set_index]) == valid
+        assert valid == list(allowed)[:len(valid)]
+
+
+def _ds_cache(latencies, num_groups):
+    latmap = LatencyMap(LayoutKind.SET_ALIGNED, latencies, 6, 12)
+    groups = WayGroups.from_latency_map(latmap, num_groups)
+    cache = NucaCache(GEO_8WAY, None, LayoutKind.SET_ALIGNED,
+                      [BankPolicy(latencies, access_vasa_ds, groups)])
+    return cache, groups
 
 
 @PROPERTY
 @given(latencies=st.lists(st.integers(6, 12), min_size=8, max_size=8),
        num_groups=st.sampled_from([1, 2, 4, 8]), trace=accesses)
 def test_ds_leaves_one_mru_per_nonempty_group(latencies, num_groups, trace):
-    latmap = LatencyMap(LayoutKind.SET_ALIGNED, latencies, 6, 12)
-    groups = WayGroups.from_latency_map(latmap, num_groups)
-    cache = NucaCache(GEO_8WAY, None, LayoutKind.SET_ALIGNED,
-                      [BankPolicy(latencies, access_vasa_ds, groups)])
+    # Each group's order ranks exactly its valid ways, so its front, the
+    # one T=0 line, exists exactly when the group holds a line.
+    cache, groups = _ds_cache(latencies, num_groups)
     for seq, (tag, set_index, write) in enumerate(trace, start=1):
         cache.access(0, (tag << 8) | (set_index << 6), write, seq)
-        lines = cache.banks[0].sets[set_index]
-        for group in groups.groups:
-            valid = [w for w in group if lines[w].valid]
-            if valid:
-                assert sum(lines[w].priority_bit == 0 for w in valid) == 1
-            assert _ranks_are_permutation(lines, group)
+        tags = cache.banks[0].tags[set_index]
+        orders = cache.banks[0].order[set_index]
+        assert len(orders) == num_groups
+        for group, order in zip(groups.groups, orders):
+            assert sorted(order) == _valid_ways(tags, group)
+
+
+@PROPERTY
+@given(latencies=st.lists(st.integers(6, 12), min_size=8, max_size=8),
+       num_groups=st.sampled_from([1, 2, 4, 8]), trace=accesses)
+def test_ds_fills_groups_fastest_first(latencies, num_groups, trace):
+    # A group holds lines only if every faster group is full: a miss fills
+    # the fastest group with a free way and no access empties a way, so a
+    # promotion never meets a faster group with a free way.
+    cache, groups = _ds_cache(latencies, num_groups)
+    for seq, (tag, set_index, write) in enumerate(trace, start=1):
+        cache.access(0, (tag << 8) | (set_index << 6), write, seq)
+        tags = cache.banks[0].tags[set_index]
+        filled = [len(_valid_ways(tags, group)) for group in groups.groups]
+        for k in range(1, num_groups):
+            if filled[k]:
+                assert filled[k - 1] == len(groups.groups[k - 1])
 
 
 @PROPERTY

@@ -26,35 +26,30 @@ def _ds_cache():
 
 def _fill_set(state, groups, tags):
     """Install 8 distinct tags, one per way, way w holding tags[w]."""
-    lines = state.sets[0]
-    for w, tag in enumerate(tags):
-        line = lines[w]
-        line.valid = True
-        line.tag = tag
-        line.addr = _addr(tag)
-        line.lru_rank = 0
-        line.priority_bit = 0
+    state.tags[0][:] = tags
+    state.order[0][:] = [list(group) for group in groups.groups]
 
 
 def _set_tbits(state, groups, t_one_ways):
-    """Give each group's T=1 (rank 1) to the listed way, T=0 to its sibling."""
-    lines = state.sets[0]
-    for group in groups.groups:
-        for w in group:
-            if w in t_one_ways:
-                lines[w].lru_rank = 1
-                lines[w].priority_bit = 1
-            else:
-                lines[w].lru_rank = 0
-                lines[w].priority_bit = 0
+    """Make the listed way of each group its least recent line (T=1)."""
+    state.order[0][:] = [sorted(group, key=lambda w: w in t_one_ways)
+                         for group in groups.groups]
 
 
 def _tags(state):
-    return [line.tag if line.valid else None for line in state.sets[0]]
+    return list(state.tags[0])
 
 
-def _tbits(state):
-    return [line.priority_bit for line in state.sets[0]]
+def _tbits(state, set_index=0):
+    """T per way: 0 exactly on the most recent line of each way group."""
+    fronts = {order[0] for order in state.order[set_index] if order}
+    return [0 if w in fronts else 1 for w in range(8)]
+
+
+def _way_state(state):
+    """(valid, tag or None, T) per way of set 0."""
+    return [(tag is not None, tag, t)
+            for tag, t in zip(state.tags[0], _tbits(state))]
 
 
 def test_way_groups_partition_by_latency():
@@ -164,16 +159,18 @@ def test_tbit_wellformed_and_tags_preserved_under_shuffles():
     for _ in range(20_000):
         addr = (rng.randrange(24) << 8) | (rng.randrange(4) << 6)
         _, set_index = addr >> 8, (addr >> 6) & 3
-        before = sorted(l.tag for l in state.sets[set_index] if l.valid)
+        before = sorted(t for t in state.tags[set_index] if t is not None)
         result = cache.access(0, addr, rng.random() < 0.3, 1)
-        after = sorted(l.tag for l in state.sets[set_index] if l.valid)
+        after = sorted(t for t in state.tags[set_index] if t is not None)
         if result.hit:
             assert before == after
-        for group in GROUPS.groups:
-            zeros = [w for w in group
-                     if state.sets[set_index][w].valid
-                     and state.sets[set_index][w].priority_bit == 0]
-            assert len(zeros) <= 1
+        # Each group's order lists exactly its valid ways, so a non-empty
+        # group has one T=0 line and an empty one has none.
+        tbits = _tbits(state, set_index)
+        for group, order in zip(GROUPS.groups, state.order[set_index]):
+            valid = [w for w in group if state.tags[set_index][w] is not None]
+            assert sorted(order) == valid
+            assert sum(tbits[w] == 0 for w in group) == (1 if valid else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +274,7 @@ def test_engine_agrees_with_straight_line_oracle():
             assert result.way == way, f"step {i}"
         assert result.shuffle_moves == moves, f"step {i}"
         assert result.evicted_tag == evicted, f"step {i}"
-        got = [(l.valid, l.tag if l.valid else None, l.priority_bit)
-               for l in state.sets[0]]
+        got = _way_state(state)
         want = [(oracle.valid[w], oracle.tags[w] if oracle.valid[w] else None,
                  oracle.T[w]) for w in range(8)]
         assert got == want, f"step {i}"

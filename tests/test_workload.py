@@ -49,14 +49,14 @@ def test_l1_filter_absorbs_repeats():
     records = [TraceRecord(0, "R", 0x1000)] * 50
     result = l1_filter(records, L1Config())
     assert len(result.records) == 1
-    assert result.miss_rate(0) == 1 / 50
+    assert result.misses[0] / result.accesses[0] == 1 / 50
 
 
 def test_l1_filter_streaming_misses_everything():
     # Working set far beyond 32KB: every access misses.
     records = [TraceRecord(0, "R", i * 64) for i in range(20_000)]
     result = l1_filter(records, L1Config())
-    assert result.miss_rate(0) > 0.99
+    assert result.misses[0] / result.accesses[0] > 0.99
 
 
 def test_l1_filter_conservation():
