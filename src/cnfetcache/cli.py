@@ -3,8 +3,9 @@
 A single flat-key config file describes an experiment end to end
 (`cache.ways=8` style, `#` comments, CLI --set overrides).  The pipeline is
 variation sampling -> latency map -> grouping -> optional profiling and page
-mapping -> trace simulation -> CSV report.  All randomness is seeded from
-the config, so a fixed config reproduces byte-identical reports.
+mapping -> one hit-counting pass per distinct LLC stream -> pricing of each
+config from its pass -> CSV report.  All randomness is seeded from the
+config, so a fixed config reproduces byte-identical reports.
 
 Subcommands: gen-variation, simulate, profile, compare, gen-trace.
 """
@@ -497,7 +498,9 @@ def build_page_mapping(cfg, machinery, llc_records, raw_records):
 def make_accessor(cfg, machinery):
     """Callable (core_id, addr, write, value) -> AccessResult for the
     configured policy, over a fresh cache instance.  A UCA is the one-bank
-    NucaCache with no NoC cost."""
+    NucaCache with no NoC cost.  Runs go through `run_sweep`; this
+    per-access path, with `simulate_records`, is the reference that the
+    benchmark's replay and the tests check reads and hit counts against."""
     topology = cfg.topology if cfg.nuca_enabled else None
     cache = nuca.NucaCache(cfg.geometry, topology, cfg.layout_kind,
                            machinery.banks)
@@ -529,26 +532,25 @@ class ExperimentOutput:
                                  self.config.workload_label())
 
 
-def run_experiment(cfg, records=None, llc=None):
-    """Simulate one config over raw `records` (loaded from the config when
-    omitted); `llc` is their LLC-bound stream when the caller has it."""
-    cfg.validate()
-    if records is None:
-        records = load_records(cfg)
-    if llc is None:
-        llc = llc_records(cfg, records)
+@dataclass
+class _Row:
+    """One config made ready to price: its LLC stream, bank policies, page
+    mapping (None without page mapping) and notes."""
 
+    cfg: ExperimentConfig
+    llc: list
+    machinery: Machinery
+    mapping: dict
+    notes: list
+
+
+def _prepare(cfg, records, llc):
     latmaps = build_latency_maps(cfg)
     machinery = build_machinery(cfg, latmaps)
-
-    translate_fn = None
-    notes = []
+    mapping = None
     if cfg.pm_enabled:
         _, _, mapping = build_page_mapping(cfg, machinery, llc, records)
-        page_bytes = cfg.pm_page_bytes
-        translate_fn = lambda vaddr: pagemap.translate(vaddr, mapping, page_bytes)
-
-    accessor = make_accessor(cfg, machinery)
+    notes = []
     if cfg.nuca_enabled:
         averages = [nuca.bank_average_latency(lm) for lm in latmaps]
         spread = max(averages) - min(averages)
@@ -556,14 +558,75 @@ def run_experiment(cfg, records=None, llc=None):
                      ";".join(f"{a:.4f}" for a in averages))
         if spread > 0.25:
             notes.append(f"bank_avg_spread={spread:.4f} (banks differ materially)")
-
     if machinery.overhead is not None:
         notes.append("overhead: " + " ".join(
             f"{k}={v}" for k, v in sorted(machinery.overhead.items())))
+    return _Row(cfg, llc, machinery, mapping, notes)
 
-    stats = metrics.RunStats(memory_latency_cycles=cfg.memory_latency)
-    simulate_records(llc, accessor, stats, translate_fn)
-    return ExperimentOutput(cfg, stats, notes)
+
+def _runs_lru(row):
+    return all(p.engine is cache_core.lru_access for p in row.machinery.banks)
+
+
+def _pass_key(row, position):
+    """Rows with equal keys share one LRU pass: the same stream, untranslated,
+    on the same banks.  A row with a page mapping or its own engine runs
+    alone."""
+    if row.mapping is not None or not _runs_lru(row):
+        return position
+    cfg = row.cfg
+    return (id(row.llc), cfg.geometry, cfg.num_banks, cfg.layout_kind,
+            cfg.nuca_enabled)
+
+
+def _hit_table(row):
+    cfg = row.cfg
+    cores = sorted(cfg.topology.core_coords) if cfg.nuca_enabled else None
+    per_set = cfg.layout_kind is LayoutKind.WAY_ALIGNED
+    if _runs_lru(row):
+        return nuca.lru_pass(row.llc, cfg.geometry, cfg.num_banks, per_set,
+                             cores, row.mapping, cfg.pm_page_bytes)
+    return nuca.engine_pass(row.llc, cfg.geometry, row.machinery.banks,
+                            per_set, cores, row.mapping, cfg.pm_page_bytes)
+
+
+def run_sweep(configs, records):
+    """Simulate every config over the same raw records.
+
+    Each l1.enabled value gets one LLC stream.  Every row is prepared
+    first; then each distinct pass runs once, its rows are priced from its
+    hit table, and the table is dropped before the next pass runs.
+    """
+    streams = {}
+    rows = []
+    for cfg in configs:
+        cfg.validate()
+        if cfg.l1_enabled not in streams:
+            streams[cfg.l1_enabled] = llc_records(cfg, records)
+        rows.append(_prepare(cfg, records, streams[cfg.l1_enabled]))
+    passes = {}
+    for position, row in enumerate(rows):
+        passes.setdefault(_pass_key(row, position), []).append(position)
+    stats = [None] * len(rows)
+    for positions in passes.values():
+        table = _hit_table(rows[positions[0]])
+        for position in positions:
+            cfg = rows[position].cfg
+            stats[position] = nuca.price(
+                table, rows[position].machinery.banks, cfg.memory_latency,
+                cfg.topology if cfg.nuca_enabled else None)
+        del table
+    return [ExperimentOutput(row.cfg, stat, row.notes)
+            for row, stat in zip(rows, stats)]
+
+
+def run_experiment(cfg, records=None):
+    """Simulate one config over raw `records` (loaded from the config when
+    omitted)."""
+    cfg.validate()
+    if records is None:
+        records = load_records(cfg)
+    return run_sweep([cfg], records)[0]
 
 
 # -- subcommands ----------------------------------------------------------
@@ -712,18 +775,13 @@ def cmd_compare(args):
         if cfg.workload_signature() != sig:
             raise ConfigError(f"config {label!r} uses a different workload")
 
-    # One LLC-bound stream per l1.enabled value: a recipe's rows share one,
-    # config-file rows may differ.
     records = load_records(labelled[0][1])
-    streams = {}
+    outputs = run_sweep([cfg for _, cfg in labelled], records)
     rows = []
     baseline = None
     header = ["label", "policy", "pm", "mean_hit_latency", "amat", "miss_rate",
               "total_energy", "hit_latency_ratio", "amat_ratio", "energy_ratio"]
-    for label, cfg in labelled:
-        if cfg.l1_enabled not in streams:
-            streams[cfg.l1_enabled] = llc_records(cfg, records)
-        out = run_experiment(cfg, records, streams[cfg.l1_enabled])
+    for (label, cfg), out in zip(labelled, outputs):
         stats = out.stats
         static, dynamic = metrics.energy(stats, cfg.energy_params)
         rec = {

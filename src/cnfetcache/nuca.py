@@ -5,12 +5,19 @@ Banks are independent cache instances carved out of the LLC capacity; the
 bank id sits in the address bits immediately above the per-bank set index,
 so a page's lines always land in a single bank.  Routing cost is hop count
 times cycles per hop, doubled by default for the request/response round
-trip.  Contention is not modeled (single-cycle routers)."""
+trip.  Contention is not modeled (single-cycle routers).
+
+A run is one pass over its address stream that counts hits in a HitTable
+(`lru_pass`, or `engine_pass` for data shuffling), then `price`, which
+charges the table under one row's bank policies.  LRU is a stack
+algorithm, so one full-way pass serves every row whose banks all run LRU:
+the rows differ only in the price of a hit.  `NucaCache` is the
+per-access path that the pass is checked against."""
 
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from . import cache_core
+from . import cache_core, metrics
 from .timing import CacheGeometry, LayoutKind
 
 
@@ -137,3 +144,177 @@ class NucaCache:
                 latency[set_index if self.per_set else result.way]
                 + self.noc[core_id][bank])
         return result
+
+
+@dataclass
+class HitTable:
+    """The hits of one address stream, counted by where they landed.
+
+    counts is flat: entry ((c * banks + b) * groups + g) * depths + d - 1
+    counts the hits from the c-th core of `cores` (one row for every core
+    when cores is None, as in a UCA) to latency group g of bank b at LRU
+    depth d.  The group is the set on a way aligned (per_set) bank and the
+    way on a set aligned one.  Set aligned tables keep each hit's depth
+    (depths = ways), which is what partial disabling's enabled-way count
+    is checked against; way aligned tables keep one depth for every hit.
+    Its size follows from the geometry, never from the stream's length.
+    """
+
+    counts: list
+    cores: list
+    groups: int
+    depths: int
+    per_set: bool
+    accesses: int
+    writes: int
+    shuffle_moves: int = 0
+
+
+def _empty_table(records, geometry, banks, per_set, cores):
+    """A HitTable of a stream with no hits counted yet, and what both passes
+    need to count them: (table, bank set bits, each core's first entry)."""
+    if banks & (banks - 1):
+        raise ValueError("num_banks must be a power of two")
+    ways = geometry.num_ways
+    bank_set_bits = geometry.set_bits - (banks.bit_length() - 1)
+    groups = (1 << bank_set_bits) if per_set else ways
+    depths = 1 if per_set else ways
+    rows = 1 if cores is None else len(cores)
+    table = HitTable([0] * (rows * banks * groups * depths), cores, groups,
+                     depths, per_set, len(records),
+                     sum(rec.op == "W" for rec in records))
+    offsets = (None if cores is None else
+               {core: i * banks * groups * depths
+                for i, core in enumerate(cores)})
+    return table, bank_set_bits, offsets
+
+
+def lru_pass(records, geometry, banks, per_set, cores=None, mapping=None,
+             page_bytes=None):
+    """One full-way LRU pass over an LLC stream, counting every hit.
+
+    geometry is the whole LLC, split into `banks` banks; one CacheState of
+    the whole LLC holds every bank, whose sets are the ones the bank bits
+    above the per-bank set index select.  mapping (virtual page -> frame
+    of `page_bytes`) rewrites each address as `pagemap.translate` does.
+    Only tags and recency are tracked: values and dirty bits change no hit.
+    """
+    table, bank_set_bits, offsets = _empty_table(records, geometry, banks,
+                                                 per_set, cores)
+    offset_bits, set_bits = geometry.offset_bits, geometry.set_bits
+    set_mask = geometry.num_sets - 1
+    counts, depths = table.counts, table.depths
+    ways = geometry.num_ways
+    state = cache_core.CacheState(geometry)
+    all_tags, all_orders = state.tags, state.order
+    for rec in records:
+        addr = rec.vaddr
+        if mapping is not None:
+            page, offset = divmod(addr, page_bytes)
+            addr = mapping.get(page, page) * page_bytes + offset
+        line = addr >> offset_bits
+        s = line & set_mask
+        tag = line >> set_bits
+        tags = all_tags[s]
+        order = all_orders[s]
+        if tag in tags:
+            way = tags.index(tag)
+            depth = order.index(way)
+            if depth:
+                del order[depth]
+                order.insert(0, way)
+            if per_set:
+                index = s
+            else:
+                index = ((s >> bank_set_bits) * ways + way) * depths + depth
+            if offsets is not None:
+                index += offsets[rec.core_id]
+            counts[index] += 1
+        else:
+            if len(order) < ways:
+                way = len(order)
+            else:
+                way = order.pop()
+            tags[way] = tag
+            order.insert(0, way)
+    return table
+
+
+def engine_pass(records, geometry, policies, per_set, cores=None,
+                mapping=None, page_bytes=None):
+    """Run each bank's own engine (data shuffling) once over an LLC stream.
+
+    Fills a HitTable as `lru_pass` does, with every hit at depth 1 in the
+    way that held the block before any shuffling, and sums the shuffle
+    moves.  Values are not tracked.
+    """
+    banks = len(policies)
+    table, bank_set_bits, offsets = _empty_table(records, geometry, banks,
+                                                 per_set, cores)
+    offset_bits, set_bits = geometry.offset_bits, geometry.set_bits
+    set_mask = geometry.num_sets - 1
+    counts, depths = table.counts, table.depths
+    ways = geometry.num_ways
+    state = cache_core.CacheState(geometry)
+    moves = 0
+    for rec in records:
+        addr = rec.vaddr
+        if mapping is not None:
+            page, offset = divmod(addr, page_bytes)
+            addr = mapping.get(page, page) * page_bytes + offset
+        line = addr >> offset_bits
+        s = line & set_mask
+        policy = policies[s >> bank_set_bits]
+        result = policy.engine(state, s, line >> set_bits, line << offset_bits,
+                               False, 0, policy.ways)
+        moves += result.shuffle_moves
+        if result.hit:
+            if per_set:
+                index = s
+            else:
+                index = ((s >> bank_set_bits) * ways + result.way) * depths
+            if offsets is not None:
+                index += offsets[rec.core_id]
+            counts[index] += 1
+    table.shuffle_moves = moves
+    return table
+
+
+def price(table, policies, memory_latency, topology=None):
+    """RunStats of one row: a pass's HitTable charged under its policies.
+
+    A counted hit is a hit of the row when its depth is no deeper than the
+    bank's enabled-way count (partial disabling's `ways`; every way
+    otherwise) and, on a way aligned bank, its set is not in `bypass`.  It
+    costs latency[group] + noc_lat(core, bank), with no NoC term when
+    topology is None.  Every other access is a miss at memory_latency.
+    Partial disabling restricts ways only on set aligned banks, at one
+    clock for every way, and bypasses sets only on way aligned ones, so
+    the way the full-way pass names prices the hit as the restricted bank
+    would.
+    """
+    stats = metrics.RunStats(memory_latency, table.accesses,
+                             reads=table.accesses - table.writes,
+                             writes=table.writes,
+                             shuffle_moves=table.shuffle_moves)
+    hist = stats.hit_latency_histogram
+    counts, depths = table.counts, table.depths
+    size = table.groups * depths
+    start = 0
+    for core in table.cores or [None]:
+        for bank, policy in enumerate(policies):
+            noc = 0 if topology is None else noc_latency(topology, core, bank)
+            hit_depth = depths
+            if policy.engine is cache_core.lru_access and policy.ways is not None:
+                hit_depth = len(policy.ways)
+            skip = policy.bypass if table.per_set else ()
+            for group, i in enumerate(range(start, start + size, depths)):
+                hits = counts[i] if hit_depth == 1 else sum(counts[i:i + hit_depth])
+                if hits and group not in skip:
+                    hist[policy.latency[group] + noc] += hits
+            start += size
+    stats.hits = sum(hist.values())
+    stats.misses = stats.accesses - stats.hits
+    stats.total_llc_cycles = (sum(c * n for c, n in hist.items())
+                              + stats.misses * memory_latency)
+    return stats

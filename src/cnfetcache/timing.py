@@ -230,7 +230,9 @@ def load_latency_map(stream):
             if key in header:
                 raise ValueError(f"line {lineno}: header key {key} "
                                  f"is repeated")
-            kind = _HEADER_TYPES.get(key, str)
+            kind = _HEADER_TYPES.get(key)
+            if kind is None:
+                raise ValueError(f"line {lineno}: unknown header key {key}")
             try:
                 header[key] = kind(value)
             except ValueError:

@@ -1,6 +1,6 @@
 import pytest
 
-from cnfetcache import cli, metrics, workload
+from cnfetcache import cli, metrics, nuca, workload
 from cnfetcache.cli import (ConfigError, ExperimentConfig, build_latency_maps,
                             main, parse_config_file, recipe_configs,
                             run_experiment)
@@ -251,6 +251,10 @@ def _repeated_max_cycles(text):
     return text + "max_cycles=10\n"
 
 
+def _misspelt_max_cycles(text):
+    return text + "max_cycle=9\n"
+
+
 def _cycles_20_to_25(text):
     lines = []
     for line in text.splitlines():
@@ -275,6 +279,7 @@ def _cycles_20_to_25(text):
     (_layout_diag, "line 1: layout=diag is not one of set_aligned, "
                    "way_aligned"),
     (_repeated_max_cycles, "line 135: header key max_cycles is repeated"),
+    (_misspelt_max_cycles, "line 135: unknown header key max_cycle"),
 ])
 def test_simulate_rejects_bad_map_file(tmp_path, capsys, corrupt, message):
     # Way aligned 64 KB 8-way: 128 sets, so a 1 MB 128-way header has the
@@ -365,11 +370,11 @@ def _compare_csv(tmp_path, name, argv):
 
 
 def _rows_on_their_own(monkeypatch):
-    """Make compare run every row through run_experiment on its own, so each
-    row filters its own copy of the raw records."""
-    real = cli.run_experiment
-    monkeypatch.setattr(cli, "run_experiment",
-                        lambda cfg, records, llc=None: real(cfg, list(records)))
+    """Make compare run every row in a sweep of its own, so each row filters
+    its own copy of the raw records and makes its own pass."""
+    real = cli.run_sweep
+    monkeypatch.setattr(cli, "run_sweep", lambda configs, records: [
+        real([cfg], list(records))[0] for cfg in configs])
 
 
 def test_compare_filters_the_trace_once(tmp_path, monkeypatch):
@@ -382,7 +387,7 @@ def test_compare_filters_the_trace_once(tmp_path, monkeypatch):
     _rows_on_their_own(monkeypatch)
     calls.clear()
     assert _compare_csv(tmp_path, "alone.csv", argv) == shared
-    assert len(calls) == 1 + 4        # the unused shared stream, then each row
+    assert len(calls) == 4            # each row filters its own copy
 
 
 def test_compare_gives_each_l1_setting_its_own_stream(tmp_path, monkeypatch):
@@ -398,6 +403,44 @@ def test_compare_gives_each_l1_setting_its_own_stream(tmp_path, monkeypatch):
     assert _compare_csv(tmp_path, "alone.csv", [str(a), str(b)]) == shared
     rows = [line.split(",") for line in shared.decode().splitlines()[1:]]
     assert rows[0][5] != rows[1][5]          # miss rates of the two streams
+
+
+def _count_passes(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(nuca, name)
+
+        def run(*args):
+            calls.append(name)
+            return real(*args)
+        return run
+
+    for name in ("lru_pass", "engine_pass"):
+        monkeypatch.setattr(nuca, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("recipe, lru, engine", [
+    ("way-uca", 3, 0), ("set-uca", 1, 1), ("way-nuca", 3, 0),
+    ("set-nuca", 1, 2)])
+def test_compare_makes_one_pass_per_stream(tmp_path, monkeypatch, recipe,
+                                           lru, engine):
+    # Rows without page mapping or data shuffling share one LRU pass; each
+    # mapped row translates its own stream and each shuffling row runs its
+    # own engine.  Pricing every row from a shared pass gives the CSV that
+    # giving each row a pass of its own gives.
+    argv = ["--recipe", recipe, "--set", "cache.capacity_bytes=65536",
+            "--set", "workload.length=3000", "--set", "workload.num_pages=256",
+            "--set", "workload.page_bytes=512", "--set", "pagemap.page_bytes=512",
+            "--set", "workload.num_cores=4", "--set", "workload.zipf=0.8"]
+    calls = _count_passes(monkeypatch)
+    shared = _compare_csv(tmp_path, "shared.csv", argv)
+    assert (calls.count("lru_pass"), calls.count("engine_pass")) == (lru, engine)
+    _rows_on_their_own(monkeypatch)
+    calls.clear()
+    assert _compare_csv(tmp_path, "alone.csv", argv) == shared
+    assert len(calls) == len(cli.RECIPES[recipe])
 
 
 @pytest.mark.parametrize("sets", [
