@@ -361,6 +361,8 @@ class ExperimentConfig:
 
 
 def load_records(cfg):
+    """The raw reference stream of a config, as a workload.Trace: the
+    parsed trace file, or the synthetic workload."""
     if cfg.trace_path:
         num_cores = (len(cfg.topology.core_coords) if cfg.nuca_enabled
                      else None)
@@ -462,12 +464,27 @@ def build_machinery(cfg, latmaps):
     return Machinery(banks, overhead)
 
 
-def build_page_mapping(cfg, machinery, llc_records, raw_records):
-    """Profile the workload and assign hot pages to fast frames.  A set
-    aligned bank charges every set its mean way latency."""
-    page_bytes = cfg.pm_page_bytes
+def page_profile(cfg, raw_records, llc_records, profiles=None):
+    """The page profile page mapping uses: of the raw stream when
+    pagemap.count_raw, else of the LLC stream.  `profiles` keeps one
+    profile per (stream, page size) across calls; it is keyed by the
+    stream's identity, so it must not outlive the streams (`run_sweep`
+    keeps one per sweep)."""
     source = raw_records if cfg.pm_count_raw else llc_records
-    profile = pagemap.profile_trace(source, page_bytes)
+    key = (id(source), cfg.pm_page_bytes)
+    profiles = {} if profiles is None else profiles
+    if key not in profiles:
+        profiles[key] = pagemap.profile_trace(source, cfg.pm_page_bytes)
+    return profiles[key]
+
+
+def build_page_mapping(cfg, machinery, llc_records, raw_records,
+                       profiles=None):
+    """Profile the workload (see `page_profile`) and assign hot pages to
+    fast frames.  A set aligned bank charges every set its mean way
+    latency."""
+    page_bytes = cfg.pm_page_bytes
+    profile = page_profile(cfg, raw_records, llc_records, profiles)
 
     geometry = cfg.bank_geometry
     span = pagemap.frame_span_sets(page_bytes, cfg.line_bytes, geometry.num_sets)
@@ -538,18 +555,18 @@ class _Row:
     mapping (None without page mapping) and notes."""
 
     cfg: ExperimentConfig
-    llc: list
+    llc: workload.Trace
     machinery: Machinery
     mapping: dict
     notes: list
 
 
-def _prepare(cfg, records, llc):
-    latmaps = build_latency_maps(cfg)
+def _prepare(cfg, records, llc, latmaps, profiles):
     machinery = build_machinery(cfg, latmaps)
     mapping = None
     if cfg.pm_enabled:
-        _, _, mapping = build_page_mapping(cfg, machinery, llc, records)
+        _, _, mapping = build_page_mapping(cfg, machinery, llc, records,
+                                           profiles)
     notes = []
     if cfg.nuca_enabled:
         averages = [nuca.bank_average_latency(lm) for lm in latmaps]
@@ -590,20 +607,35 @@ def _hit_table(row):
                             per_set, cores, row.mapping, cfg.pm_page_bytes)
 
 
+def _latency_key(cfg):
+    """Rows with equal keys get equal latency maps from
+    `build_latency_maps`: every input it reads."""
+    return (cfg.map_file, cfg.layout_kind, cfg.geometry, cfg.num_banks,
+            cfg.nuca_enabled, cfg.cycle_range, cfg.cnt_params, cfg.stages,
+            cfg.nominal_count)
+
+
 def run_sweep(configs, records):
     """Simulate every config over the same raw records.
 
-    Each l1.enabled value gets one LLC stream.  Every row is prepared
-    first; then each distinct pass runs once, its rows are priced from its
-    hit table, and the table is dropped before the next pass runs.
+    Each l1.enabled value gets one LLC stream, each distinct set of
+    latency-map inputs one set of maps (no consumer mutates a map) and
+    each (profiled stream, page size) one page profile.  Every row is
+    prepared first; then each distinct pass runs once, its rows are priced
+    from its hit table, and the table is dropped before the next pass runs.
     """
-    streams = {}
+    records = workload.as_trace(records)
+    streams, latmaps, profiles = {}, {}, {}
     rows = []
     for cfg in configs:
         cfg.validate()
         if cfg.l1_enabled not in streams:
             streams[cfg.l1_enabled] = llc_records(cfg, records)
-        rows.append(_prepare(cfg, records, streams[cfg.l1_enabled]))
+        key = _latency_key(cfg)
+        if key not in latmaps:
+            latmaps[key] = build_latency_maps(cfg)
+        rows.append(_prepare(cfg, records, streams[cfg.l1_enabled],
+                             latmaps[key], profiles))
     passes = {}
     for position, row in enumerate(rows):
         passes.setdefault(_pass_key(row, position), []).append(position)
@@ -698,8 +730,8 @@ def cmd_simulate(args):
 
 def cmd_profile(args):
     cfg = _config_from_args(args)
-    profile = pagemap.profile_trace(llc_records(cfg, load_records(cfg)),
-                                    cfg.pm_page_bytes)
+    records = load_records(cfg)
+    profile = page_profile(cfg, records, llc_records(cfg, records))
     text = pagemap.serialize_profile(profile)
     with open(args.out, "w") as fh:
         fh.write(text)

@@ -17,7 +17,9 @@ per-access path that the pass is checked against."""
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from . import cache_core, metrics
+import numpy as np
+
+from . import cache_core, metrics, workload
 from .timing import CacheGeometry, LayoutKind
 
 
@@ -170,7 +172,7 @@ class HitTable:
     shuffle_moves: int = 0
 
 
-def _empty_table(records, geometry, banks, per_set, cores):
+def _empty_table(trace, geometry, banks, per_set, cores):
     """A HitTable of a stream with no hits counted yet, and what both passes
     need to count them: (table, bank set bits, each core's first entry)."""
     if banks & (banks - 1):
@@ -181,12 +183,26 @@ def _empty_table(records, geometry, banks, per_set, cores):
     depths = 1 if per_set else ways
     rows = 1 if cores is None else len(cores)
     table = HitTable([0] * (rows * banks * groups * depths), cores, groups,
-                     depths, per_set, len(records),
-                     sum(rec.op == "W" for rec in records))
+                     depths, per_set, len(trace), int(trace.write.sum()))
     offsets = (None if cores is None else
                {core: i * banks * groups * depths
                 for i, core in enumerate(cores)})
     return table, bank_set_bits, offsets
+
+
+def _lines(trace, offset_bits, mapping, page_bytes):
+    """The line number of every reference, its address rewritten first as
+    `pagemap.translate` rewrites it when a mapping is given."""
+    addr = trace.addr
+    if mapping:
+        vpages = sorted(mapping)
+        frames = np.array([mapping[p] for p in vpages], dtype=np.uint64)
+        vpages = np.array(vpages, dtype=np.uint64)
+        pages, offsets = np.divmod(addr, page_bytes)
+        at = np.minimum(np.searchsorted(vpages, pages), len(vpages) - 1)
+        addr = np.where(vpages[at] == pages, frames[at] * page_bytes + offsets,
+                        addr)
+    return (addr >> offset_bits).tolist()
 
 
 def lru_pass(records, geometry, banks, per_set, cores=None, mapping=None,
@@ -199,20 +215,17 @@ def lru_pass(records, geometry, banks, per_set, cores=None, mapping=None,
     of `page_bytes`) rewrites each address as `pagemap.translate` does.
     Only tags and recency are tracked: values and dirty bits change no hit.
     """
-    table, bank_set_bits, offsets = _empty_table(records, geometry, banks,
+    trace = workload.as_trace(records)
+    table, bank_set_bits, offsets = _empty_table(trace, geometry, banks,
                                                  per_set, cores)
-    offset_bits, set_bits = geometry.offset_bits, geometry.set_bits
+    set_bits = geometry.set_bits
     set_mask = geometry.num_sets - 1
     counts, depths = table.counts, table.depths
     ways = geometry.num_ways
     state = cache_core.CacheState(geometry)
     all_tags, all_orders = state.tags, state.order
-    for rec in records:
-        addr = rec.vaddr
-        if mapping is not None:
-            page, offset = divmod(addr, page_bytes)
-            addr = mapping.get(page, page) * page_bytes + offset
-        line = addr >> offset_bits
+    for line, core in zip(_lines(trace, geometry.offset_bits, mapping,
+                                 page_bytes), trace.core.tolist()):
         s = line & set_mask
         tag = line >> set_bits
         tags = all_tags[s]
@@ -228,7 +241,7 @@ def lru_pass(records, geometry, banks, per_set, cores=None, mapping=None,
             else:
                 index = ((s >> bank_set_bits) * ways + way) * depths + depth
             if offsets is not None:
-                index += offsets[rec.core_id]
+                index += offsets[core]
             counts[index] += 1
         else:
             if len(order) < ways:
@@ -249,7 +262,8 @@ def engine_pass(records, geometry, policies, per_set, cores=None,
     moves.  Values are not tracked.
     """
     banks = len(policies)
-    table, bank_set_bits, offsets = _empty_table(records, geometry, banks,
+    trace = workload.as_trace(records)
+    table, bank_set_bits, offsets = _empty_table(trace, geometry, banks,
                                                  per_set, cores)
     offset_bits, set_bits = geometry.offset_bits, geometry.set_bits
     set_mask = geometry.num_sets - 1
@@ -257,12 +271,8 @@ def engine_pass(records, geometry, policies, per_set, cores=None,
     ways = geometry.num_ways
     state = cache_core.CacheState(geometry)
     moves = 0
-    for rec in records:
-        addr = rec.vaddr
-        if mapping is not None:
-            page, offset = divmod(addr, page_bytes)
-            addr = mapping.get(page, page) * page_bytes + offset
-        line = addr >> offset_bits
+    for line, core in zip(_lines(trace, offset_bits, mapping, page_bytes),
+                          trace.core.tolist()):
         s = line & set_mask
         policy = policies[s >> bank_set_bits]
         result = policy.engine(state, s, line >> set_bits, line << offset_bits,
@@ -274,7 +284,7 @@ def engine_pass(records, geometry, policies, per_set, cores=None,
             else:
                 index = ((s >> bank_set_bits) * ways + result.way) * depths
             if offsets is not None:
-                index += offsets[rec.core_id]
+                index += offsets[core]
             counts[index] += 1
     table.shuffle_moves = moves
     return table

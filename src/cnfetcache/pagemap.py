@@ -22,7 +22,10 @@ core's order: O(F K log F + P) for F frames, K cores and P pages.
 import io
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .nuca import bank_of
+from .workload import as_trace
 
 
 @dataclass
@@ -31,11 +34,6 @@ class PageProfile:
 
     counts: dict = field(default_factory=dict)        # vpage -> count
     core_counts: dict = field(default_factory=dict)   # vpage -> {core: count}
-
-    def record(self, vpage, core_id, n=1):
-        self.counts[vpage] = self.counts.get(vpage, 0) + n
-        per = self.core_counts.setdefault(vpage, {})
-        per[core_id] = per.get(core_id, 0) + n
 
     def dominant_core(self, vpage):
         """Core issuing the most accesses to the page (ties: lowest id)."""
@@ -101,10 +99,21 @@ def build_frame_inventory(geometry, page_bytes, num_frames, set_latencies):
 
 
 def profile_trace(records, page_bytes):
-    """Count accesses per virtual page, per core."""
+    """Count accesses per virtual page, per core.  Pages and each page's
+    cores are in ascending order."""
+    trace = as_trace(records)
+    pages = trace.addr // page_bytes
+    order = np.lexsort((trace.core, pages))
+    pages, cores = pages[order], trace.core[order]
+    # The first reference of each (page, core) run; none in an empty trace.
+    starts = np.flatnonzero(np.concatenate((
+        [len(pages) > 0], (pages[1:] != pages[:-1]) | (cores[1:] != cores[:-1]))))
+    counts = np.diff(np.append(starts, len(pages)))
     profile = PageProfile()
-    for rec in records:
-        profile.record(rec.vaddr // page_bytes, rec.core_id)
+    for page, core, n in zip(pages[starts].tolist(), cores[starts].tolist(),
+                             counts.tolist()):
+        profile.core_counts.setdefault(page, {})[core] = n
+        profile.counts[page] = profile.counts.get(page, 0) + n
     return profile
 
 

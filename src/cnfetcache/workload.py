@@ -4,19 +4,33 @@ Trace grammar, one record per line:
 
     <core:uint> <op:R|W> [<kind:I|D>] <vaddr:0x-hex>
 
-Comment lines start with `#`; blank lines are ignored.  The L1 filter runs
-per-core instruction and data caches over a trace and forwards only the
-misses (as reads) and dirty evictions (as writes), i.e. the stream the LLC
-would actually see.
+Comment lines start with `#`; blank lines are ignored.  A core id must fit
+a signed 64-bit integer and an address must be below 2^64.
+
+A stream is a `Trace`: four parallel numpy columns, one entry per
+reference.  Parsing, generation, the L1 filter, page profiling and the LLC
+passes all read and write the columns; iterating a Trace yields one
+TraceRecord per reference, for the per-access reference path.  The L1
+filter runs per-core instruction and data caches over a trace and forwards
+only the misses (as reads) and dirty evictions (as writes), i.e. the
+stream the LLC would actually see.
 """
 
 import io
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import attrgetter
 
 import numpy as np
 
-from . import cache_core
 from .timing import CacheGeometry
+
+ADDRESS_LIMIT = 1 << 64        # addresses are below this
+CORE_LIMIT = 1 << 63           # core ids are below this (int64)
+# Lines parsed per chunk: each chunk becomes columns before the next is
+# read, so the text of a trace is never held whole.
+PARSE_CHUNK_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -33,6 +47,53 @@ class TraceRecord:
             raise ValueError(f"kind must be I or D, got {self.kind!r}")
 
 
+class Trace:
+    """A reference stream as four parallel columns: `core` (int64), `write`
+    (bool: op W), `instr` (bool: kind I) and `addr` (uint64)."""
+
+    __slots__ = ("core", "write", "instr", "addr")
+
+    def __init__(self, core, write, instr, addr):
+        self.core = np.asarray(core, dtype=np.int64)
+        self.write = np.asarray(write, dtype=bool)
+        self.instr = np.asarray(instr, dtype=bool)
+        self.addr = np.asarray(addr, dtype=np.uint64)
+        if not (len(self.core) == len(self.write) == len(self.instr)
+                == len(self.addr)):
+            raise ValueError("trace columns differ in length")
+
+    def __len__(self):
+        return len(self.addr)
+
+    def __iter__(self):
+        for core, write, instr, addr in zip(
+                self.core.tolist(), self.write.tolist(),
+                self.instr.tolist(), self.addr.tolist()):
+            yield TraceRecord(core, "RW"[write], addr, "DI"[instr])
+
+
+def as_trace(records):
+    """A Trace of the stream: a Trace as it is, any other iterable of
+    TraceRecords converted to columns.  A record whose core id or address
+    does not fit its column raises ValueError."""
+    if isinstance(records, Trace):
+        return records
+    records = list(records)
+    cores = list(map(attrgetter("core_id"), records))
+    addrs = list(map(attrgetter("vaddr"), records))
+    try:
+        core = np.array(cores, dtype=np.int64)
+        addr = np.array(addrs, dtype=np.uint64)
+    except OverflowError:
+        bad = next(r for r in records if not (-CORE_LIMIT <= r.core_id < CORE_LIMIT
+                                              and 0 <= r.vaddr < ADDRESS_LIMIT))
+        raise ValueError(f"{bad}: core ids must fit int64 and addresses "
+                         f"must be in [0, 2^64)") from None
+    write = [r.op == "W" for r in records]
+    instr = [r.kind == "I" for r in records]
+    return Trace(core, write, instr, addr)
+
+
 @dataclass(frozen=True)
 class L1Config:
     icache: CacheGeometry = CacheGeometry(16 * 1024, 2, 64)
@@ -46,11 +107,66 @@ class TraceParseError(ValueError):
 
 
 def parse_trace(stream, num_cores=None):
-    """Parse the text grammar into TraceRecords, validating core ids."""
+    """Parse the text grammar into a Trace, validating core ids.
+
+    Lines are read PARSE_CHUNK_LINES at a time.  A chunk of four-field
+    lines is converted column by column; any other chunk, or one that
+    fails a check, is parsed line by line, which names the offending line.
+    """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    records = []
-    for lineno, line in enumerate(stream, start=1):
+    chunks = []
+    lineno = 0
+    while True:
+        lines = list(islice(stream, PARSE_CHUNK_LINES))
+        if not lines:
+            break
+        columns = _four_field_columns(lines, num_cores)
+        if columns is None:
+            columns = _parse_lines(lines, lineno, num_cores)
+        chunks.append(columns)
+        lineno += len(lines)
+    if not chunks:
+        return Trace([], [], [], [])
+    return Trace(*map(np.concatenate, zip(*chunks)))
+
+
+_LINE_MARK = "\x00"
+
+
+def _four_field_columns(lines, num_cores):
+    """Columns of a chunk whose every line is `core op kind addr`, or None
+    when a line is not or a field fails a check.
+
+    The lines are split as one text with a mark token between them.  A
+    mark fails every field's check, so once every field passes, the n - 1
+    marks are every fifth token, and n lines give 5n - 1 tokens exactly
+    when each has four fields.
+    """
+    tokens = f" {_LINE_MARK} ".join(lines).split()
+    if len(tokens) != 5 * len(lines) - 1:
+        return None
+    op_s, kind_s, addr_s = tokens[1::5], tokens[2::5], tokens[3::5]
+    if (not set(op_s) <= {"R", "W"} or not set(kind_s) <= {"I", "D"}
+            or not all(map(str.startswith, addr_s, repeat(("0x", "0X"))))):
+        return None
+    try:
+        core = np.array(list(map(int, tokens[0::5])), dtype=np.int64)
+        addr = np.array(list(map(int, addr_s, repeat(16))), dtype=np.uint64)
+    except (ValueError, OverflowError):
+        return None
+    if core.min() < 0 or (num_cores is not None and core.max() >= num_cores):
+        return None
+    write = np.array(list(map("W".__eq__, op_s)), dtype=bool)
+    instr = np.array(list(map("I".__eq__, kind_s)), dtype=bool)
+    return core, write, instr, addr
+
+
+def _parse_lines(lines, first_lineno, num_cores):
+    """Columns of a chunk of lines, checked one line at a time;
+    first_lineno is the number of lines before the chunk."""
+    cores, writes, instrs, addrs = [], [], [], []
+    for lineno, line in enumerate(lines, start=first_lineno + 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -70,6 +186,8 @@ def parse_trace(stream, num_cores=None):
             raise TraceParseError(lineno, f"negative core id {core}")
         if num_cores is not None and core >= num_cores:
             raise TraceParseError(lineno, f"core {core} out of range (num_cores={num_cores})")
+        if core >= CORE_LIMIT:
+            raise TraceParseError(lineno, f"core id {core} does not fit int64")
         if op not in ("R", "W"):
             raise TraceParseError(lineno, f"bad op {op!r}")
         if kind not in ("I", "D"):
@@ -80,15 +198,24 @@ def parse_trace(stream, num_cores=None):
             vaddr = int(addr_s, 16)
         except ValueError:
             raise TraceParseError(lineno, f"bad address {addr_s!r}") from None
-        records.append(TraceRecord(core, op, vaddr, kind))
-    return records
+        if vaddr >= ADDRESS_LIMIT:
+            raise TraceParseError(lineno, f"address {addr_s!r} does not fit 64 bits")
+        cores.append(core)
+        writes.append(op == "W")
+        instrs.append(kind == "I")
+        addrs.append(vaddr)
+    return (np.array(cores, dtype=np.int64), np.array(writes, dtype=bool),
+            np.array(instrs, dtype=bool), np.array(addrs, dtype=np.uint64))
 
 
 def serialize_trace(records, stream=None):
     """Canonical rendering: kind always explicit, lower-case hex."""
+    trace = as_trace(records)
     out = stream if stream is not None else io.StringIO()
-    for rec in records:
-        out.write(f"{rec.core_id} {rec.op} {rec.kind} 0x{rec.vaddr:x}\n")
+    out.writelines(f"{core} {'RW'[write]} {'DI'[instr]} 0x{addr:x}\n"
+                   for core, write, instr, addr in zip(
+                       trace.core.tolist(), trace.write.tolist(),
+                       trace.instr.tolist(), trace.addr.tolist()))
     if stream is None:
         return out.getvalue()
     return None
@@ -96,9 +223,38 @@ def serialize_trace(records, stream=None):
 
 @dataclass
 class L1FilterResult:
-    records: list
+    records: Trace
     accesses: dict     # core -> L1 accesses
     misses: dict       # core -> L1 misses
+
+
+def _count_by_core(cores):
+    """{core: references} in order of each core's first reference."""
+    values, first, counts = np.unique(cores, return_index=True,
+                                      return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(values[order].tolist(), counts[order].tolist()))
+
+
+def _lru_misses(positions, sets, lines, writes, ways, fills, victims):
+    """LRU over per-set dicts {line address: dirty}, least recent first.
+
+    Appends the position of every miss to `fills`, and (position, line
+    address) of every dirty line a miss evicts to `victims`.
+    """
+    cache = defaultdict(dict)
+    for position, s, line, write in zip(positions, sets, lines, writes):
+        lru = cache[s]
+        dirty = lru.pop(line, None)
+        if dirty is None:
+            fills.append(position)
+            if len(lru) == ways:
+                victim = next(iter(lru))
+                if lru.pop(victim):
+                    victims.append((position, victim))
+            lru[line] = write
+        else:
+            lru[line] = dirty or write
 
 
 def l1_filter(records, config):
@@ -106,30 +262,33 @@ def l1_filter(records, config):
 
     Each L1 miss forwards the original reference as a read (line fill) and a
     dirty eviction forwards a write of the victim line, attributed to the
-    core that triggered it.
+    core that triggered it, ahead of the fill.  Caches are LRU, filled and
+    dirtied as `cache_core.lru_access` fills and dirties them.
     """
-    icaches = {}
-    dcaches = {}
-    out = []
-    accesses = {}
-    misses = {}
-    for rec in records:
-        caches = icaches if rec.kind == "I" else dcaches
-        geometry = config.icache if rec.kind == "I" else config.dcache
-        state = caches.get(rec.core_id)
-        if state is None:
-            state = cache_core.CacheState(geometry)
-            caches[rec.core_id] = state
-        accesses[rec.core_id] = accesses.get(rec.core_id, 0) + 1
-        tag, set_index, line_addr = state.locate(rec.vaddr)
-        result = cache_core.lru_access(state, set_index, tag, line_addr,
-                                       rec.op == "W", 0)
-        if not result.hit:
-            misses[rec.core_id] = misses.get(rec.core_id, 0) + 1
-            if result.evicted_addr is not None and result.evicted_dirty:
-                out.append(TraceRecord(rec.core_id, "W", result.evicted_addr, "D"))
-            out.append(TraceRecord(rec.core_id, "R", rec.vaddr, rec.kind))
-    return L1FilterResult(out, accesses, misses)
+    trace = as_trace(records)
+    _, core_rank = np.unique(trace.core, return_inverse=True)
+    fills, victims = [], []
+    for instr, geometry in ((True, config.icache), (False, config.dcache)):
+        positions = np.flatnonzero(trace.instr == instr)
+        line = trace.addr[positions] >> geometry.offset_bits
+        sets = (core_rank[positions] * geometry.num_sets
+                + (line & (geometry.num_sets - 1)).astype(np.int64))
+        _lru_misses(positions.tolist(), sets.tolist(),
+                    (line << geometry.offset_bits).tolist(),
+                    trace.write[positions].tolist(), geometry.num_ways,
+                    fills, victims)
+    fills = np.array(fills, dtype=np.int64)
+    victim_at = np.array([p for p, _ in victims], dtype=np.int64)
+    victim_addr = np.array([a for _, a in victims], dtype=np.uint64)
+    # A write-back goes out just ahead of the fill of the miss evicting it.
+    order = np.argsort(np.concatenate([2 * victim_at, 2 * fills + 1]))
+    source = np.concatenate([victim_at, fills])[order]
+    writeback = order < len(victim_at)
+    out = Trace(trace.core[source], writeback,
+                trace.instr[source] & ~writeback,
+                np.concatenate([victim_addr, trace.addr[fills]])[order])
+    return L1FilterResult(out, _count_by_core(trace.core),
+                          _count_by_core(trace.core[np.sort(fills)]))
 
 
 @dataclass(frozen=True)
@@ -157,6 +316,9 @@ class SyntheticSpec:
             raise ValueError("core_affinity must be in [0,1]")
 
 
+CODE_SPAN = 1 << 20     # bytes of each core's code region
+
+
 def zipf_weights(num_pages, exponent):
     """Normalized Zipf mass per page rank (rank 0 hottest)."""
     ranks = np.arange(1, num_pages + 1, dtype=np.float64)
@@ -168,12 +330,20 @@ def generate_synthetic(spec):
     """Zipf-distributed page popularity with uniform lines within a page.
 
     Page k is the k-th hottest page.  With instr_stream enabled, every other
-    reference per core is a sequential instruction fetch from a per-core
-    code region placed above the data pages.
+    reference per core (its second, fourth, ...) is a sequential
+    instruction fetch from a per-core code region placed above the data
+    pages: the core's k-th reference (k from 0, k odd) fetches
+    code_base + core * CODE_SPAN + (k // 2) * line_bytes.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.length == 0:
-        return []
+        return Trace([], [], [], [])
+    code_base = spec.num_pages * spec.page_bytes
+    # Addresses are computed in int64.
+    top = code_base + spec.num_cores * CODE_SPAN + spec.length * spec.line_bytes
+    if top >= 1 << 63:
+        raise ValueError(f"synthetic addresses would reach {top:#x}; "
+                         f"they must stay below 2^63")
     lines_per_page = spec.page_bytes // spec.line_bytes
     weights = zipf_weights(spec.num_pages, spec.zipf_exponent)
     cores = rng.integers(0, spec.num_cores, size=spec.length)
@@ -184,19 +354,15 @@ def generate_synthetic(spec):
         at_home = rng.random(spec.length) < spec.core_affinity
         home = pages % spec.num_cores
         cores = np.where(at_home, home, cores)
-    code_base = spec.num_pages * spec.page_bytes
-    code_span = 1 << 20
-    pc = {c: code_base + c * code_span for c in range(spec.num_cores)}
-    emit_instr = {c: False for c in range(spec.num_cores)}
-    records = []
-    for i in range(spec.length):
-        core = int(cores[i])
-        if spec.instr_stream and emit_instr[core]:
-            records.append(TraceRecord(core, "R", pc[core], "I"))
-            pc[core] += spec.line_bytes
-            emit_instr[core] = False
-            continue
-        vaddr = int(pages[i]) * spec.page_bytes + int(lines[i]) * spec.line_bytes
-        records.append(TraceRecord(core, "R" if is_read[i] else "W", vaddr, "D"))
-        emit_instr[core] = True
-    return records
+    addr = pages * spec.page_bytes + lines * spec.line_bytes
+    instr = np.zeros(spec.length, dtype=bool)
+    if spec.instr_stream:
+        per_core = np.bincount(cores, minlength=spec.num_cores)
+        rank = np.empty(spec.length, dtype=np.int64)
+        rank[np.argsort(cores, kind="stable")] = (
+            np.arange(spec.length)
+            - np.repeat(np.cumsum(per_core) - per_core, per_core))
+        instr = rank % 2 == 1
+        pc = code_base + cores * CODE_SPAN + rank // 2 * spec.line_bytes
+        addr = np.where(instr, pc, addr)
+    return Trace(cores, ~is_read & ~instr, instr, addr)

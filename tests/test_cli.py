@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from cnfetcache import cli, metrics, nuca, workload
+from cnfetcache import cli, metrics, nuca, pagemap, timing, workload
 from cnfetcache.cli import (ConfigError, ExperimentConfig, build_latency_maps,
                             main, parse_config_file, recipe_configs,
                             run_experiment)
@@ -405,19 +407,21 @@ def test_compare_gives_each_l1_setting_its_own_stream(tmp_path, monkeypatch):
     assert rows[0][5] != rows[1][5]          # miss rates of the two streams
 
 
-def _count_passes(monkeypatch):
+def _counting(monkeypatch, module, *names):
+    """Patch each named function of `module` to log its name on each call;
+    returns the log."""
     calls = []
 
     def counting(name):
-        real = getattr(nuca, name)
+        real = getattr(module, name)
 
-        def run(*args):
+        def run(*args, **kwargs):
             calls.append(name)
-            return real(*args)
+            return real(*args, **kwargs)
         return run
 
-    for name in ("lru_pass", "engine_pass"):
-        monkeypatch.setattr(nuca, name, counting(name))
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name))
     return calls
 
 
@@ -434,7 +438,7 @@ def test_compare_makes_one_pass_per_stream(tmp_path, monkeypatch, recipe,
             "--set", "workload.length=3000", "--set", "workload.num_pages=256",
             "--set", "workload.page_bytes=512", "--set", "pagemap.page_bytes=512",
             "--set", "workload.num_cores=4", "--set", "workload.zipf=0.8"]
-    calls = _count_passes(monkeypatch)
+    calls = _counting(monkeypatch, nuca, "lru_pass", "engine_pass")
     shared = _compare_csv(tmp_path, "shared.csv", argv)
     assert (calls.count("lru_pass"), calls.count("engine_pass")) == (lru, engine)
     _rows_on_their_own(monkeypatch)
@@ -492,3 +496,90 @@ def test_cli_profile_behind_l1_filter(tmp_path):
     assert main(["profile", "--set", f"workload.trace={trace}",
                  "--set", "l1.enabled=true", "--out", str(prof)]) == 0
     assert prof.read_text() == "7,1,0:1\n"
+
+
+def test_cli_profile_honours_count_raw(tmp_path):
+    # Behind the L1 the LLC sees one access; the raw stream has 100.
+    trace = tmp_path / "trace.txt"
+    trace.write_text(serialize_trace([TraceRecord(0, "R", 0x7000)] * 100))
+    prof = tmp_path / "prof.csv"
+    assert main(["profile", "--set", f"workload.trace={trace}",
+                 "--set", "l1.enabled=true", "--set", "pagemap.count_raw=true",
+                 "--out", str(prof)]) == 0
+    assert prof.read_text() == "7,100,0:100\n"
+
+
+WAY_UCA = ["--recipe", "way-uca", "--set", "cache.capacity_bytes=65536",
+           "--set", "workload.length=3000", "--set", "workload.page_bytes=512",
+           "--set", "pagemap.page_bytes=512"]
+
+
+def test_compare_profiles_each_stream_once(tmp_path, monkeypatch):
+    # The two page-mapped rows of way-uca share the LLC stream and the
+    # page size, so they share one profile.
+    calls = _counting(monkeypatch, pagemap, "profile_trace")
+    shared = _compare_csv(tmp_path, "shared.csv", WAY_UCA)
+    assert len(calls) == 1
+    _rows_on_their_own(monkeypatch)
+    assert _compare_csv(tmp_path, "alone.csv", WAY_UCA) == shared
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("argv, banks", [
+    (WAY_UCA, 1),
+    (["--recipe", "way-nuca", "--set", "workload.length=2000",
+      "--set", "workload.num_cores=4"], 8)], ids=["way-uca", "way-nuca"])
+def test_compare_samples_latency_maps_once(tmp_path, monkeypatch, argv,
+                                           banks):
+    # Every row of a recipe reads the same map inputs, so one set of
+    # maps serves them all; a row on its own samples its own.
+    calls = _counting(monkeypatch, timing, "build_latency_map")
+    shared = _compare_csv(tmp_path, "shared.csv", argv)
+    assert len(calls) == banks
+    _rows_on_their_own(monkeypatch)
+    calls.clear()
+    assert _compare_csv(tmp_path, "alone.csv", argv) == shared
+    assert len(calls) == banks * len(cli.RECIPES[argv[1]])
+
+
+@pytest.mark.parametrize("sets, sha256", [
+    (["workload.length=3000", "workload.num_cores=2", "workload.seed=5"],
+     "49f928959ae10ed5c0b9ac8e5ea52d36261a9348ba868b074758b1ce2a1678cc"),
+    (["workload.length=3000", "workload.num_cores=4",
+      "workload.instr_stream=true", "workload.seed=7"],
+     "92bc5131ca9ab2dd0ed5fe0d77498e6133a3711a7278ea3b76a86900a5ce0f0a"),
+], ids=["data", "instr-stream"])
+def test_gen_trace_bytes_are_pinned(tmp_path, sets, sha256):
+    out = tmp_path / "trace.txt"
+    argv = ["gen-trace"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# The benchmark's synthetic workloads at seed 1 and their compare CSV
+# fingerprints, as perfbench/README.md lists them.
+BENCHMARK_CSVS = {
+    "way-uca": ({"cache.capacity_bytes": 262144, "workload.num_pages": 2048,
+                 "workload.zipf": 0.8, "workload.num_cores": 1,
+                 "workload.length": 30000},
+                "6fbb9ad24238c8d2a4c413a078279b60edee3a559f1132129c423192b620eefb"),
+    "way-nuca": ({"cache.capacity_bytes": 2097152, "workload.num_pages": 4096,
+                  "workload.zipf": 1.0, "workload.num_cores": 4,
+                  "workload.length": 10000},
+                 "f4d7c2eeb4122bc26e5a831b1cc8521cbee9c73ac05b2be2880a29f1b1904719"),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(BENCHMARK_CSVS))
+def test_benchmark_compare_csvs_are_pinned(tmp_path, recipe):
+    keys, sha256 = BENCHMARK_CSVS[recipe]
+    keys = {**keys, "cache.ways": 8, "workload.page_bytes": 512,
+            "pagemap.page_bytes": 512, "l1.enabled": "false", "cnt.seed": 1,
+            "workload.seed": 1}
+    argv = ["--recipe", recipe]
+    for key, value in keys.items():
+        argv += ["--set", f"{key}={value}"]
+    csv = _compare_csv(tmp_path, "bench.csv", argv)
+    assert hashlib.sha256(csv).hexdigest() == sha256

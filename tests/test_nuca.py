@@ -132,10 +132,10 @@ def test_equal_banks_reduce_mapping_to_distance_only():
     latmap = LatencyMap(LayoutKind.SET_ALIGNED, [6, 6, 7, 7, 8, 8, 10, 10],
                         6, 10)
     avg = bank_average_latency(latmap)
-    profile = PageProfile()
     rng = random.Random(4)
-    for p in range(16):
-        profile.record(p, rng.randrange(4), rng.randrange(1, 100))
+    draws = [(p, rng.randrange(4), rng.randrange(1, 100)) for p in range(16)]
+    profile = PageProfile({p: n for p, _, n in draws},
+                          {p: {core: n} for p, core, n in draws})
 
     span_pages = 1024
     set_latencies = [[avg] * geometry.num_sets] * 8
@@ -165,9 +165,10 @@ def test_unified_mapping_beats_noc_oblivious():
             LatencyMap(LayoutKind.WAY_ALIGNED, l, 6, 10), [6, 7], 4)[0]
             for l in lat]
 
-        profile = PageProfile()
-        for p in range(24):
-            profile.record(p, rng.randrange(4), rng.randrange(1, 1000))
+        draws = [(p, rng.randrange(4), rng.randrange(1, 1000))
+                 for p in range(24)]
+        profile = PageProfile({p: n for p, _, n in draws},
+                              {p: {core: n} for p, core, n in draws})
 
         page = 512                      # 8-set footprint
         def build():

@@ -48,10 +48,18 @@ def test_profile_dominant_core_majority():
                + [TraceRecord(1, "R", 0x5000)] * 30)
     profile = profile_trace(records, 4096)
     assert profile.dominant_core(5) == 0
-    tied = PageProfile()
-    tied.record(9, 3, 10)
-    tied.record(9, 1, 10)
+    tied = _profile([(9, 3, 10), (9, 1, 10)])
     assert tied.dominant_core(9) == 1
+
+
+def _profile(entries):
+    """PageProfile of (vpage, core, count) entries; repeats add up."""
+    profile = PageProfile()
+    for vpage, core, n in entries:
+        profile.counts[vpage] = profile.counts.get(vpage, 0) + n
+        per = profile.core_counts.setdefault(vpage, {})
+        per[core] = per.get(core, 0) + n
+    return profile
 
 
 def _inventory(latencies):
@@ -60,17 +68,14 @@ def _inventory(latencies):
 
 
 def test_hot_page_takes_fast_frame():
-    profile = PageProfile()
-    profile.record(3, 0, 100)
+    profile = _profile([(3, 0, 100)])
     inventory = _inventory([10, 6])
     mapping = assign_pages(profile, inventory)
     assert mapping == {3: 1}
 
 
 def test_tie_break_deterministic():
-    profile = PageProfile()
-    profile.record(8, 0, 5)
-    profile.record(2, 0, 5)
+    profile = _profile([(8, 0, 5), (2, 0, 5)])
     inventory = _inventory([6, 6, 10])
     mapping = assign_pages(profile, inventory)
     # Equal counts: lower page number first; equal frames: lower index first.
@@ -78,9 +83,7 @@ def test_tie_break_deterministic():
 
 
 def test_top_hot_pages_fill_fast_frames():
-    profile = PageProfile()
-    for p in range(10):
-        profile.record(p, 0, 100 - p)
+    profile = _profile((p, 0, 100 - p) for p in range(10))
     inventory = _inventory([6, 6, 6, 6, 10, 10, 10, 10, 10, 10])
     mapping = assign_pages(profile, inventory)
     fast = {0, 1, 2, 3}
@@ -89,9 +92,7 @@ def test_top_hot_pages_fill_fast_frames():
 
 
 def test_capacity_error():
-    profile = PageProfile()
-    for p in range(3):
-        profile.record(p, 0)
+    profile = _profile((p, 0, 1) for p in range(3))
     with pytest.raises(ValueError):
         assign_pages(profile, _inventory([6, 6]))
 
@@ -131,9 +132,7 @@ def test_assignment_matches_quadratic_reference(data, frames, pages, noc):
     # Frame indexes are shuffled against list order, so the index
     # tie-break, not the list position, must decide between equal costs.
     indexes = data.draw(st.permutations(range(len(frames))))
-    profile = PageProfile()
-    for vpage, core, n in pages:
-        profile.record(vpage, core, n)
+    profile = _profile(pages)
     cost = (None if noc is None else
             lambda frame, core: frame.latency_class + noc[core][frame.bank])
 
@@ -161,9 +160,7 @@ def test_greedy_is_globally_optimal_for_separable_costs():
         num_pages = rng.randrange(2, 8)
         counts = [rng.randrange(1, 50) for _ in range(num_pages)]
         latencies = [rng.choice([6, 7, 8, 10]) for _ in range(7)]
-        profile = PageProfile()
-        for p, n in enumerate(counts):
-            profile.record(p, 0, n)
+        profile = _profile((p, 0, n) for p, n in enumerate(counts))
         mapping = assign_pages(profile, _inventory(latencies))
         greedy_cost = sum(counts[p] * latencies[mapping[p]]
                           for p in range(num_pages))
@@ -174,10 +171,9 @@ def test_greedy_is_globally_optimal_for_separable_costs():
 
 
 def test_assignment_determinism():
-    profile = PageProfile()
     rng = random.Random(3)
-    for p in range(20):
-        profile.record(p, rng.randrange(2), rng.randrange(1, 100))
+    profile = _profile((p, rng.randrange(2), rng.randrange(1, 100))
+                       for p in range(20))
     latencies = [rng.choice([6, 7, 10]) for _ in range(25)]
     a = assign_pages(profile, _inventory(latencies))
     b = assign_pages(profile, _inventory(latencies))
@@ -208,9 +204,7 @@ def test_inventory_bank_and_set_math():
 
 
 def test_profile_serialization():
-    profile = PageProfile()
-    profile.record(1, 0, 3)
-    profile.record(4, 1, 9)
+    profile = _profile([(1, 0, 3), (4, 1, 9)])
     dump = serialize_profile(profile)
     assert "4,9,1:9" in dump and "1,3,0:3" in dump
 
@@ -230,14 +224,14 @@ def _upm_instance(seed, affinity):
     frames = [Frame(i, 0, 1, i // 8, int(rng.choice([6, 7, 8, 9, 10, 12])))
               for i in range(64)]
     num_pages = int(rng.integers(16, 61))
-    profile = PageProfile()
+    entries = []
     for page in range(num_pages):
         n = int(rng.integers(1, 200))
         probs = np.full(4, (1 - affinity) / 4)
         probs[page % 4] += affinity
-        for core, k in enumerate(rng.multinomial(n, probs)):
-            if k:
-                profile.record(page, core, int(k))
+        entries += [(page, core, int(k))
+                    for core, k in enumerate(rng.multinomial(n, probs)) if k]
+    profile = _profile(entries)
     noc = [[noc_latency(topology, c, b) for b in range(8)] for c in range(4)]
     cost = np.array([[sum(k * (f.latency_class + noc[c][f.bank])
                           for c, k in profile.core_counts[p].items())

@@ -11,14 +11,14 @@ from cnfetcache.workload import (L1Config, SyntheticSpec, TraceParseError,
 
 def test_parse_minimal_record():
     records = parse_trace("0 R 0x1000\n")
-    assert records == [TraceRecord(0, "R", 0x1000, "D")]
+    assert list(records) == [TraceRecord(0, "R", 0x1000, "D")]
 
 
 def test_parse_with_kind_and_comments():
     text = "# header\n\n1 W I 0xdead\n0 R D 0x40\n"
     records = parse_trace(text)
-    assert records == [TraceRecord(1, "W", 0xDEAD, "I"),
-                       TraceRecord(0, "R", 0x40, "D")]
+    assert list(records) == [TraceRecord(1, "W", 0xDEAD, "I"),
+                             TraceRecord(0, "R", 0x40, "D")]
 
 
 def test_parse_out_of_range_core():
@@ -91,7 +91,7 @@ def test_zipf_zero_is_uniform():
     spec = SyntheticSpec(num_pages=64, zipf_exponent=0.0, length=100_000,
                          seed=3)
     records = generate_synthetic(spec)
-    pages = np.array([r.vaddr // spec.page_bytes for r in records])
+    pages = records.addr // spec.page_bytes
     counts = np.bincount(pages, minlength=64)
     _, p_value = scipy_stats.chisquare(counts)
     assert p_value > 0.001
@@ -106,19 +106,19 @@ def test_zipf_mass_concentrates():
     spec = SyntheticSpec(num_pages=1024, zipf_exponent=1.2, length=1_000_000,
                          seed=4)
     records = generate_synthetic(spec)
-    pages = np.array([r.vaddr // spec.page_bytes for r in records])
+    pages = records.addr // spec.page_bytes
     top = np.bincount(pages, minlength=1024)[:10].sum()
     assert top / len(records) >= 0.5
     assert abs(top / len(records) - analytic_top) < 0.02
 
 
 def test_empty_trace():
-    assert generate_synthetic(SyntheticSpec(length=0)) == []
+    assert len(generate_synthetic(SyntheticSpec(length=0))) == 0
 
 
 def test_generator_deterministic():
     spec = SyntheticSpec(length=5000, num_cores=4, seed=9)
-    assert generate_synthetic(spec) == generate_synthetic(spec)
+    assert list(generate_synthetic(spec)) == list(generate_synthetic(spec))
 
 
 def test_instr_stream_interleaves_sequential_fetches():
@@ -159,3 +159,10 @@ def test_core_affinity_concentrates_page_traffic():
         share = counts[home] / sum(counts.values())
         # 0.75 affinity plus 1/4 of the uniform remainder ~ 0.81
         assert share > 0.7, f"page {page}: home share {share:.2f}"
+
+
+def test_generator_rejects_addresses_beyond_int64():
+    # Checked before any page weight is drawn.
+    spec = SyntheticSpec(num_pages=1 << 50, page_bytes=1 << 14, length=10)
+    with pytest.raises(ValueError, match=r"below 2\^63"):
+        generate_synthetic(spec)
