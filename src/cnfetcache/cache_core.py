@@ -77,15 +77,7 @@ class CacheState:
         # line-aligned address -> last written value
         self.memory = {} if memory is None else memory
         self._offset_bits = geometry.offset_bits
-        self._set_mask = geometry.num_sets - 1
         self._tag_shift = geometry.offset_bits + geometry.set_bits
-
-    def locate(self, address):
-        """(tag, set_index, line-aligned address) of a byte address."""
-        line_addr = address >> self._offset_bits
-        set_index = line_addr & self._set_mask
-        tag = address >> self._tag_shift
-        return tag, set_index, line_addr << self._offset_bits
 
     def line_address(self, tag, set_index):
         return (tag << self._tag_shift) | (set_index << self._offset_bits)

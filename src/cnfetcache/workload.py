@@ -17,9 +17,8 @@ stream the LLC would actually see.
 """
 
 import io
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from operator import attrgetter
 
 import numpy as np
@@ -81,17 +80,15 @@ def as_trace(records):
     records = list(records)
     cores = list(map(attrgetter("core_id"), records))
     addrs = list(map(attrgetter("vaddr"), records))
-    try:
-        core = np.array(cores, dtype=np.int64)
-        addr = np.array(addrs, dtype=np.uint64)
-    except OverflowError:
+    if records and not (-CORE_LIMIT <= min(cores) and max(cores) < CORE_LIMIT
+                        and 0 <= min(addrs) and max(addrs) < ADDRESS_LIMIT):
         bad = next(r for r in records if not (-CORE_LIMIT <= r.core_id < CORE_LIMIT
                                               and 0 <= r.vaddr < ADDRESS_LIMIT))
         raise ValueError(f"{bad}: core ids must fit int64 and addresses "
-                         f"must be in [0, 2^64)") from None
+                         f"must be in [0, 2^64)")
     write = [r.op == "W" for r in records]
     instr = [r.kind == "I" for r in records]
-    return Trace(core, write, instr, addr)
+    return Trace(cores, write, instr, addrs)
 
 
 @dataclass(frozen=True)
@@ -109,9 +106,8 @@ class TraceParseError(ValueError):
 def parse_trace(stream, num_cores=None):
     """Parse the text grammar into a Trace, validating core ids.
 
-    Lines are read PARSE_CHUNK_LINES at a time.  A chunk of four-field
-    lines is converted column by column; any other chunk, or one that
-    fails a check, is parsed line by line, which names the offending line.
+    Lines are read and checked PARSE_CHUNK_LINES at a time, and each
+    chunk becomes columns before the next is read.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -121,45 +117,11 @@ def parse_trace(stream, num_cores=None):
         lines = list(islice(stream, PARSE_CHUNK_LINES))
         if not lines:
             break
-        columns = _four_field_columns(lines, num_cores)
-        if columns is None:
-            columns = _parse_lines(lines, lineno, num_cores)
-        chunks.append(columns)
+        chunks.append(_parse_lines(lines, lineno, num_cores))
         lineno += len(lines)
     if not chunks:
         return Trace([], [], [], [])
     return Trace(*map(np.concatenate, zip(*chunks)))
-
-
-_LINE_MARK = "\x00"
-
-
-def _four_field_columns(lines, num_cores):
-    """Columns of a chunk whose every line is `core op kind addr`, or None
-    when a line is not or a field fails a check.
-
-    The lines are split as one text with a mark token between them.  A
-    mark fails every field's check, so once every field passes, the n - 1
-    marks are every fifth token, and n lines give 5n - 1 tokens exactly
-    when each has four fields.
-    """
-    tokens = f" {_LINE_MARK} ".join(lines).split()
-    if len(tokens) != 5 * len(lines) - 1:
-        return None
-    op_s, kind_s, addr_s = tokens[1::5], tokens[2::5], tokens[3::5]
-    if (not set(op_s) <= {"R", "W"} or not set(kind_s) <= {"I", "D"}
-            or not all(map(str.startswith, addr_s, repeat(("0x", "0X"))))):
-        return None
-    try:
-        core = np.array(list(map(int, tokens[0::5])), dtype=np.int64)
-        addr = np.array(list(map(int, addr_s, repeat(16))), dtype=np.uint64)
-    except (ValueError, OverflowError):
-        return None
-    if core.min() < 0 or (num_cores is not None and core.max() >= num_cores):
-        return None
-    write = np.array(list(map("W".__eq__, op_s)), dtype=bool)
-    instr = np.array(list(map("I".__eq__, kind_s)), dtype=bool)
-    return core, write, instr, addr
 
 
 def _parse_lines(lines, first_lineno, num_cores):
@@ -167,10 +129,9 @@ def _parse_lines(lines, first_lineno, num_cores):
     first_lineno is the number of lines before the chunk."""
     cores, writes, instrs, addrs = [], [], [], []
     for lineno, line in enumerate(lines, start=first_lineno + 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
         if len(fields) == 3:
             core_s, op, addr_s = fields
             kind = "D"
@@ -192,7 +153,7 @@ def _parse_lines(lines, first_lineno, num_cores):
             raise TraceParseError(lineno, f"bad op {op!r}")
         if kind not in ("I", "D"):
             raise TraceParseError(lineno, f"bad kind {kind!r}")
-        if not addr_s.lower().startswith("0x"):
+        if addr_s[:2] not in ("0x", "0X"):
             raise TraceParseError(lineno, f"address {addr_s!r} must be 0x-hex")
         try:
             vaddr = int(addr_s, 16)
@@ -237,24 +198,38 @@ def _count_by_core(cores):
 
 
 def _lru_misses(positions, sets, lines, writes, ways, fills, victims):
-    """LRU over per-set dicts {line address: dirty}, least recent first.
+    """LRU over per-set lists, as `nuca.lru_pass` keeps them: the line
+    address and dirty bit in each way, and the set's filled ways, most
+    recent first.
 
     Appends the position of every miss to `fills`, and (position, line
     address) of every dirty line a miss evicts to `victims`.
     """
-    cache = defaultdict(dict)
+    num_sets = max(sets, default=-1) + 1
+    all_lines = [[None] * ways for _ in range(num_sets)]
+    all_dirty = [[False] * ways for _ in range(num_sets)]
+    all_orders = [[] for _ in range(num_sets)]
     for position, s, line, write in zip(positions, sets, lines, writes):
-        lru = cache[s]
-        dirty = lru.pop(line, None)
-        if dirty is None:
-            fills.append(position)
-            if len(lru) == ways:
-                victim = next(iter(lru))
-                if lru.pop(victim):
-                    victims.append((position, victim))
-            lru[line] = write
+        held = all_lines[s]
+        order = all_orders[s]
+        if line in held:
+            way = held.index(line)
+            if order[0] != way:
+                order.remove(way)
+                order.insert(0, way)
+            if write:
+                all_dirty[s][way] = True
         else:
-            lru[line] = dirty or write
+            fills.append(position)
+            if len(order) < ways:
+                way = len(order)
+            else:
+                way = order.pop()
+                if all_dirty[s][way]:
+                    victims.append((position, held[way]))
+            held[way] = line
+            all_dirty[s][way] = write
+            order.insert(0, way)
 
 
 def l1_filter(records, config):

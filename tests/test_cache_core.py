@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from cnfetcache.cache_core import (BankPolicy, CacheState, partial_disable,
-                                   worst_groups)
+from cnfetcache.cache_core import BankPolicy, partial_disable, worst_groups
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
 
@@ -30,24 +29,38 @@ def _baseline(geometry, worst=12):
     return _uca(geometry, BankPolicy([worst] * geometry.num_ways))
 
 
+def _filed(address):
+    """(tag, set index, line address) of the line an access to address
+    fills in an empty one-bank GEO_2MB cache, read off the cache state."""
+    cache, access = _baseline(GEO_2MB)
+    access(0, address)
+    state = cache.banks[0]
+    (set_index,) = [s for s, order in enumerate(state.order) if order]
+    tag = state.tags[set_index][state.order[set_index][0]]
+    return tag, set_index, state.line_address(tag, set_index)
+
+
 def test_decompose_zero():
-    assert CacheState(GEO_2MB).locate(0) == (0, 0, 0)
+    assert _filed(0) == (0, 0, 0)
 
 
 def test_decompose_bit_arithmetic():
     # 64-byte lines, 4096 sets: offset = bits 0..5, set = bits 6..17.
-    locate = CacheState(GEO_2MB).locate
-    assert locate(0x10040) == (0, 0x401, 0x10040)
-    assert locate((1 << 18) | (1 << 6) | 5) == (1, 1, (1 << 18) | (1 << 6))
-    assert locate(0xFFFF_FFFF) == (0xFFFFFFC0 >> 18, 4095, 0xFFFF_FFC0)
+    assert _filed(0x10040) == (0, 0x401, 0x10040)
+    assert _filed((1 << 18) | (1 << 6) | 5) == (1, 1, (1 << 18) | (1 << 6))
+    assert _filed(0xFFFF_FFFF) == (0xFFFFFFC0 >> 18, 4095, 0xFFFF_FFC0)
 
 
 def test_decompose_recompose_random():
-    locate = CacheState(GEO_2MB).locate
+    cache, access = _baseline(GEO_2MB)
+    state = cache.banks[0]
     rng = random.Random(0)
     for _ in range(1000):
         addr = rng.getrandbits(40)
-        tag, set_index, line_addr = locate(addr)
+        access(0, addr)
+        set_index = (addr >> 6) & 4095
+        tag = state.tags[set_index][state.order[set_index][0]]
+        line_addr = state.line_address(tag, set_index)
         assert (tag << 18) | (set_index << 6) == line_addr
         assert line_addr | (addr & 63) == addr
 
@@ -139,7 +152,7 @@ def test_tag_multiset_changes_by_at_most_one():
     rng = random.Random(9)
     for _ in range(5000):
         addr = rng.randrange(32 * 1024) & ~63
-        _, set_index, _ = state.locate(addr)
+        set_index = (addr >> GEO_SMALL.offset_bits) & (GEO_SMALL.num_sets - 1)
         before = _valid_tags(state, set_index)
         result = access(0, addr)
         after = _valid_tags(state, set_index)

@@ -76,9 +76,10 @@ def reference_l1_filter(records, config):
             state = cache_core.CacheState(geometry)
             caches[rec.core_id] = state
         accesses[rec.core_id] = accesses.get(rec.core_id, 0) + 1
-        tag, set_index, line_addr = state.locate(rec.vaddr)
-        result = cache_core.lru_access(state, set_index, tag, line_addr,
-                                       rec.op == "W", 0)
+        line = rec.vaddr >> geometry.offset_bits
+        result = cache_core.lru_access(
+            state, line & (geometry.num_sets - 1), line >> geometry.set_bits,
+            line << geometry.offset_bits, rec.op == "W", 0)
         if not result.hit:
             misses[rec.core_id] = misses.get(rec.core_id, 0) + 1
             if result.evicted_addr is not None and result.evicted_dirty:
