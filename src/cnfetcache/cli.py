@@ -16,7 +16,7 @@ import math
 import numbers
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -86,112 +86,84 @@ _TYPES = {
 }
 
 
+def _key(key, default=None, *, minimum=None, maximum=None, above=None,
+         power_of_two=False):
+    """A config field read from `key`.  A numeric value must be at least
+    `minimum`, at most `maximum`, greater than `above` and, with
+    `power_of_two`, a power of two, where given."""
+    metadata = {"key": key, "minimum": minimum, "maximum": maximum,
+                "above": above, "power_of_two": power_of_two}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _broken_rule(value, meta):
+    """The range rule of a field's metadata that `value` breaks, or None."""
+    low, high, above = meta["minimum"], meta["maximum"], meta["above"]
+    if low is not None and value < low:
+        return f">= {low}"
+    if high is not None and value > high:
+        return f"<= {high}"
+    if above is not None and value <= above:
+        return f"> {above}"
+    if meta["power_of_two"] and (value < 1 or value & (value - 1)):
+        return "a power of two"
+    return None
+
+
 @dataclass
 class ExperimentConfig:
-    capacity_bytes: int = 2 * 1024 * 1024
-    num_ways: int = 8
-    line_bytes: int = 64
-    layout: str = "set_aligned"
-    policy: str = "baseline"
-    mu: float = 9.0
-    sigma: float = 2.1
-    p_metallic: float = 0.05
-    p_remove_metallic: float = 0.999
-    p_remove_semiconducting: float = 0.05
-    cnt_seed: int = 1
-    stages: int = 8
-    min_cycles: int = None
-    max_cycles: int = None
-    nominal_count: float = None
-    map_file: str = None
-    way_groups: int = 4
-    uniform_groups: int = 64
-    classes: list = field(default_factory=lambda: [6, 7])
-    budget: int = 16
-    granularity: int = None
-    pm_enabled: bool = False
-    pm_page_bytes: int = 4096
-    pm_unified: bool = True
-    pm_count_raw: bool = False
-    nuca_enabled: bool = False
-    nuca_rows: int = 2
-    nuca_cols: int = 4
-    nuca_cycles_per_hop: int = 1
-    nuca_round_trip: int = 2
-    l1_enabled: bool = False
-    trace_path: str = None
-    wl_num_pages: int = 256
-    wl_zipf: float = 1.2
-    wl_read_fraction: float = 0.7
-    wl_length: int = 100_000
-    wl_num_cores: int = 1
-    wl_instr_stream: bool = False
-    wl_seed: int = 0
-    wl_page_bytes: int = 4096
-    wl_core_affinity: float = 0.75
-    static_power: float = 1.0
-    e_read: float = 1.0
-    e_write: float = 2.0
-    memory_latency: int = 30
-
-    KEYMAP = {
-        "cache.capacity_bytes": "capacity_bytes",
-        "cache.ways": "num_ways",
-        "cache.line_bytes": "line_bytes",
-        "layout": "layout",
-        "policy": "policy",
-        "cnt.mu": "mu",
-        "cnt.sigma": "sigma",
-        "cnt.p_metallic": "p_metallic",
-        "cnt.p_remove_metallic": "p_remove_metallic",
-        "cnt.p_remove_semiconducting": "p_remove_semiconducting",
-        "cnt.seed": "cnt_seed",
-        "timing.stages": "stages",
-        "timing.min_cycles": "min_cycles",
-        "timing.max_cycles": "max_cycles",
-        "timing.nominal_count": "nominal_count",
-        "timing.map_file": "map_file",
-        "vasa.way_groups": "way_groups",
-        "grouping.num_groups": "uniform_groups",
-        "grouping.classes": "classes",
-        "grouping.budget": "budget",
-        "grouping.granularity": "granularity",
-        "pagemap.enabled": "pm_enabled",
-        "pagemap.page_bytes": "pm_page_bytes",
-        "pagemap.unified": "pm_unified",
-        "pagemap.count_raw": "pm_count_raw",
-        "nuca.enabled": "nuca_enabled",
-        "nuca.rows": "nuca_rows",
-        "nuca.cols": "nuca_cols",
-        "nuca.cycles_per_hop": "nuca_cycles_per_hop",
-        "nuca.round_trip_factor": "nuca_round_trip",
-        "l1.enabled": "l1_enabled",
-        "workload.trace": "trace_path",
-        "workload.num_pages": "wl_num_pages",
-        "workload.zipf": "wl_zipf",
-        "workload.read_fraction": "wl_read_fraction",
-        "workload.length": "wl_length",
-        "workload.num_cores": "wl_num_cores",
-        "workload.instr_stream": "wl_instr_stream",
-        "workload.seed": "wl_seed",
-        "workload.page_bytes": "wl_page_bytes",
-        "workload.core_affinity": "wl_core_affinity",
-        "energy.static_power": "static_power",
-        "energy.e_read": "e_read",
-        "energy.e_write": "e_write",
-        "energy.memory_latency": "memory_latency",
-    }
-
-    # Smallest value of each integer key the model gives a meaning to; the
-    # cache geometry and the cycle range are checked on their own.
-    MINIMUM = {"timing.stages": 1, "vasa.way_groups": 1,
-               "grouping.num_groups": 1, "grouping.budget": 0,
-               "grouping.granularity": 1, "pagemap.page_bytes": 1,
-               "nuca.rows": 1, "nuca.cols": 1, "nuca.cycles_per_hop": 0,
-               "nuca.round_trip_factor": 0, "workload.num_pages": 1,
-               "workload.length": 0, "workload.num_cores": 1,
-               "workload.page_bytes": 1, "cnt.seed": 0, "workload.seed": 0,
-               "energy.memory_latency": 0}
+    capacity_bytes: int = _key("cache.capacity_bytes", 2 * 1024 * 1024,
+                               power_of_two=True)
+    num_ways: int = _key("cache.ways", 8, power_of_two=True)
+    line_bytes: int = _key("cache.line_bytes", 64, power_of_two=True)
+    layout: str = _key("layout", "set_aligned")
+    policy: str = _key("policy", "baseline")
+    mu: float = _key("cnt.mu", 9.0, above=0)
+    sigma: float = _key("cnt.sigma", 2.1, minimum=0)
+    p_metallic: float = _key("cnt.p_metallic", 0.05, minimum=0, maximum=1)
+    p_remove_metallic: float = _key("cnt.p_remove_metallic", 0.999,
+                                    minimum=0, maximum=1)
+    p_remove_semiconducting: float = _key("cnt.p_remove_semiconducting", 0.05,
+                                          minimum=0, maximum=1)
+    cnt_seed: int = _key("cnt.seed", 1, minimum=0)
+    stages: int = _key("timing.stages", 8, minimum=1)
+    min_cycles: int = _key("timing.min_cycles", minimum=1)
+    max_cycles: int = _key("timing.max_cycles", minimum=1)
+    nominal_count: float = _key("timing.nominal_count", above=0)
+    map_file: str = _key("timing.map_file")
+    way_groups: int = _key("vasa.way_groups", 4, minimum=1)
+    uniform_groups: int = _key("grouping.num_groups", 64, minimum=1)
+    classes: list = _key("grouping.classes", [6, 7])
+    budget: int = _key("grouping.budget", 16, minimum=0)
+    granularity: int = _key("grouping.granularity", minimum=1)
+    pm_enabled: bool = _key("pagemap.enabled", False)
+    pm_page_bytes: int = _key("pagemap.page_bytes", 4096, power_of_two=True)
+    pm_unified: bool = _key("pagemap.unified", True)
+    pm_count_raw: bool = _key("pagemap.count_raw", False)
+    nuca_enabled: bool = _key("nuca.enabled", False)
+    nuca_rows: int = _key("nuca.rows", 2, minimum=1)
+    nuca_cols: int = _key("nuca.cols", 4, minimum=1)
+    nuca_cycles_per_hop: int = _key("nuca.cycles_per_hop", 1, minimum=0)
+    nuca_round_trip: int = _key("nuca.round_trip_factor", 2, minimum=0)
+    l1_enabled: bool = _key("l1.enabled", False)
+    trace_path: str = _key("workload.trace")
+    wl_num_pages: int = _key("workload.num_pages", 256, minimum=1)
+    wl_zipf: float = _key("workload.zipf", 1.2, minimum=0)
+    wl_read_fraction: float = _key("workload.read_fraction", 0.7,
+                                   minimum=0, maximum=1)
+    wl_length: int = _key("workload.length", 100_000, minimum=0)
+    wl_num_cores: int = _key("workload.num_cores", 1, minimum=1)
+    wl_instr_stream: bool = _key("workload.instr_stream", False)
+    wl_seed: int = _key("workload.seed", 0, minimum=0)
+    wl_page_bytes: int = _key("workload.page_bytes", 4096, minimum=1)
+    wl_core_affinity: float = _key("workload.core_affinity", 0.75,
+                                   minimum=0, maximum=1)
+    static_power: float = _key("energy.static_power", 1.0, minimum=0)
+    e_read: float = _key("energy.e_read", 1.0, minimum=0)
+    e_write: float = _key("energy.e_write", 2.0, minimum=0)
+    memory_latency: int = _key("energy.memory_latency", 30, minimum=0)
 
     @classmethod
     def from_keys(cls, keys):
@@ -283,28 +255,33 @@ class ExperimentConfig:
         return (f"synthetic(pages={self.wl_num_pages};zipf={self.wl_zipf};"
                 f"len={self.wl_length};cores={self.wl_num_cores};seed={self.wl_seed})")
 
+    @property
+    def synthetic_spec(self):
+        """Every input of the synthetic workload generator."""
+        return workload.SyntheticSpec(self.wl_num_pages, self.wl_zipf,
+                                      self.wl_read_fraction, self.wl_length,
+                                      self.wl_num_cores, self.wl_instr_stream,
+                                      self.wl_seed, self.wl_page_bytes,
+                                      self.line_bytes, self.wl_core_affinity)
+
     def workload_signature(self):
+        """Configs with equal signatures load the same raw records."""
         if self.trace_path:
             return ("trace", self.trace_path)
-        return ("synthetic", self.wl_num_pages, self.wl_zipf,
-                self.wl_read_fraction, self.wl_length, self.wl_num_cores,
-                self.wl_instr_stream, self.wl_seed, self.wl_page_bytes,
-                self.wl_core_affinity)
+        return ("synthetic", self.synthetic_spec)
 
     def _check_values(self):
-        """Every key holds its field's type, and no integer key is below its
-        MINIMUM."""
-        for key, attr in self.KEYMAP.items():
-            value = getattr(self, attr)
-            spec = self.__dataclass_fields__[attr]
+        """Every key holds its field's type and keeps its field's range."""
+        for spec in fields(self):
+            key, value = spec.metadata["key"], getattr(self, spec.name)
             if value is None and spec.default is None:
                 continue
             fits, wording = _TYPES[spec.type]
             if not fits(value):
                 raise ConfigError(f"{key}={value!r} must be {wording}")
-            if key in self.MINIMUM and value < self.MINIMUM[key]:
-                raise ConfigError(f"{key} must be >= {self.MINIMUM[key]}, "
-                                  f"got {value}")
+            rule = _broken_rule(value, spec.metadata)
+            if rule:
+                raise ConfigError(f"{key} must be {rule}, got {value}")
 
     def validate(self):
         self._check_values()
@@ -322,7 +299,7 @@ class ExperimentConfig:
         policy = self.policy_kind
         layout = self.layout_kind
         lo, hi = self.cycle_range
-        if lo > hi or lo < 1:
+        if lo > hi:
             raise ConfigError(f"bad cycle range [{lo},{hi}]")
         if policy in (PolicyKind.VASA, PolicyKind.VASA_DS) and layout is not LayoutKind.SET_ALIGNED:
             raise ConfigError(f"policy {self.policy} requires layout=set_aligned")
@@ -357,6 +334,10 @@ class ExperimentConfig:
         return self
 
 
+ExperimentConfig.KEYMAP = {spec.metadata["key"]: spec.name
+                           for spec in fields(ExperimentConfig)}
+
+
 # -- pipeline ------------------------------------------------------------
 
 
@@ -368,12 +349,7 @@ def load_records(cfg):
                      else None)
         with open(cfg.trace_path) as fh:
             return workload.parse_trace(fh, num_cores=num_cores)
-    spec = workload.SyntheticSpec(cfg.wl_num_pages, cfg.wl_zipf,
-                                  cfg.wl_read_fraction, cfg.wl_length,
-                                  cfg.wl_num_cores, cfg.wl_instr_stream,
-                                  cfg.wl_seed, cfg.wl_page_bytes,
-                                  cfg.line_bytes, cfg.wl_core_affinity)
-    return workload.generate_synthetic(spec)
+    return workload.generate_synthetic(cfg.synthetic_spec)
 
 
 def llc_records(cfg, records):
@@ -686,8 +662,9 @@ def cmd_gen_variation(args):
     """Write bank 0 of the latency maps `simulate` samples from this config
     (timing.map_file is ignored), and summarize its distribution."""
     cfg = _config_from_args(args)
-    latmap = build_latency_maps(cfg.copy_with(map_file=None))[0]
     nominal = cfg.nominal
+    latmap = build_latency_maps(cfg.copy_with(map_file=None,
+                                              nominal_count=nominal))[0]
     with open(args.out, "w") as fh:
         fh.write(timing.serialize_latency_map(latmap))
     hist = Counter(latmap.latencies)
@@ -731,7 +708,8 @@ def cmd_simulate(args):
 def cmd_profile(args):
     cfg = _config_from_args(args)
     records = load_records(cfg)
-    profile = page_profile(cfg, records, llc_records(cfg, records))
+    llc = records if cfg.pm_count_raw else llc_records(cfg, records)
+    profile = page_profile(cfg, records, llc)
     text = pagemap.serialize_profile(profile)
     with open(args.out, "w") as fh:
         fh.write(text)
@@ -802,13 +780,17 @@ def cmd_compare(args):
         for path in args.configs:
             keys = _apply_sets(parse_config_file(path), args.set)
             labelled.append((path, ExperimentConfig.from_keys(keys)))
-    sig = labelled[0][1].workload_signature()
+    configs = [cfg for _, cfg in labelled]
+    sig = configs[0].workload_signature()
     for label, cfg in labelled[1:]:
         if cfg.workload_signature() != sig:
             raise ConfigError(f"config {label!r} uses a different workload")
 
-    records = load_records(labelled[0][1])
-    outputs = run_sweep([cfg for _, cfg in labelled], records)
+    # Every row loads the same records; a NUCA row, if there is one, also
+    # checks the trace's cores against the mesh (every mesh has the same
+    # four cores).
+    records = load_records(min(configs, key=lambda cfg: not cfg.nuca_enabled))
+    outputs = run_sweep(configs, records)
     rows = []
     baseline = None
     header = ["label", "policy", "pm", "mean_hit_latency", "amat", "miss_rate",

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,12 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.policy == "vawa_ng"
     assert cfg.classes == [6, 7]
     assert cfg.wl_zipf == 1.1
+
+
+def test_readme_tables_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [key for key in ExperimentConfig.KEYMAP
+            if f"| `{key}` |" not in readme] == []
 
 
 def test_unknown_key_rejected():
@@ -194,12 +201,32 @@ def test_cli_gen_trace_and_profile(tmp_path):
     assert prof.read_text().count("\n") <= 8
 
 
-def test_compare_rejects_mismatched_workloads(tmp_path):
+def test_compare_rejects_mismatched_workloads(tmp_path, capsys):
     a = tmp_path / "a.cfg"
     b = tmp_path / "b.cfg"
-    a.write_text("policy=baseline\nworkload.seed=1\n")
-    b.write_text("policy=vasa\nworkload.seed=2\n")
-    assert main(["compare", str(a), str(b)]) == 1
+    small = "workload.length=3000\ncache.capacity_bytes=65536\n"
+    # The line size is an input of the synthetic generator too.
+    for text_a, text_b in [
+            ("policy=baseline\nworkload.seed=1\n",
+             "policy=vasa\nworkload.seed=2\n"),
+            (small, small + "cache.line_bytes=32\n")]:
+        a.write_text(text_a)
+        b.write_text(text_b)
+        assert main(["compare", str(a), str(b)]) == 1
+        assert "uses a different workload" in capsys.readouterr().err
+
+
+def test_compare_checks_trace_cores_against_the_mesh(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("0 R D 0x1000\n5 R D 0x2000\n5 R D 0x1000\n")
+    uca = tmp_path / "u.cfg"
+    mesh = tmp_path / "n.cfg"
+    uca.write_text(f"workload.trace={trace}\ncache.capacity_bytes=65536\n")
+    mesh.write_text(uca.read_text() + "nuca.enabled=true\n")
+    for configs in ([uca, mesh], [mesh, uca]):
+        assert main(["compare"] + [str(path) for path in configs]) == 1
+        assert capsys.readouterr().err == \
+            "error: trace line 2: core 5 out of range (num_cores=4)\n"
 
 
 def test_simulate_accepts_pregenerated_map(tmp_path):
@@ -341,8 +368,19 @@ def test_compare_rejects_bare_set_key(tmp_path, capsys):
     ["cache.line_bytes=3.5"],
     ["workload.page_bytes=32"],
     ["workload.page_bytes=96"],
+    ["cnt.mu=0"],
+    ["cnt.p_metallic=2"],
+    ["workload.zipf=-1"],
+    ["workload.read_fraction=1.5"],
+    ["energy.e_read=-1"],
+    ["layout=way_aligned", "policy=vawa_ug", "pagemap.enabled=true",
+     "pagemap.page_bytes=192"],
+    ["cache.ways=3"],
+    ["timing.min_cycles=0"],
 ], ids=["way_groups=0", "num_groups=0", "nuca.rows=0", "ways=abc",
-        "line_bytes=3.5", "page_bytes=32", "page_bytes=96"])
+        "line_bytes=3.5", "page_bytes=32", "page_bytes=96", "mu=0",
+        "p_metallic=2", "zipf=-1", "read_fraction=1.5", "e_read=-1",
+        "pagemap.page_bytes=192", "ways=3", "min_cycles=0"])
 def test_simulate_rejects_malformed_config(tmp_path, capsys, sets):
     argv = ["simulate", "--set", "workload.length=200"]
     for item in sets:
@@ -478,14 +516,17 @@ def test_gen_variation_writes_bank_zero_of_the_simulated_maps(tmp_path, sets):
      "quantized_spread=1.6667\nprequant_spread=5.0000\nhistogram:\n"
      "6,21\n10,11\n"),
 ], ids=["seed3-64k", "failed-groups"])
-def test_gen_variation_summary_is_unchanged(tmp_path, sets, golden):
+def test_gen_variation_summary_is_unchanged(tmp_path, monkeypatch, sets,
+                                           golden):
     argv = ["gen-variation"]
     for item in sets:
         argv += ["--set", item]
     summary = tmp_path / "s.txt"
+    calls = _counting(monkeypatch, timing, "calibrate_nominal_count")
     assert main(argv + ["--out", str(tmp_path / "map.txt"),
                         "--summary", str(summary)]) == 0
     assert summary.read_text() == golden
+    assert len(calls) == 1
 
 
 def test_cli_profile_behind_l1_filter(tmp_path):
@@ -498,15 +539,18 @@ def test_cli_profile_behind_l1_filter(tmp_path):
     assert prof.read_text() == "7,1,0:1\n"
 
 
-def test_cli_profile_honours_count_raw(tmp_path):
-    # Behind the L1 the LLC sees one access; the raw stream has 100.
+def test_cli_profile_honours_count_raw(tmp_path, monkeypatch):
+    # Behind the L1 the LLC sees one access; the raw stream has 100, and
+    # profiling it needs no filtered stream.
     trace = tmp_path / "trace.txt"
     trace.write_text(serialize_trace([TraceRecord(0, "R", 0x7000)] * 100))
     prof = tmp_path / "prof.csv"
+    calls = _counting(monkeypatch, workload, "l1_filter")
     assert main(["profile", "--set", f"workload.trace={trace}",
                  "--set", "l1.enabled=true", "--set", "pagemap.count_raw=true",
                  "--out", str(prof)]) == 0
     assert prof.read_text() == "7,100,0:100\n"
+    assert calls == []
 
 
 WAY_UCA = ["--recipe", "way-uca", "--set", "cache.capacity_bytes=65536",
