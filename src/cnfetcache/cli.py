@@ -47,7 +47,7 @@ def _parse_value(raw):
 
 
 def parse_config_file(path):
-    keys = {}
+    keys, lines = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -56,7 +56,11 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            keys[key.strip()] = _parse_value(value)
+            key = key.strip()
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: {key} is already set on "
+                                  f"line {lines[key]}")
+            keys[key], lines[key] = _parse_value(value), lineno
     return keys
 
 
@@ -234,18 +238,20 @@ class ExperimentConfig:
                                     self.e_write, self.memory_latency)
 
     @property
-    def topology(self):
-        return nuca.MeshTopology(self.nuca_rows, self.nuca_cols,
-                                 cycles_per_hop=self.nuca_cycles_per_hop,
-                                 round_trip_factor=self.nuca_round_trip)
+    def noc(self):
+        """The mesh's `nuca.noc_table` under NUCA, otherwise None."""
+        if not self.nuca_enabled:
+            return None
+        return nuca.noc_table(self.nuca_rows, self.nuca_cols,
+                              self.nuca_cycles_per_hop, self.nuca_round_trip)
 
     @property
     def effective_granularity(self):
         """NG run granularity in sets; under page mapping runs are aligned to
         a whole frame footprint so every frame falls in one latency class."""
         if self.pm_enabled:
-            return min(self.pm_page_bytes // self.line_bytes,
-                       self.bank_geometry.num_sets)
+            return pagemap.frame_span_sets(self.pm_page_bytes, self.line_bytes,
+                                           self.bank_geometry.num_sets)
         return self.granularity if self.granularity is not None else 1
 
     def workload_label(self):
@@ -285,6 +291,9 @@ class ExperimentConfig:
 
     def validate(self):
         self._check_values()
+        if self.num_banks & (self.num_banks - 1):
+            raise ConfigError(f"nuca.rows x nuca.cols = {self.nuca_rows} x "
+                              f"{self.nuca_cols} banks must be a power of two")
         if self.nuca_enabled and self.capacity_bytes % self.num_banks != 0:
             raise ConfigError("capacity must divide across banks")
         try:
@@ -329,7 +338,11 @@ class ExperimentConfig:
                 raise ConfigError("grouping.classes must be ascending")
             if any(c >= hi for c in self.classes):
                 raise ConfigError("grouping.classes must be below max_cycles")
-        if self.nuca_enabled and self.wl_num_cores > len(self.topology.core_coords):
+            if (not self.pm_enabled
+                    and bank_geometry.num_sets % self.effective_granularity):
+                raise ConfigError(f"grouping.granularity must divide the "
+                                  f"{bank_geometry.num_sets} sets of a bank")
+        if self.nuca_enabled and self.wl_num_cores > len(self.noc):
             raise ConfigError("more trace cores than cores on the mesh")
         return self
 
@@ -345,8 +358,7 @@ def load_records(cfg):
     """The raw reference stream of a config, as a workload.Trace: the
     parsed trace file, or the synthetic workload."""
     if cfg.trace_path:
-        num_cores = (len(cfg.topology.core_coords) if cfg.nuca_enabled
-                     else None)
+        num_cores = len(cfg.noc) if cfg.nuca_enabled else None
         with open(cfg.trace_path) as fh:
             return workload.parse_trace(fh, num_cores=num_cores)
     return workload.generate_synthetic(cfg.synthetic_spec)
@@ -478,13 +490,8 @@ def build_page_mapping(cfg, machinery, llc_records, raw_records,
     inventory = pagemap.build_frame_inventory(geometry, page_bytes, num_frames,
                                               set_latencies)
 
-    if cfg.nuca_enabled and cfg.pm_unified:
-        topology = cfg.topology
-        cost = lambda frame, core: (frame.latency_class
-                                    + nuca.noc_latency(topology, core or 0, frame.bank))
-    else:
-        cost = lambda frame, core: frame.latency_class
-    mapping = pagemap.assign_pages(profile, inventory, cost)
+    mapping = pagemap.assign_pages(profile, inventory,
+                                   cfg.noc if cfg.pm_unified else None)
     return profile, inventory, mapping
 
 
@@ -494,8 +501,7 @@ def make_accessor(cfg, machinery):
     NucaCache with no NoC cost.  Runs go through `run_sweep`; this
     per-access path, with `simulate_records`, is the reference that the
     benchmark's replay and the tests check reads and hit counts against."""
-    topology = cfg.topology if cfg.nuca_enabled else None
-    cache = nuca.NucaCache(cfg.geometry, topology, cfg.layout_kind,
+    cache = nuca.NucaCache(cfg.geometry, cfg.noc, cfg.layout_kind,
                            machinery.banks)
     return cache.access
 
@@ -574,7 +580,7 @@ def _pass_key(row, position):
 
 def _hit_table(row):
     cfg = row.cfg
-    cores = sorted(cfg.topology.core_coords) if cfg.nuca_enabled else None
+    cores = sorted(cfg.noc) if cfg.nuca_enabled else None
     per_set = cfg.layout_kind is LayoutKind.WAY_ALIGNED
     if _runs_lru(row):
         return nuca.lru_pass(row.llc, cfg.geometry, cfg.num_banks, per_set,
@@ -622,7 +628,7 @@ def run_sweep(configs, records):
             cfg = rows[position].cfg
             stats[position] = nuca.price(
                 table, rows[position].machinery.banks, cfg.memory_latency,
-                cfg.topology if cfg.nuca_enabled else None)
+                cfg.noc)
         del table
     return [ExperimentOutput(row.cfg, stat, row.notes)
             for row, stat in zip(rows, stats)]
@@ -771,11 +777,17 @@ def recipe_configs(base, recipe):
 
 def cmd_compare(args):
     if args.recipe:
+        if args.configs:
+            raise ConfigError(f"compare --recipe would ignore config files "
+                              f"{' '.join(args.configs)}; use --config")
         base = _config_from_args(args)
         labelled = recipe_configs(base, args.recipe)
     else:
         if len(args.configs) < 2:
             raise ConfigError("compare needs --recipe or at least two config files")
+        if args.config:
+            raise ConfigError(f"compare of config files would ignore "
+                              f"--config {args.config}")
         labelled = []
         for path in args.configs:
             keys = _apply_sets(parse_config_file(path), args.set)

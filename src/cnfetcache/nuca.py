@@ -3,9 +3,9 @@ and the unified latency model hit_lat + noc_lat(core, bank).
 
 Banks are independent cache instances carved out of the LLC capacity; the
 bank id sits in the address bits immediately above the per-bank set index,
-so a page's lines always land in a single bank.  Routing cost is hop count
-times cycles per hop, doubled by default for the request/response round
-trip.  Contention is not modeled (single-cycle routers).
+so a page's lines always land in a single bank.  `noc_table` prices each
+(core, bank) route once: hop count times cycles per hop, doubled by default
+for the request/response round trip.  Contention is not modeled.
 
 A run is one pass over its address stream that counts hits in a HitTable
 (`lru_pass`, or `engine_pass` for data shuffling), then `price`, which
@@ -15,7 +15,7 @@ the rows differ only in the price of a hit.  `NucaCache` is the
 per-access path that the pass is checked against."""
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,59 +23,15 @@ from . import cache_core, metrics, workload
 from .timing import CacheGeometry, LayoutKind
 
 
-@dataclass
-class MeshTopology:
-    rows: int = 2
-    cols: int = 4
-    bank_coords: dict = field(default_factory=dict)   # bank id -> (row, col)
-    core_coords: dict = field(default_factory=dict)   # core id -> (row, col)
-    cycles_per_hop: int = 1
-    round_trip_factor: int = 2
-
-    def __post_init__(self):
-        if not self.bank_coords:
-            # One bank per router, row-major.
-            self.bank_coords = {b: divmod(b, self.cols)
-                                for b in range(self.rows * self.cols)}
-        if not self.core_coords:
-            # Four cores at the corner routers.
-            self.core_coords = {
-                0: (0, 0),
-                1: (0, self.cols - 1),
-                2: (self.rows - 1, 0),
-                3: (self.rows - 1, self.cols - 1),
-            }
-        for name, coords in (("bank", self.bank_coords), ("core", self.core_coords)):
-            for ident, (r, c) in coords.items():
-                if not (0 <= r < self.rows and 0 <= c < self.cols):
-                    raise ValueError(f"{name} {ident} coordinate {(r, c)} off grid")
-        if len(set(self.bank_coords)) != len(self.bank_coords):
-            raise ValueError("bank ids must be unique")
-
-    @property
-    def num_banks(self):
-        return len(self.bank_coords)
-
-
-def noc_latency(topology, core_id, bank_id):
-    """Round-trip X-Y routing cycles between a core and a bank router."""
-    try:
-        cr, cc = topology.core_coords[core_id]
-        br, bc = topology.bank_coords[bank_id]
-    except KeyError as exc:
-        raise KeyError(f"unknown core or bank id: {exc}") from None
-    hops = abs(cr - br) + abs(cc - bc)
-    return topology.round_trip_factor * hops * topology.cycles_per_hop
-
-
-def bank_of(address, num_banks, bank_geometry):
-    """Bank id from the address bits immediately above the set-index bits."""
-    if num_banks & (num_banks - 1):
-        raise ValueError("num_banks must be a power of two")
-    if num_banks == 1:
-        return 0
-    shift = bank_geometry.offset_bits + bank_geometry.set_bits
-    return (address >> shift) & (num_banks - 1)
+def noc_table(rows, cols, cycles_per_hop, round_trip_factor):
+    """Round-trip X-Y routing cycles on a rows x cols mesh with one bank per
+    router (row-major) and the four cores at the corner routers:
+    {core: [cycles to bank b]}."""
+    corners = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)]
+    return {core: [round_trip_factor * cycles_per_hop
+                   * (abs(r - b // cols) + abs(c - b % cols))
+                   for b in range(rows * cols)]
+            for core, (r, c) in enumerate(corners)}
 
 
 def bank_average_latency(latmap):
@@ -90,17 +46,16 @@ class NucaCache:
     Every bank serves its requests through its own BankPolicy: data
     shuffling never crosses banks, and way aligned banks each carry their
     own grouping, forming one logical way aligned cache with many latency
-    groups.  A hit costs the bank's list latency plus noc_lat(core, bank).
-    A uniform cache (UCA) is the one-bank case: topology None, no NoC cost
-    for any core id.
+    groups.  A hit costs the bank's list latency plus noc[core][bank] of
+    the `noc_table` noc.  A uniform cache (UCA) is the one-bank case: noc
+    None, no NoC cost for any core id.
     """
 
-    def __init__(self, total_geometry, topology, layout, policies,
-                 memory=None):
+    def __init__(self, total_geometry, noc, layout, policies):
         banks = len(policies)
         if banks & (banks - 1):
             raise ValueError("num_banks must be a power of two")
-        if topology is not None and topology.num_banks != banks:
+        if noc is not None and any(len(row) != banks for row in noc.values()):
             raise ValueError("need one bank policy per mesh bank")
         if total_geometry.capacity_bytes % banks != 0:
             raise ValueError("capacity must divide evenly across banks")
@@ -112,26 +67,21 @@ class NucaCache:
                   else self.bank_geometry.num_ways)
         if any(len(p.latency) != groups for p in policies):
             raise ValueError(f"each bank needs {groups} hit latencies")
-        self.memory = {} if memory is None else memory
+        self.memory = {}
         self.banks = [cache_core.CacheState(self.bank_geometry, self.memory)
                       for _ in range(banks)]
         self._slots = [(state, p.engine, p.ways, p.bypass, p.latency)
                        for state, p in zip(self.banks, policies)]
-        if topology is None:
-            self.noc = defaultdict(lambda: (0,))
-        else:
-            self.noc = {core: tuple(noc_latency(topology, core, b)
-                                    for b in range(banks))
-                        for core in topology.core_coords}
+        self.noc = defaultdict(lambda: (0,)) if noc is None else noc
         geometry = self.bank_geometry
         self._offset_bits = geometry.offset_bits
         self._set_mask = geometry.num_sets - 1
-        # The bank id is the low bits of the tag: see bank_of.
+        # The bank id is the low bits of the tag.
         self._tag_shift = geometry.offset_bits + geometry.set_bits
         self._bank_mask = banks - 1
 
     def access(self, core_id, address, write=False, value=0):
-        """One LLC reference; a hit's latency is hit_lat + noc_lat."""
+        """One LLC reference; a hit's latency is hit_lat + noc[core][bank]."""
         line = address >> self._offset_bits
         set_index = line & self._set_mask
         tag = address >> self._tag_shift
@@ -290,14 +240,14 @@ def engine_pass(records, geometry, policies, per_set, cores=None,
     return table
 
 
-def price(table, policies, memory_latency, topology=None):
+def price(table, policies, memory_latency, noc=None):
     """RunStats of one row: a pass's HitTable charged under its policies.
 
     A counted hit is a hit of the row when its depth is no deeper than the
     bank's enabled-way count (partial disabling's `ways`; every way
     otherwise) and, on a way aligned bank, its set is not in `bypass`.  It
-    costs latency[group] + noc_lat(core, bank), with no NoC term when
-    topology is None.  Every other access is a miss at memory_latency.
+    costs latency[group] + noc[core][bank], with no NoC term when noc (a
+    `noc_table`) is None.  Every other access is a miss at memory_latency.
     Partial disabling restricts ways only on set aligned banks, at one
     clock for every way, and bypasses sets only on way aligned ones, so
     the way the full-way pass names prices the hit as the restricted bank
@@ -313,7 +263,7 @@ def price(table, policies, memory_latency, topology=None):
     start = 0
     for core in table.cores or [None]:
         for bank, policy in enumerate(policies):
-            noc = 0 if topology is None else noc_latency(topology, core, bank)
+            hop = 0 if noc is None else noc[core][bank]
             hit_depth = depths
             if policy.engine is cache_core.lru_access and policy.ways is not None:
                 hit_depth = len(policy.ways)
@@ -321,7 +271,7 @@ def price(table, policies, memory_latency, topology=None):
             for group, i in enumerate(range(start, start + size, depths)):
                 hits = counts[i] if hit_depth == 1 else sum(counts[i:i + hit_depth])
                 if hits and group not in skip:
-                    hist[policy.latency[group] + noc] += hits
+                    hist[policy.latency[group] + hop] += hits
             start += size
     stats.hits = sum(hist.values())
     stats.misses = stats.accesses - stats.hits

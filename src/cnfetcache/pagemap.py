@@ -3,10 +3,10 @@ cache latency, and allocate the hottest pages to the fastest frames.
 
 The mapping is a two-pass scheme: a profiling pass counts LLC-bound accesses
 per virtual page (of the raw or the L1-filtered stream), then pages sorted by
-access count greedily claim the cheapest free frame for their dominant
+access count greedily claim the cheapest untaken frame for their dominant
 core.  Frame cost is the latency class of the cache sets the frame's lines
-occupy, plus the NoC round-trip from the core to the frame's bank under
-unified (NoC-aware) mapping.
+occupy, plus the NoC round-trip from the core to the frame's bank (read
+from `nuca.noc_table`) under unified (NoC-aware) mapping.
 
 When the cost does not depend on the core (a single core, or NoC-oblivious
 mapping), the greedy order minimizes total count-weighted latency.  Under
@@ -14,17 +14,17 @@ unified mapping it charges each page at its dominant core only, while the
 true cost is weighted over every core that touches the page, so the result
 is a close upper bound on the optimum rather than the optimum itself.
 
-A frame's cost depends only on (frame, core), so the free frames are sorted
-once per dominant core and each page takes the first untaken frame of its
+A frame's cost depends only on (frame, core), so the frames are sorted once
+per dominant core and each page takes the first untaken frame of its
 core's order: O(F K log F + P) for F frames, K cores and P pages.
 """
 
 import io
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .nuca import bank_of
 from .workload import as_trace
 
 
@@ -48,25 +48,18 @@ class PageProfile:
         return sorted(self.counts, key=lambda p: (-self.counts[p], p))
 
 
-@dataclass
-class Frame:
-    """One physical page frame and the cache footprint of its lines."""
+class Frame(NamedTuple):
+    """One physical page frame: its bank and the latency class of the cache
+    sets its lines occupy."""
 
     index: int
-    start_set: int
-    span_sets: int
     bank: int = 0
     latency_class: int = 0
-    free: bool = True
 
 
 @dataclass
 class FrameInventory:
     frames: list
-    page_bytes: int
-
-    def free_frames(self):
-        return [f for f in self.frames if f.free]
 
 
 def frame_span_sets(page_bytes, line_bytes, num_sets):
@@ -78,24 +71,25 @@ def frame_span_sets(page_bytes, line_bytes, num_sets):
 
 
 def build_frame_inventory(geometry, page_bytes, num_frames, set_latencies):
-    """Enumerate frames 0..num_frames-1 with their set footprint and latency.
+    """Enumerate frames 0..num_frames-1 with their bank and latency class.
 
-    Frame placement follows the address math (frame i starts at physical
-    address i*page_bytes, bank bits above the per-bank set bits).
+    Frame i starts at physical address i*page_bytes.  The bank bits sit
+    directly above the per-bank set bits, so the set index of its first
+    line over every bank divides into (bank, first set of its footprint).
     set_latencies[bank][set_index] is the effective latency of a set, one
     list per bank; the frame is tagged with the maximum over its footprint,
     so a frame whose footprint falls entirely inside one latency class gets
     that class and any straddling frame is tagged conservatively.
     """
     span = frame_span_sets(page_bytes, geometry.line_bytes, geometry.num_sets)
+    sets = len(set_latencies) * geometry.num_sets   # over every bank
     frames = []
     for idx in range(num_frames):
-        address = idx * page_bytes
-        bank = bank_of(address, len(set_latencies), geometry)
-        start = (address >> geometry.offset_bits) & (geometry.num_sets - 1)
+        bank, start = divmod((idx * page_bytes >> geometry.offset_bits) % sets,
+                             geometry.num_sets)
         lat = max(set_latencies[bank][start:start + span])
-        frames.append(Frame(idx, start, span, bank, lat))
-    return FrameInventory(frames, page_bytes)
+        frames.append(Frame(idx, bank, lat))
+    return FrameInventory(frames)
 
 
 def profile_trace(records, page_bytes):
@@ -117,35 +111,33 @@ def profile_trace(records, page_bytes):
     return profile
 
 
-def assign_pages(profile, inventory, latency_of_frame=None):
+def assign_pages(profile, inventory, noc=None):
     """Greedy hot-page-to-fast-frame assignment.
 
     Pages are taken hottest first (count descending, page number ascending on
-    ties); each claims the free frame minimizing latency_of_frame(frame,
-    dominant_core), ties broken by frame index.  Default cost is the frame's
-    latency class.  Raises if the touched pages outnumber the free frames.
+    ties); each claims the untaken frame of least cost for its dominant core,
+    ties broken by frame index.  A frame costs its latency class, plus
+    noc[core][frame.bank] when the NoC table `noc` (see `nuca.noc_table`) is
+    given.  The inventory is left untouched.  Raises if the touched pages
+    outnumber the frames.
     """
-    if latency_of_frame is None:
-        latency_of_frame = lambda frame, core: frame.latency_class
     pages = profile.pages_by_hotness()
-    free = inventory.free_frames()
-    if len(pages) > len(free):
-        raise ValueError(f"{len(pages)} pages exceed {len(free)} free frames")
-    taken = bytearray(len(free))
-    orders = {}   # core -> iterator over free-list positions, cheapest first
+    frames = inventory.frames
+    if len(pages) > len(frames):
+        raise ValueError(f"{len(pages)} pages exceed {len(frames)} frames")
+    taken = set()
+    orders = {}   # core -> iterator over the frames, cheapest first
     mapping = {}
     for vpage in pages:
         core = profile.dominant_core(vpage)
         order = orders.get(core)
         if order is None:
-            order = orders[core] = iter(sorted(
-                range(len(free)),
-                key=lambda i: (latency_of_frame(free[i], core), free[i].index)))
-        pos = next(i for i in order if not taken[i])
-        taken[pos] = 1
-        frame = free[pos]
-        frame.free = False
-        mapping[vpage] = frame.index
+            hops = noc[core] if noc else None
+            order = orders[core] = iter(sorted(frames, key=lambda f: (
+                f.latency_class + (hops[f.bank] if hops else 0), f.index)))
+        index = next(f.index for f in order if f.index not in taken)
+        taken.add(index)
+        mapping[vpage] = index
     return mapping
 
 

@@ -14,7 +14,7 @@ from cnfetcache import metrics
 from cnfetcache.cli import (ExperimentConfig, build_latency_maps,
                             build_machinery, build_page_mapping, main,
                             make_accessor, run_experiment)
-from cnfetcache.nuca import MeshTopology, noc_latency
+from cnfetcache.nuca import noc_table
 from cnfetcache.pagemap import (PageProfile, assign_pages,
                                 build_frame_inventory, translate)
 from cnfetcache.timing import (CacheGeometry, LatencyMap, LayoutKind,
@@ -244,7 +244,7 @@ def test_criterion_5_scaled_latency_reduction():
 # -- criterion 6: unified NUCA page mapping dominance -----------------------
 
 def test_criterion_6_unified_mapping_dominates():
-    topology = MeshTopology()
+    noc = noc_table(2, 4, 1, 2)
     bank_geo = CacheGeometry(256 * 1024 // 8, 8, 64)
     rng = random.Random(2024)
     lat = [[rng.choice([6, 6, 7, 8, 10, 10]) for _ in range(bank_geo.num_sets)]
@@ -264,18 +264,14 @@ def test_criterion_6_unified_mapping_dominates():
         def build():
             return build_frame_inventory(bank_geo, page, 64, set_latencies)
 
-        unified = assign_pages(
-            profile, build(),
-            lambda f, c: f.latency_class + noc_latency(topology, c, f.bank))
-        oblivious = assign_pages(profile, build(),
-                                 lambda f, c: f.latency_class)
+        unified = assign_pages(profile, build(), noc)
+        oblivious = assign_pages(profile, build())
         frames = {f.index: f for f in build().frames}
 
         def cost(mapping):
             return sum(profile.counts[p]
                        * (frames[mapping[p]].latency_class
-                          + noc_latency(topology, profile.dominant_core(p),
-                                        frames[mapping[p]].bank))
+                          + noc[profile.dominant_core(p)][frames[mapping[p]].bank])
                        for p in mapping)
 
         cu, co = cost(unified), cost(oblivious)

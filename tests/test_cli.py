@@ -39,6 +39,20 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.wl_zipf == 1.1
 
 
+def test_config_file_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("cache.ways=8\n# fewer ways\ncache.ways=4\n")
+    with pytest.raises(ConfigError, match=r"exp.cfg:3: cache.ways is "
+                                          r"already set on line 1"):
+        parse_config_file(path)
+    # --set still overrides a key the file sets.
+    path.write_text("cache.ways=8\n")
+    args = cli.build_parser().parse_args([
+        "simulate", "--config", str(path), "--set", "cache.ways=4",
+        "--out", str(tmp_path / "stats.csv")])
+    assert cli._config_from_args(args).num_ways == 4
+
+
 def test_readme_tables_every_config_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert [key for key in ExperimentConfig.KEYMAP
@@ -216,6 +230,23 @@ def test_compare_rejects_mismatched_workloads(tmp_path, capsys):
         assert "uses a different workload" in capsys.readouterr().err
 
 
+def test_compare_rejects_arguments_it_would_ignore(tmp_path, capsys):
+    base = tmp_path / "base.cfg"
+    a = tmp_path / "a.cfg"
+    b = tmp_path / "b.cfg"
+    base.write_text("workload.length=3000\ncache.capacity_bytes=65536\n")
+    a.write_text("workload.length=2000\ncache.capacity_bytes=65536\n")
+    b.write_text(a.read_text() + "policy=vasa\n")
+    # A recipe ignores config files; config files ignore --config.
+    for argv, ignored in [
+            (["--recipe", "set-uca", "--config", str(base), str(a), str(b)],
+             str(a)),
+            (["--config", str(base), str(a), str(b)], str(base))]:
+        assert main(["compare"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ignored in err
+
+
 def test_compare_checks_trace_cores_against_the_mesh(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("0 R D 0x1000\n5 R D 0x2000\n5 R D 0x1000\n")
@@ -377,10 +408,13 @@ def test_compare_rejects_bare_set_key(tmp_path, capsys):
      "pagemap.page_bytes=192"],
     ["cache.ways=3"],
     ["timing.min_cycles=0"],
+    ["layout=way_aligned", "policy=vawa_ng", "grouping.granularity=3"],
+    ["nuca.enabled=true", "nuca.rows=3"],
 ], ids=["way_groups=0", "num_groups=0", "nuca.rows=0", "ways=abc",
         "line_bytes=3.5", "page_bytes=32", "page_bytes=96", "mu=0",
         "p_metallic=2", "zipf=-1", "read_fraction=1.5", "e_read=-1",
-        "pagemap.page_bytes=192", "ways=3", "min_cycles=0"])
+        "pagemap.page_bytes=192", "ways=3", "min_cycles=0", "granularity=3",
+        "nuca.rows=3"])
 def test_simulate_rejects_malformed_config(tmp_path, capsys, sets):
     argv = ["simulate", "--set", "workload.length=200"]
     for item in sets:

@@ -1,59 +1,51 @@
+import itertools
 import random
 
 import pytest
 
 from cnfetcache.cache_core import BankPolicy, partial_disable
 from cnfetcache.metrics import RunStats, record_access
-from cnfetcache.nuca import (MeshTopology, NucaCache, bank_average_latency,
-                             bank_of, noc_latency)
+from cnfetcache.nuca import NucaCache, bank_average_latency, noc_table
 from cnfetcache.pagemap import PageProfile, assign_pages, build_frame_inventory
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
 from cnfetcache.vawa import build_nonuniform_groups
 
-TOPO = MeshTopology()
+NOC = noc_table(2, 4, 1, 2)
 GEO_TOTAL = CacheGeometry(64 * 1024, 8, 64)          # 8 banks x 16 sets
 
 
 def test_default_topology_shape():
-    assert TOPO.num_banks == 8
-    assert TOPO.bank_coords[0] == (0, 0)
-    assert TOPO.bank_coords[7] == (1, 3)
-    assert set(TOPO.core_coords.values()) == {(0, 0), (0, 3), (1, 0), (1, 3)}
+    # Four cores, each at a corner router of the 2 x 4 mesh, whose eight
+    # banks are numbered row-major.
+    assert sorted(NOC) == [0, 1, 2, 3]
+    assert all(len(row) == 8 for row in NOC.values())
+    assert [row.index(0) for row in NOC.values()] == [0, 3, 4, 7]
 
 
 def test_noc_latency_examples():
-    assert noc_latency(TOPO, 0, 0) == 0                  # same router
-    assert noc_latency(TOPO, 0, 7) == 8                  # (1+3) hops, round trip
-    assert noc_latency(TOPO, 0, 1) == 2
+    assert NOC[0][0] == 0                  # same router
+    assert NOC[0][7] == 8                  # (1+3) hops, round trip
+    assert NOC[0][1] == 2
     with pytest.raises(KeyError):
-        noc_latency(TOPO, 9, 0)
+        NOC[9]
 
 
 def test_noc_latency_depends_only_on_deltas():
-    # Pairs with equal coordinate deltas cost the same.
-    t = MeshTopology(rows=2, cols=4,
-                     core_coords={0: (0, 0), 1: (0, 1), 2: (1, 2)})
-    assert noc_latency(t, 0, 1) == noc_latency(t, 1, 2)       # +1 column
-    assert noc_latency(t, 0, 5) == noc_latency(t, 1, 6)       # +1 row +1 col
-
-
-def test_bank_of_single_bank():
-    assert bank_of(0xDEADBEEF, 1, GEO_TOTAL) == 0
-
-
-def test_bank_bits_above_set_bits():
-    bank_geo = CacheGeometry(GEO_TOTAL.capacity_bytes // 8, 8, 64)  # 16 sets
-    shift = bank_geo.offset_bits + bank_geo.set_bits
-    for bank in range(8):
-        addr = bank << shift
-        assert bank_of(addr, 8, bank_geo) == bank
-    # A page-sized region stays within one bank when its lines span fewer
-    # sets than a bank holds.
-    page = 1024                    # 16 lines = 16 sets = one bank exactly
-    for frame in range(16):
-        banks = {bank_of(frame * page + line * 64, 8, bank_geo)
-                 for line in range(page // 64)}
-        assert len(banks) == 1
+    # On every mesh of 1-4 rows x 1-4 cols: one entry per bank, each corner
+    # core costs 0 to its own router, the farthest bank is a full
+    # corner-to-corner trip, and opposite corners see mirrored costs.
+    for rows, cols, hop, trip in itertools.product(
+            range(1, 5), range(1, 5), (0, 1, 3), (1, 2)):
+        noc = noc_table(rows, cols, hop, trip)
+        banks = rows * cols
+        assert all(len(row) == banks for row in noc.values())
+        corners = [0, cols - 1, (rows - 1) * cols, banks - 1]
+        assert [noc[core][bank] for core, bank in enumerate(corners)] \
+            == [0] * 4
+        assert max(max(row) for row in noc.values()) \
+            == trip * hop * (rows + cols - 2)
+        for core, mirror in ((0, 3), (1, 2)):
+            assert noc[core] == noc[mirror][::-1]
 
 
 BANK_GEO = CacheGeometry(GEO_TOTAL.capacity_bytes // 8, 8, 64)   # 16 sets
@@ -61,7 +53,7 @@ BANK_SHIFT = BANK_GEO.offset_bits + BANK_GEO.set_bits
 
 
 def _make_nuca(latencies_per_bank, layout=LayoutKind.WAY_ALIGNED):
-    return NucaCache(GEO_TOTAL, TOPO, layout,
+    return NucaCache(GEO_TOTAL, NOC, layout,
                      [BankPolicy(lat) for lat in latencies_per_bank])
 
 
@@ -72,24 +64,22 @@ def test_unified_latency_additivity():
     for bank in range(8):
         addr = (bank << BANK_SHIFT) | (3 << 6)
         cache.access(0, addr)
-        for core in TOPO.core_coords:
+        for core in NOC:
             result = cache.access(core, addr)
             assert result.hit
-            assert result.latency_cycles == 6 + bank % 4 + \
-                noc_latency(TOPO, core, bank)
+            assert result.latency_cycles == 6 + bank % 4 + NOC[core][bank]
 
 
 def test_access_totals_obey_unified_model():
     cache = _make_nuca([[6] * BANK_GEO.num_sets for _ in range(8)])
     addr = 7 << BANK_SHIFT                  # bank 7, 4 hops from core 0
-    assert bank_of(addr, 8, BANK_GEO) == 7
     cache.access(0, addr)
     result = cache.access(0, addr)
     assert result.hit and result.latency_cycles == 6 + 8
     # Same line from another core differs exactly by the NoC delta.
     result3 = cache.access(1, addr)
     assert result3.latency_cycles - result.latency_cycles == \
-        noc_latency(TOPO, 1, 7) - noc_latency(TOPO, 0, 7)
+        NOC[1][7] - NOC[0][7]
 
 
 def test_uca_is_one_bank_without_noc_cost():
@@ -106,8 +96,8 @@ def test_miss_costs_memory_latency_only():
     # no NoC round trip and no hit latency.
     stats = RunStats(memory_latency_cycles=30)
     cache = _make_nuca([[10] * BANK_GEO.num_sets for _ in range(8)])
-    far = max(range(8), key=lambda b: noc_latency(TOPO, 0, b))
-    assert noc_latency(TOPO, 0, far) == 8
+    far = max(range(8), key=lambda b: NOC[0][b])
+    assert NOC[0][far] == 8
     result = cache.access(0, far << BANK_SHIFT)
     assert not result.hit
     record_access(stats, result)
@@ -140,14 +130,12 @@ def test_equal_banks_reduce_mapping_to_distance_only():
     span_pages = 1024
     set_latencies = [[avg] * geometry.num_sets] * 8
     inventory = build_frame_inventory(geometry, span_pages, 16, set_latencies)
-    unified = assign_pages(
-        profile, inventory,
-        lambda f, core: avg + noc_latency(TOPO, core, f.bank))
+    assert {f.latency_class for f in inventory.frames} == {avg}
+    unified = assign_pages(profile, inventory, NOC)
 
-    inventory2 = build_frame_inventory(geometry, span_pages, 16, set_latencies)
-    distance_only = assign_pages(
-        profile, inventory2,
-        lambda f, core: noc_latency(TOPO, core, f.bank))
+    inventory2 = build_frame_inventory(geometry, span_pages, 16,
+                                       [[0] * geometry.num_sets] * 8)
+    distance_only = assign_pages(profile, inventory2, NOC)
     assert unified == distance_only
 
 
@@ -174,18 +162,14 @@ def test_unified_mapping_beats_noc_oblivious():
         def build():
             return build_frame_inventory(bank_geo, page, 32, set_latencies)
 
-        unified = assign_pages(profile, build(),
-                               lambda f, c: f.latency_class
-                               + noc_latency(TOPO, c, f.bank))
-        oblivious = assign_pages(profile, build(),
-                                 lambda f, c: f.latency_class)
+        unified = assign_pages(profile, build(), NOC)
+        oblivious = assign_pages(profile, build())
 
         def cost(mapping, inventory):
             frames = {f.index: f for f in inventory.frames}
             return sum(profile.counts[p]
                        * (frames[mapping[p]].latency_class
-                          + noc_latency(TOPO, profile.dominant_core(p),
-                                        frames[mapping[p]].bank))
+                          + NOC[profile.dominant_core(p)][frames[mapping[p]].bank])
                        for p in mapping)
 
         inv = build()

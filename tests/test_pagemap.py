@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from cnfetcache.nuca import MeshTopology, noc_latency
+from cnfetcache.nuca import noc_table
 from cnfetcache.pagemap import (Frame, FrameInventory, PageProfile,
                                 assign_pages, build_frame_inventory,
                                 frame_span_sets, profile_trace,
@@ -24,11 +24,13 @@ def test_frame_span_is_granularity_aligned():
     assert span == 64
     g = 4096 // (64 * 8)          # sets holding one page's worth of data
     assert span % g == 0
+    # A set's latency is its index, so a frame's class is its last set.
     inventory = build_frame_inventory(geometry, 4096, 128,
-                                      [[6] * geometry.num_sets])
+                                      [list(range(geometry.num_sets))])
     for frame in inventory.frames:
-        assert frame.start_set % g == 0
-        assert frame.start_set % span == 0
+        start = frame.latency_class + 1 - span
+        assert start % g == 0
+        assert start % span == 0
 
 
 def test_profile_empty_trace():
@@ -63,8 +65,8 @@ def _profile(entries):
 
 
 def _inventory(latencies):
-    frames = [Frame(i, 0, 1, 0, lat) for i, lat in enumerate(latencies)]
-    return FrameInventory(frames, 4096)
+    frames = [Frame(i, 0, lat) for i, lat in enumerate(latencies)]
+    return FrameInventory(frames)
 
 
 def test_hot_page_takes_fast_frame():
@@ -97,32 +99,33 @@ def test_capacity_error():
         assign_pages(profile, _inventory([6, 6]))
 
 
-def _reference_assign(profile, inventory, latency_of_frame=None):
-    """The quadratic greedy: a min over every free frame for each page."""
-    if latency_of_frame is None:
-        latency_of_frame = lambda frame, core: frame.latency_class
+def _reference_assign(profile, inventory, noc=None):
+    """The quadratic greedy: a min over every untaken frame for each page,
+    at latency class plus the NoC table's cycles when one is given."""
     pages = profile.pages_by_hotness()
-    free = inventory.free_frames()
+    free = list(inventory.frames)
     if len(pages) > len(free):
-        raise ValueError(f"{len(pages)} pages exceed {len(free)} free frames")
+        raise ValueError(f"{len(pages)} pages exceed {len(free)} frames")
     mapping = {}
     for vpage in pages:
         core = profile.dominant_core(vpage)
-        best = min(free, key=lambda f: (latency_of_frame(f, core), f.index))
+        best = min(free, key=lambda f: (
+            f.latency_class + (0 if noc is None else noc[core][f.bank]),
+            f.index))
         free.remove(best)
-        best.free = False
         mapping[vpage] = best.index
     return mapping
 
 
-# Frames as (latency class, bank, free) with few values, so costs tie often.
-frame_specs = st.lists(st.tuples(st.integers(6, 7), st.integers(0, 3),
-                                 st.booleans()), min_size=1, max_size=40)
+# Frames as (latency class, bank) with few values, so costs tie often.
+frame_specs = st.lists(st.tuples(st.integers(6, 7), st.integers(0, 3)),
+                       min_size=1, max_size=40)
 # Pages as (vpage, core, count) triples; repeats add per-core counts.
 page_specs = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 3),
                                 st.integers(1, 4)), max_size=60)
+# NoC tables {core: [cycles to bank b]} of four cores and four banks.
 noc_tables = st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
-                      min_size=4, max_size=4)
+                      min_size=4, max_size=4).map(lambda t: dict(enumerate(t)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -133,23 +136,20 @@ def test_assignment_matches_quadratic_reference(data, frames, pages, noc):
     # tie-break, not the list position, must decide between equal costs.
     indexes = data.draw(st.permutations(range(len(frames))))
     profile = _profile(pages)
-    cost = (None if noc is None else
-            lambda frame, core: frame.latency_class + noc[core][frame.bank])
 
     def inventory():
         rows = zip(indexes, frames)
-        return FrameInventory([Frame(i, 0, 1, bank, lat, free)
-                               for i, (lat, bank, free) in rows], 4096)
+        return FrameInventory([Frame(i, bank, lat) for i, (lat, bank) in rows])
 
-    ref_inv, new_inv = inventory(), inventory()
+    new_inv = inventory()
     try:
-        want = _reference_assign(profile, ref_inv, cost)
+        want = _reference_assign(profile, inventory(), noc)
     except ValueError:
         with pytest.raises(ValueError, match="exceed"):
-            assign_pages(profile, new_inv, cost)
+            assign_pages(profile, new_inv, noc)
         return
-    assert assign_pages(profile, new_inv, cost) == want
-    assert new_inv == ref_inv   # the same frames are marked taken
+    assert assign_pages(profile, new_inv, noc) == want
+    assert new_inv == inventory()   # assignment leaves the frames as built
 
 
 def test_greedy_is_globally_optimal_for_separable_costs():
@@ -188,19 +188,29 @@ def test_translate_rewrites_page_bits():
 
 
 def test_inventory_bank_and_set_math():
-    # Frame address math: bank bits sit above per-bank set bits, so frame i
-    # covers block (i mod blocks_per_bank) of bank (i // blocks_per_bank).
+    # Frame address math: bank bits sit directly above the per-bank set
+    # bits, so frame i covers block (i mod blocks_per_bank) of bank
+    # (i // blocks_per_bank) mod 8, wrapping around after every bank.
     geometry = CacheGeometry(64 * 1024, 8, 64)   # 128 sets per bank
     span = frame_span_sets(4096, 64, geometry.num_sets)
     assert span == 64
+    # Set s of bank b has latency 1000 b + s: a frame's class names its
+    # bank and, as its footprint's maximum, its last set.
     inventory = build_frame_inventory(
-        geometry, 4096, 16, [[6 + b] * geometry.num_sets for b in range(8)])
+        geometry, 4096, 40,
+        [[1000 * b + s for s in range(geometry.num_sets)] for b in range(8)])
     blocks_per_bank = geometry.num_sets // span
     assert blocks_per_bank == 2
+    shift = geometry.offset_bits + geometry.set_bits
     for frame in inventory.frames:
         assert frame.bank == (frame.index // blocks_per_bank) % 8
-        assert frame.start_set == (frame.index % blocks_per_bank) * span
-        assert frame.latency_class == 6 + frame.bank
+        start = (frame.index % blocks_per_bank) * span
+        assert frame.latency_class == 1000 * frame.bank + start + span - 1
+        # Every line of the frame lands in its bank under the LLC's split.
+        for addr in range(frame.index * 4096, (frame.index + 1) * 4096, 64):
+            assert (addr >> shift) & 7 == frame.bank
+            assert start <= (addr >> geometry.offset_bits) \
+                % geometry.num_sets < start + span
 
 
 def test_profile_serialization():
@@ -220,8 +230,8 @@ def _upm_instance(seed, affinity):
     accesses come from its home core with probability `affinity`, else from
     a uniformly random core."""
     rng = np.random.default_rng(seed)
-    topology = MeshTopology()
-    frames = [Frame(i, 0, 1, i // 8, int(rng.choice([6, 7, 8, 9, 10, 12])))
+    noc = noc_table(2, 4, 1, 2)
+    frames = [Frame(i, i // 8, int(rng.choice([6, 7, 8, 9, 10, 12])))
               for i in range(64)]
     num_pages = int(rng.integers(16, 61))
     entries = []
@@ -232,12 +242,10 @@ def _upm_instance(seed, affinity):
         entries += [(page, core, int(k))
                     for core, k in enumerate(rng.multinomial(n, probs)) if k]
     profile = _profile(entries)
-    noc = [[noc_latency(topology, c, b) for b in range(8)] for c in range(4)]
     cost = np.array([[sum(k * (f.latency_class + noc[c][f.bank])
                           for c, k in profile.core_counts[p].items())
                       for f in frames] for p in range(num_pages)])
-    greedy = assign_pages(profile, FrameInventory(frames, 4096),
-                          lambda f, core: f.latency_class + noc[core][f.bank])
+    greedy = assign_pages(profile, FrameInventory(frames), noc)
     greedy_cost = sum(cost[p, greedy[p]] for p in range(num_pages))
     rows, cols = linear_sum_assignment(cost)
     return int(greedy_cost), int(cost[rows, cols].sum())

@@ -131,7 +131,7 @@ def test_hit_table_size_follows_the_geometry_not_the_trace():
     for length in (1_000, 100_000):
         records = generate_synthetic(SyntheticSpec(length=length, num_cores=4))
         table = nuca.lru_pass(records, cfg.geometry, cfg.num_banks, False,
-                              sorted(cfg.topology.core_coords))
+                              sorted(cfg.noc))
         assert table.accesses == length
         assert 0 < sum(table.counts) <= length
         sizes.append(len(table.counts))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnfetcache.cache_core import AccessResult, BankPolicy, partial_disable
-from cnfetcache.nuca import MeshTopology, NucaCache, noc_latency
+from cnfetcache.nuca import NucaCache, noc_table
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
 from cnfetcache.vasa import WayGroups, access_vasa_ds
 
@@ -307,7 +307,7 @@ def reference_bypass(state, line_addr, write, value):
 class ReferenceCache:
     """The object-engine access path over the same bank policies."""
 
-    def __init__(self, total_geometry, topology, layout, policies):
+    def __init__(self, total_geometry, noc, layout, policies):
         banks = len(policies)
         geometry = CacheGeometry(total_geometry.capacity_bytes // banks,
                                  total_geometry.num_ways,
@@ -318,7 +318,7 @@ class ReferenceCache:
         self.policies = policies
         self.engines = [reference_vasa_ds if p.engine is access_vasa_ds
                         else reference_lru for p in policies]
-        self.topology = topology
+        self.noc = noc
         self.per_set = layout is LayoutKind.WAY_ALIGNED
         self.geometry = geometry
         self.num_banks = banks
@@ -337,8 +337,7 @@ class ReferenceCache:
         result = self.engines[bank](state, set_index, tag, line_addr, write,
                                     value, policy.ways)
         if result.hit:
-            noc = (0 if self.topology is None
-                   else noc_latency(self.topology, core_id, bank))
+            noc = 0 if self.noc is None else self.noc[core_id][bank]
             result.latency_cycles = (
                 policy.latency[set_index if self.per_set else result.way]
                 + noc)
@@ -346,7 +345,7 @@ class ReferenceCache:
 
 
 BANK_GEOMETRY = CacheGeometry(4 * 8 * 64, 8, 64)       # 4 sets x 8 ways
-TOPOLOGIES = {1: None, 2: MeshTopology(rows=1, cols=2), 8: MeshTopology()}
+TOPOLOGIES = {1: None, 2: noc_table(1, 2, 1, 2), 8: noc_table(2, 4, 1, 2)}
 KINDS = ["lru", "pd_set", "pd_way", "ds1", "ds2", "ds4", "ds8"]
 FIELDS = ("hit", "way", "latency_cycles", "evicted_tag", "evicted_addr",
           "evicted_dirty", "shuffle_moves", "value", "write")
@@ -399,9 +398,9 @@ def test_list_engines_match_object_reference(data, kind, banks):
         for _ in range(banks)]
     total = CacheGeometry(BANK_GEOMETRY.capacity_bytes * banks,
                           BANK_GEOMETRY.num_ways, BANK_GEOMETRY.line_bytes)
-    topology = TOPOLOGIES[banks]
-    cache = NucaCache(total, topology, layout, policies)
-    reference = ReferenceCache(total, topology, layout, policies)
+    noc = TOPOLOGIES[banks]
+    cache = NucaCache(total, noc, layout, policies)
+    reference = ReferenceCache(total, noc, layout, policies)
     # Each access is three drawn bytes, so long traces stay cheap to draw:
     # bit 0 writes, bits 1-6 are the byte offset, bits 7-8 the core, and
     # the rest pick one of twelve tags in one of the first `hot` (bank,
