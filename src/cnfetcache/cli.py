@@ -359,7 +359,10 @@ def load_records(cfg):
     parsed trace file, or the synthetic workload."""
     if cfg.trace_path:
         num_cores = len(cfg.noc) if cfg.nuca_enabled else None
-        with open(cfg.trace_path) as fh:
+        # A byte that is not UTF-8 reaches the parser as a surrogate, which
+        # it reports with its line number.
+        with open(cfg.trace_path, encoding="utf-8",
+                  errors="surrogateescape") as fh:
             return workload.parse_trace(fh, num_cores=num_cores)
     return workload.generate_synthetic(cfg.synthetic_spec)
 

@@ -5,7 +5,8 @@ Trace grammar, one record per line:
     <core:uint> <op:R|W> [<kind:I|D>] <vaddr:0x-hex>
 
 Comment lines start with `#`; blank lines are ignored.  A core id must fit
-a signed 64-bit integer and an address must be below 2^64.
+a signed 64-bit integer and an address must be below 2^64.  The text is
+UTF-8.
 
 A stream is a `Trace`: four parallel numpy columns, one entry per
 reference.  Parsing, generation, the L1 filter, page profiling and the LLC
@@ -106,8 +107,13 @@ class TraceParseError(ValueError):
 def parse_trace(stream, num_cores=None):
     """Parse the text grammar into a Trace, validating core ids.
 
-    Lines are read and checked PARSE_CHUNK_LINES at a time, and each
-    chunk becomes columns before the next is read.
+    Lines are read PARSE_CHUNK_LINES at a time, and each chunk becomes
+    columns before the next is read.  A chunk is first scanned as bytes
+    with numpy (`_scan_chunk`); one the scan does not accept whole goes
+    through `_parse_lines`, which defines the grammar and names the first
+    bad line.  A surrogate in the text, which is how a file opened with
+    errors="surrogateescape" carries a byte that is not UTF-8, is an
+    error on its line.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -117,11 +123,104 @@ def parse_trace(stream, num_cores=None):
         lines = list(islice(stream, PARSE_CHUNK_LINES))
         if not lines:
             break
-        chunks.append(_parse_lines(lines, lineno, num_cores))
+        chunks.append(_parse_chunk(lines, lineno, num_cores))
         lineno += len(lines)
     if not chunks:
         return Trace([], [], [], [])
     return Trace(*map(np.concatenate, zip(*chunks)))
+
+
+def _parse_chunk(lines, first_lineno, num_cores):
+    """Columns of a chunk of lines, from the byte scan when it accepts the
+    chunk and from `_parse_lines` otherwise."""
+    text = "".join(lines)
+    try:
+        data = text.encode()
+    except UnicodeEncodeError as exc:
+        bad = text.count("\n", 0, exc.start)
+        _parse_lines(lines[:bad], first_lineno, num_cores)
+        raise TraceParseError(first_lineno + bad + 1, "not UTF-8 text") from None
+    columns = _scan_chunk(data, num_cores)
+    if columns is None:
+        columns = _parse_lines(lines, first_lineno, num_cores)
+    return columns
+
+
+# Byte tables of the scan: the ASCII bytes str.split() splits on, and the
+# value of each hex digit (255 for any other byte).
+_SEPARATOR = np.array([b < 128 and chr(b).isspace() for b in range(256)])
+_DIGIT = np.full(256, 255, dtype=np.uint8)
+_DIGIT[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
+_DIGIT[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
+
+
+def _scan_chunk(data, num_cores):
+    """Columns of a chunk of UTF-8 text whose every line is blank, a
+    comment or a plain record, or None.
+
+    A plain record has 3 or 4 fields split by ASCII whitespace: a core id
+    of 1 to 18 decimal digits (below num_cores when given), R or W,
+    optionally I or D, and 0x or 0X with 1 to 16 hex digits.  Every such
+    line parses as `_parse_lines` parses it; every other form is left to
+    `_parse_lines`.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    text = np.frombuffer(data, dtype=np.uint8)
+    # Tokens are the runs of non-separator bytes: each starts where a
+    # separator run ends and ends where the next begins.
+    edges = np.flatnonzero(np.diff(_SEPARATOR[text].view(np.int8), prepend=1))
+    starts, ends = edges[0::2], edges[1::2]
+    token_line = np.searchsorted(np.flatnonzero(text == ord("\n")), starts)
+    head = np.flatnonzero(np.diff(token_line, prepend=-1))
+    count = np.diff(head, append=len(starts))
+    record = text[starts[head]] != ord("#")
+    head, count = head[record], count[record]
+    if not len(head):
+        return _columns([], [], [], [])
+    if not np.all((count == 3) | (count == 4)):
+        return None
+    op_at, kind_at = starts[head + 1], starts[head + 2]
+    addr_start, addr_end = starts[head + count - 1], ends[head + count - 1]
+    has_kind = count == 4
+    op, kind = text[op_at], text[kind_at]
+    if not (np.all(ends[head + 1] - op_at == 1)
+            and np.all((op == ord("R")) | (op == ord("W")))
+            and np.all(~has_kind | (ends[head + 2] - kind_at == 1))
+            and np.all(~has_kind | (kind == ord("I")) | (kind == ord("D")))
+            and np.all(text[addr_start] == ord("0"))
+            and np.all((text[addr_start + 1] | 0x20) == ord("x"))):
+        return None
+    core = _scan_number(text, starts[head], ends[head], 18, 10, np.int64)
+    addr = _scan_number(text, addr_start + 2, addr_end, 16, 16, np.uint64)
+    if core is None or addr is None:
+        return None
+    if num_cores is not None and np.any(core >= num_cores):
+        return None
+    return _columns(core, op == ord("W"), has_kind & (kind == ord("I")), addr)
+
+
+def _scan_number(text, starts, ends, max_digits, base, dtype):
+    """Values of the tokens text[starts:ends], each 1 to max_digits digits
+    of the base, or None when any token is not."""
+    width = ends - starts
+    if width.min() < 1 or width.max() > max_digits:
+        return None
+    # Right-align the tokens, their digits padded on the left with zeros.
+    at = ends[:, None] + np.arange(-int(width.max()), 0)
+    digits = _DIGIT[text.take(at, mode="clip")]
+    digits[at < starts[:, None]] = 0
+    if np.any(digits >= base):
+        return None
+    value = np.zeros(len(starts), dtype=dtype)
+    for column in digits.T:
+        value = value * base + column
+    return value
+
+
+def _columns(cores, writes, instrs, addrs):
+    return (np.asarray(cores, dtype=np.int64), np.asarray(writes, dtype=bool),
+            np.asarray(instrs, dtype=bool), np.asarray(addrs, dtype=np.uint64))
 
 
 def _parse_lines(lines, first_lineno, num_cores):
@@ -165,8 +264,7 @@ def _parse_lines(lines, first_lineno, num_cores):
         writes.append(op == "W")
         instrs.append(kind == "I")
         addrs.append(vaddr)
-    return (np.array(cores, dtype=np.int64), np.array(writes, dtype=bool),
-            np.array(instrs, dtype=bool), np.array(addrs, dtype=np.uint64))
+    return _columns(cores, writes, instrs, addrs)
 
 
 def serialize_trace(records, stream=None):
@@ -232,6 +330,29 @@ def _lru_misses(positions, sets, lines, writes, ways, fills, victims):
             order.insert(0, way)
 
 
+def _run_heads(sets, lines, writes):
+    """The references that do not repeat the line of the previous reference
+    to their set, each with the OR of the writes of its run of repeats.
+
+    A repeat hits its set's MRU line, so it changes no LRU order and can
+    only dirty the line; its run's head carries that write instead.
+    Returns the heads' indices, in stream order, and their writes.
+    """
+    # numpy's stable sort of keys of 16 bits or fewer is a radix sort.
+    order = np.argsort(sets.astype(np.min_scalar_type(sets.max(initial=0))),
+                       kind="stable")
+    by_set, by_line = sets[order], lines[order]
+    starts_run = np.ones(len(order), dtype=bool)
+    starts_run[1:] = (by_set[1:] != by_set[:-1]) | (by_line[1:] != by_line[:-1])
+    runs = np.flatnonzero(starts_run)
+    head = np.zeros(len(order), dtype=bool)
+    head[order[runs]] = True
+    run_writes = np.zeros(len(order), dtype=bool)
+    run_writes[order[runs]] = np.logical_or.reduceat(writes[order], runs)
+    heads = np.flatnonzero(head)
+    return heads, run_writes[heads]
+
+
 def l1_filter(records, config):
     """Run per-core L1 i/d caches and emit the LLC-bound stream.
 
@@ -239,6 +360,10 @@ def l1_filter(records, config):
     dirty eviction forwards a write of the victim line, attributed to the
     core that triggered it, ahead of the fill.  Caches are LRU, filled and
     dirtied as `cache_core.lru_access` fills and dirties them.
+
+    A reference to the line its (core, L1 set) saw last is an MRU hit that
+    can only dirty the line, so only the first reference of each such run
+    enters the per-set LRU loop (`_run_heads`), carrying the run's writes.
     """
     trace = as_trace(records)
     _, core_rank = np.unique(trace.core, return_inverse=True)
@@ -248,10 +373,10 @@ def l1_filter(records, config):
         line = trace.addr[positions] >> geometry.offset_bits
         sets = (core_rank[positions] * geometry.num_sets
                 + (line & (geometry.num_sets - 1)).astype(np.int64))
-        _lru_misses(positions.tolist(), sets.tolist(),
-                    (line << geometry.offset_bits).tolist(),
-                    trace.write[positions].tolist(), geometry.num_ways,
-                    fills, victims)
+        heads, writes = _run_heads(sets, line, trace.write[positions])
+        _lru_misses(positions[heads].tolist(), sets[heads].tolist(),
+                    (line[heads] << geometry.offset_bits).tolist(),
+                    writes.tolist(), geometry.num_ways, fills, victims)
     fills = np.array(fills, dtype=np.int64)
     victim_at = np.array([p for p, _ in victims], dtype=np.int64)
     victim_addr = np.array([a for _, a in victims], dtype=np.uint64)

@@ -260,6 +260,25 @@ def test_compare_checks_trace_cores_against_the_mesh(tmp_path, capsys):
             "error: trace line 2: core 5 out of range (num_cores=4)\n"
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"0 R D 0x40\n1 R D 0x\xff0\n", "trace line 2: not UTF-8 text"),
+    (b"# caf\xe9\n0 R D 0x40\n", "trace line 1: not UTF-8 text"),
+    (b"0 X D 0x40\n1 R D \xff\n", "trace line 1: bad op 'X'"),
+    (b"0 R D 0x40\n" * 5000 + b"\xff\n", "trace line 5001: not UTF-8 text"),
+    (b"0 R D 0x40\n1 R D 0x8\n7 W D 0x4\n",
+     "trace line 3: core 7 out of range (num_cores=4)"),
+], ids=["byte-0xff", "comment-latin-1", "bad-op-first", "second-chunk",
+        "core-beyond-mesh"])
+def test_simulate_rejects_malformed_trace(tmp_path, capsys, data, message):
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(data)
+    argv = ["simulate", "--set", f"workload.trace={trace}",
+            "--set", "nuca.enabled=true", "--set", "cache.capacity_bytes=65536",
+            "--out", str(tmp_path / "stats.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_simulate_accepts_pregenerated_map(tmp_path):
     map_path = tmp_path / "map.txt"
     argv = ["--set", "cache.capacity_bytes=65536", "--set", "cnt.seed=4"]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnfetcache import cache_core, workload
+from cnfetcache import cache_core, cli, workload
 from cnfetcache.workload import (L1Config, SyntheticSpec, TraceParseError,
                                  TraceRecord, as_trace, generate_synthetic,
                                  l1_filter, parse_trace, serialize_trace)
@@ -140,14 +140,39 @@ def test_generated_columns_match_the_per_record_generator(spec):
 # overflow the small L1s below, so that lines hit, evict and write back.
 SMALL_L1 = L1Config(icache=CacheGeometry(2 * 2 * 64, 2, 64),
                     dcache=CacheGeometry(4 * 2 * 64, 2, 64))
-references = st.lists(st.builds(
+reference = st.builds(
     TraceRecord, core_id=st.integers(0, 3),
     op=st.sampled_from("RWW"), vaddr=st.integers(0, 24 * 64 - 1),
-    kind=st.sampled_from("IDD")), min_size=40, max_size=300)
+    kind=st.sampled_from("IDD"))
+references = st.lists(reference, min_size=40, max_size=300)
+
+
+@st.composite
+def repeated_references(draw):
+    # Each drawn reference repeated 1 to 4 times, mixing reads and writes
+    # within its line, then two halves of the stream interleaved, so that
+    # other cores' and kinds' references fall inside a set's run of repeats.
+    stream = []
+    for ref in draw(st.lists(reference, min_size=10, max_size=80)):
+        for op, offset in draw(st.lists(st.tuples(st.sampled_from("RW"),
+                                                  st.integers(0, 63)),
+                                        min_size=1, max_size=4)):
+            stream.append(TraceRecord(ref.core_id, op,
+                                      ref.vaddr // 64 * 64 + offset, ref.kind))
+    first = stream[:draw(st.integers(0, len(stream)))]
+    second = stream[len(first):]
+    picks = draw(st.lists(st.booleans(), min_size=len(stream),
+                          max_size=len(stream)))
+    merged = []
+    for pick in picks:
+        merged.append((first if (pick and first) or not second
+                       else second).pop(0))
+    return merged
 
 
 @PROPERTY
-@given(records=references, small=st.booleans())
+@given(records=st.one_of(references, repeated_references()),
+       small=st.booleans())
 def test_l1_columns_match_the_per_record_filter(records, small):
     config = SMALL_L1 if small else L1Config()
     out, accesses, misses = reference_l1_filter(records, config)
@@ -157,34 +182,71 @@ def test_l1_columns_match_the_per_record_filter(records, small):
     assert list(result.misses.items()) == list(misses.items())
 
 
+def test_l1_sends_a_run_of_repeats_through_lru_once():
+    # 100 reads and writes within one line are one reference to the LRU
+    # loop: a fill carrying the run's write.
+    records = [TraceRecord(2, "RW"[i % 3 == 1], 0x1000 + i % 64, "D")
+               for i in range(100)]
+    seen = []
+    real = workload._lru_misses
+
+    def counting(positions, *args):
+        seen.append(len(positions))
+        return real(positions, *args)
+
+    with mock.patch.object(workload, "_lru_misses", counting):
+        result = l1_filter(records, SMALL_L1)
+    assert sum(seen) == 1
+    assert list(result.records) == [TraceRecord(2, "R", 0x1000, "D")]
+    # The run's write dirties the line: evicting it writes it back.
+    records += [TraceRecord(2, "R", 0x1000 + k * 4 * 64, "D") for k in (1, 2)]
+    out = list(l1_filter(records, SMALL_L1).records)
+    assert out == reference_l1_filter(records, SMALL_L1)[0]
+    assert TraceRecord(2, "W", 0x1000, "D") in out
+
+
 def _line_text(draw_line):
     core, op, kind, vaddr, form = draw_line
     if form == "short":
         return f"{core} {op} 0x{vaddr:X}" if kind == "D" else f"{core} {op} {kind} 0x{vaddr:x}"
     if form == "spaced":
         return f"  {core}\t{op}  {kind} 0X{vaddr:x}  "
+    if form == "tabs":
+        return f"{core}\t{op}\t{kind}\t0x{vaddr:x}"
+    if form == "formfeed":
+        return f"{core}\x0c{op} {kind}\x0c0x{vaddr:x}"
+    if form == "nbsp":
+        return f"{core}\xa0{op} {kind} 0x{vaddr:x}"
+    if form == "widest":       # the most digits the byte scan reads
+        return f"{core:018d} {op} {kind} 0x{vaddr:016x}"
+    if form == "padded":       # zero-padded past them
+        return f"{core:019d} {op} {kind} 0x{vaddr:017x}"
     return f"{core} {op} {kind} 0x{vaddr:x}"
 
 
 lines = st.lists(st.one_of(
     st.tuples(st.integers(0, 5), st.sampled_from("RW"), st.sampled_from("ID"),
               st.integers(0, 2 ** 64 - 1),
-              st.sampled_from(["plain", "plain", "short", "spaced"])).map(_line_text),
+              st.sampled_from(["plain", "plain", "short", "spaced", "tabs",
+                               "formfeed", "nbsp", "widest",
+                               "padded"])).map(_line_text),
     st.sampled_from(["", "# comment", "#", "0 R 12", "0 X D 0x1", "1 W Q 0x2",
                      "x R D 0x3", "-1 R D 0x4", "0 R D 0xg", "0 R D 0x1 5",
                      "9 R 0x40", "0 R D 0x1_0", "0 R D 0x", "1 R D 0x10 2",
                      "W D 0x20", "2 R D 0x30 \x00", "\x00",
-                     "1 R D 0x10 x 2 W I 0x20"])),
+                     "1 R D 0x10 x 2 W I 0x20", "+1 R D 0x1", "1_0 W D 0x2",
+                     "\u0663 R D 0x1", f"{0:022d} W I 0x{0:020x}"])),
     max_size=40)
 
 
 @PROPERTY
 @given(text_lines=lines, chunk=st.sampled_from([1, 3, 7, 4096]),
-       num_cores=st.sampled_from([None, 4]))
-def test_parse_matches_the_per_line_parser(text_lines, chunk, num_cores):
+       num_cores=st.sampled_from([None, 4]), last_newline=st.booleans())
+def test_parse_matches_the_per_line_parser(text_lines, chunk, num_cores,
+                                           last_newline):
     # Chunks of every size name the same line in the same words, and
     # parse the same records.
-    text = "\n".join(text_lines) + "\n"
+    text = "\n".join(text_lines) + "\n" * last_newline
     try:
         want = reference_parse_trace(text, num_cores)
     except TraceParseError as exc:
@@ -195,6 +257,22 @@ def test_parse_matches_the_per_line_parser(text_lines, chunk, num_cores):
         except TraceParseError as exc:
             got = str(exc)
     assert got == want
+
+
+def test_generated_trace_parses_on_the_byte_scan(tmp_path):
+    # gen-trace's output is all plain records, so no chunk of it needs the
+    # per-line parser.
+    path = tmp_path / "trace.txt"
+    assert cli.main(["gen-trace", "--set", "workload.length=20000",
+                     "--set", "workload.num_cores=4",
+                     "--set", "workload.instr_stream=true",
+                     "--out", str(path)]) == 0
+    with mock.patch.object(workload, "_parse_lines",
+                           side_effect=AssertionError("per-line parse")):
+        with open(path) as fh:
+            trace = parse_trace(fh, num_cores=4)
+    assert len(trace) == 20_000
+    assert list(trace) == reference_parse_trace(path.read_text())
 
 
 @pytest.mark.parametrize("line, message", [
