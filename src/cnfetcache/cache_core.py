@@ -5,9 +5,9 @@ Line payloads are modeled as last-writer sequence numbers rather than bytes;
 a flat memory dict backs misses and write-backs, which is enough to check
 that any replacement or promotion policy returns the most recently written
 value for every read.  Every policy is one replacement engine (plain LRU
-here, or the data-shuffling cascade in `vasa`) plus a hit-latency list;
-the engines only decide placement, and the caller charges a hit from the
-list.
+here, or the data-shuffling cascade in `vasa` when its `BankPolicy` has
+way groups) plus a hit-latency list; the engines only decide placement,
+and the caller charges a hit from the list.
 """
 
 from dataclasses import dataclass
@@ -136,19 +136,28 @@ def bypass_access(state, line_addr, write, value):
 
 @dataclass
 class BankPolicy:
-    """How one bank serves an access.
+    """How one bank serves an access, as plain data.
 
     latency holds the hit cycles per way on a set aligned bank and per set
-    on a way aligned bank.  engine is `lru_access` or `vasa.access_vasa_ds`
-    and ways is its last argument: the enabled ways for LRU (None = all),
-    the way groups for data shuffling.  Requests to a set in bypass go
-    straight to memory.
+    on a way aligned bank.  disabled holds the groups partial disabling
+    turns off: ways that are never looked up or filled on a set aligned
+    bank, sets whose requests memory serves on a way aligned one.  shuffle
+    is data shuffling's `vasa.WayGroups`; None means plain LRU.  A bank
+    that shuffles disables nothing, which is what lets `nuca.price` count
+    a set aligned bank's hits to depth `ways - len(disabled)`.
     """
 
     latency: list
-    engine: object = lru_access
-    ways: object = None
-    bypass: frozenset = frozenset()
+    disabled: frozenset = frozenset()
+    shuffle: object = None
+
+    def __post_init__(self):
+        self.disabled = frozenset(self.disabled)
+        if any(not 0 <= group < len(self.latency) for group in self.disabled):
+            raise ValueError(f"disabled groups {sorted(self.disabled)} are not "
+                             f"all in 0..{len(self.latency) - 1}")
+        if self.disabled and self.shuffle is not None:
+            raise ValueError("a bank cannot both disable groups and shuffle")
 
 
 def worst_groups(latmap):
@@ -164,19 +173,12 @@ def partial_disable(latmap, disabled=None):
     """BankPolicy of the partial-disabling (PD) baseline.
 
     The `disabled` groups (default: the worst-timing ones) are turned off
-    and the rest run at the fastest uniform clock they support.  Set
-    aligned: lookups and fills skip the disabled ways.  Way aligned:
-    requests to disabled sets bypass the cache and are served by memory.
+    and the rest run at the fastest uniform clock they support.
     """
     if disabled is None:
         disabled = worst_groups(latmap)
-    n = len(latmap.latencies)
-    enabled = [i for i in range(n) if i not in disabled]
-    set_aligned = latmap.layout is LayoutKind.SET_ALIGNED
+    enabled = [c for i, c in enumerate(latmap.latencies) if i not in disabled]
     if not enabled:
-        raise ValueError("all cache " + ("ways" if set_aligned else "sets")
-                         + " disabled")
-    clock = max(latmap.latencies[i] for i in enabled)
-    if set_aligned:
-        return BankPolicy([clock] * n, ways=enabled)
-    return BankPolicy([clock] * n, bypass=frozenset(disabled))
+        groups = "ways" if latmap.layout is LayoutKind.SET_ALIGNED else "sets"
+        raise ValueError(f"all cache {groups} disabled")
+    return BankPolicy([max(enabled)] * len(latmap.latencies), disabled)

@@ -387,9 +387,7 @@ def build_latency_maps(cfg):
         if latmap.layout is not cfg.layout_kind:
             raise ConfigError(f"map file layout {latmap.layout.value} does "
                               f"not match config layout {cfg.layout}")
-        expect = (cfg.geometry.num_ways
-                  if cfg.layout_kind is LayoutKind.SET_ALIGNED
-                  else cfg.geometry.num_sets)
+        expect = cfg.layout_kind.group_count(cfg.geometry)
         if len(latmap.latencies) != expect:
             raise ConfigError(f"map file has {len(latmap.latencies)} groups, "
                               f"geometry needs {expect}")
@@ -425,8 +423,9 @@ class Machinery:
 
 def build_machinery(cfg, latmaps):
     """Resolve the policy for every bank into a cache_core.BankPolicy: a
-    flat hit-latency list, the engine and its restriction.  This is the one
-    place that chooses access behaviour by policy."""
+    flat hit-latency list, partial disabling's disabled groups and data
+    shuffling's way groups.  This is the one place that chooses access
+    behaviour by policy."""
     policy = cfg.policy_kind
     overhead = None
     if policy is PolicyKind.BASELINE_WORST:
@@ -438,8 +437,9 @@ def build_machinery(cfg, latmaps):
         banks = [BankPolicy(list(lm.latencies)) for lm in latmaps]
         overhead = vasa.overhead_report(cfg.bank_geometry)
     elif policy is PolicyKind.VASA_DS:
-        banks = [BankPolicy(list(lm.latencies), vasa.access_vasa_ds,
-                            vasa.WayGroups.from_latency_map(lm, cfg.way_groups))
+        banks = [BankPolicy(list(lm.latencies),
+                            shuffle=vasa.WayGroups.from_latency_map(
+                                lm, cfg.way_groups))
                  for lm in latmaps]
         overhead = vasa.overhead_report(cfg.bank_geometry)
     elif policy is PolicyKind.VAWA_UG:
@@ -566,15 +566,12 @@ def _prepare(cfg, records, llc, latmaps, profiles):
     return _Row(cfg, llc, machinery, mapping, notes)
 
 
-def _runs_lru(row):
-    return all(p.engine is cache_core.lru_access for p in row.machinery.banks)
-
-
 def _pass_key(row, position):
     """Rows with equal keys share one LRU pass: the same stream, untranslated,
-    on the same banks.  A row with a page mapping or its own engine runs
+    on the same banks.  A row with a page mapping or a shuffling bank runs
     alone."""
-    if row.mapping is not None or not _runs_lru(row):
+    if row.mapping is not None or any(p.shuffle is not None
+                                      for p in row.machinery.banks):
         return position
     cfg = row.cfg
     return (id(row.llc), cfg.geometry, cfg.num_banks, cfg.layout_kind,
@@ -584,12 +581,9 @@ def _pass_key(row, position):
 def _hit_table(row):
     cfg = row.cfg
     cores = sorted(cfg.noc) if cfg.nuca_enabled else None
-    per_set = cfg.layout_kind is LayoutKind.WAY_ALIGNED
-    if _runs_lru(row):
-        return nuca.lru_pass(row.llc, cfg.geometry, cfg.num_banks, per_set,
-                             cores, row.mapping, cfg.pm_page_bytes)
-    return nuca.engine_pass(row.llc, cfg.geometry, row.machinery.banks,
-                            per_set, cores, row.mapping, cfg.pm_page_bytes)
+    return nuca.count_hits(row.llc, cfg.geometry, cfg.layout_kind,
+                           row.machinery.banks, cores, row.mapping,
+                           cfg.pm_page_bytes)
 
 
 def _latency_key(cfg):

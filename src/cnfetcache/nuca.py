@@ -8,18 +8,18 @@ so a page's lines always land in a single bank.  `noc_table` prices each
 for the request/response round trip.  Contention is not modeled.
 
 A run is one pass over its address stream that counts hits in a HitTable
-(`lru_pass`, or `engine_pass` for data shuffling), then `price`, which
-charges the table under one row's bank policies.  LRU is a stack
-algorithm, so one full-way pass serves every row whose banks all run LRU:
-the rows differ only in the price of a hit.  `NucaCache` is the
-per-access path that the pass is checked against."""
+(`count_hits`), then `price`, which charges the table under one row's bank
+policies.  LRU is a stack algorithm, so one full-way pass serves every row
+whose banks do not shuffle: the rows differ only in the price of a hit and
+in how many ways or which sets partial disabling leaves on.  `NucaCache`
+is the per-access path that the pass is checked against."""
 
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import cache_core, metrics, workload
+from . import cache_core, metrics, vasa, workload
 from .timing import CacheGeometry, LayoutKind
 
 
@@ -63,15 +63,22 @@ class NucaCache:
         self.bank_geometry = CacheGeometry(
             total_geometry.capacity_bytes // banks,
             total_geometry.num_ways, total_geometry.line_bytes)
-        groups = (self.bank_geometry.num_sets if self.per_set
-                  else self.bank_geometry.num_ways)
+        groups = layout.group_count(self.bank_geometry)
         if any(len(p.latency) != groups for p in policies):
             raise ValueError(f"each bank needs {groups} hit latencies")
         self.memory = {}
         self.banks = [cache_core.CacheState(self.bank_geometry, self.memory)
                       for _ in range(banks)]
-        self._slots = [(state, p.engine, p.ways, p.bypass, p.latency)
-                       for state, p in zip(self.banks, policies)]
+        # Partial disabling sends a way aligned bank's disabled sets to
+        # memory and keeps a set aligned bank's LRU to its enabled ways.
+        self._slots = []
+        for state, p in zip(self.banks, policies):
+            enabled = None
+            if p.disabled and not self.per_set:
+                enabled = [w for w in range(total_geometry.num_ways)
+                           if w not in p.disabled]
+            bypass = p.disabled if self.per_set else None
+            self._slots.append((state, p.shuffle, enabled, bypass, p.latency))
         self.noc = defaultdict(lambda: (0,)) if noc is None else noc
         geometry = self.bank_geometry
         self._offset_bits = geometry.offset_bits
@@ -86,11 +93,16 @@ class NucaCache:
         set_index = line & self._set_mask
         tag = address >> self._tag_shift
         bank = tag & self._bank_mask
-        state, engine, ways, bypass, latency = self._slots[bank]
+        state, shuffle, enabled, bypass, latency = self._slots[bank]
         line_addr = line << self._offset_bits
         if bypass and set_index in bypass:
             return cache_core.bypass_access(state, line_addr, write, value)
-        result = engine(state, set_index, tag, line_addr, write, value, ways)
+        if shuffle is None:
+            result = cache_core.lru_access(state, set_index, tag, line_addr,
+                                           write, value, enabled)
+        else:
+            result = vasa.access_vasa_ds(state, set_index, tag, line_addr,
+                                         write, value, shuffle)
         if result.hit:
             result.latency_cycles = (
                 latency[set_index if self.per_set else result.way]
@@ -109,7 +121,8 @@ class HitTable:
     way on a set aligned one.  Set aligned tables keep each hit's depth
     (depths = ways), which is what partial disabling's enabled-way count
     is checked against; way aligned tables keep one depth for every hit.
-    Its size follows from the geometry, never from the stream's length.
+    A shuffling bank counts every hit at depth 1.  Its size follows from
+    the geometry, never from the stream's length.
     """
 
     counts: list
@@ -120,24 +133,6 @@ class HitTable:
     accesses: int
     writes: int
     shuffle_moves: int = 0
-
-
-def _empty_table(trace, geometry, banks, per_set, cores):
-    """A HitTable of a stream with no hits counted yet, and what both passes
-    need to count them: (table, bank set bits, each core's first entry)."""
-    if banks & (banks - 1):
-        raise ValueError("num_banks must be a power of two")
-    ways = geometry.num_ways
-    bank_set_bits = geometry.set_bits - (banks.bit_length() - 1)
-    groups = (1 << bank_set_bits) if per_set else ways
-    depths = 1 if per_set else ways
-    rows = 1 if cores is None else len(cores)
-    table = HitTable([0] * (rows * banks * groups * depths), cores, groups,
-                     depths, per_set, len(trace), int(trace.write.sum()))
-    offsets = (None if cores is None else
-               {core: i * banks * groups * depths
-                for i, core in enumerate(cores)})
-    return table, bank_set_bits, offsets
 
 
 def _lines(trace, offset_bits, mapping, page_bytes):
@@ -155,87 +150,79 @@ def _lines(trace, offset_bits, mapping, page_bytes):
     return (addr >> offset_bits).tolist()
 
 
-def lru_pass(records, geometry, banks, per_set, cores=None, mapping=None,
-             page_bytes=None):
-    """One full-way LRU pass over an LLC stream, counting every hit.
+def count_hits(records, geometry, layout, policies, cores=None, mapping=None,
+               page_bytes=None):
+    """One pass over an LLC stream, counting every hit in a HitTable.
 
-    geometry is the whole LLC, split into `banks` banks; one CacheState of
-    the whole LLC holds every bank, whose sets are the ones the bank bits
-    above the per-bank set index select.  mapping (virtual page -> frame
-    of `page_bytes`) rewrites each address as `pagemap.translate` does.
-    Only tags and recency are tracked: values and dirty bits change no hit.
+    geometry is the whole LLC, split into one bank per policy; one
+    CacheState of the whole LLC holds every bank, whose sets are the ones
+    the bank bits above the per-bank set index select.  A bank whose
+    policy does not shuffle runs full-way LRU on the state's tags and
+    order lists alone, since values and dirty bits change no hit, and
+    partial disabling is left to `price`.  A shuffling bank runs
+    `vasa.access_vasa_ds`, which counts each hit in the way that held the
+    block before any shuffling, and its shuffle moves are summed.  mapping
+    (virtual page -> frame of `page_bytes`) rewrites each address as
+    `pagemap.translate` does.
     """
+    banks = len(policies)
+    if banks & (banks - 1):
+        raise ValueError("num_banks must be a power of two")
     trace = workload.as_trace(records)
-    table, bank_set_bits, offsets = _empty_table(trace, geometry, banks,
-                                                 per_set, cores)
-    set_bits = geometry.set_bits
-    set_mask = geometry.num_sets - 1
-    counts, depths = table.counts, table.depths
     ways = geometry.num_ways
+    bank_geometry = CacheGeometry(geometry.capacity_bytes // banks, ways,
+                                  geometry.line_bytes)
+    per_set = layout is LayoutKind.WAY_ALIGNED
+    groups = layout.group_count(bank_geometry)
+    depths = 1 if per_set else ways
+    size = banks * groups * depths
+    table = HitTable([0] * (size * (1 if cores is None else len(cores))),
+                     cores, groups, depths, per_set, len(trace),
+                     int(trace.write.sum()))
+    offsets = (None if cores is None
+               else {core: i * size for i, core in enumerate(cores)})
+    bank_set_bits = bank_geometry.set_bits
+    offset_bits, set_bits = geometry.offset_bits, geometry.set_bits
+    set_mask = geometry.num_sets - 1
+    counts = table.counts
     state = cache_core.CacheState(geometry)
-    all_tags, all_orders = state.tags, state.order
-    for line, core in zip(_lines(trace, geometry.offset_bits, mapping,
-                                 page_bytes), trace.core.tolist()):
+    # Each set's tags, order and its bank's way groups, in one lookup.
+    sets = [(tags, order, policies[s >> bank_set_bits].shuffle)
+            for s, (tags, order) in enumerate(zip(state.tags, state.order))]
+    moves = 0
+    for line, core in zip(_lines(trace, offset_bits, mapping, page_bytes),
+                          trace.core.tolist()):
         s = line & set_mask
         tag = line >> set_bits
-        tags = all_tags[s]
-        order = all_orders[s]
-        if tag in tags:
+        tags, order, shuffle = sets[s]
+        if shuffle is None:
+            if tag not in tags:
+                if len(order) < ways:
+                    way = len(order)
+                else:
+                    way = order.pop()
+                tags[way] = tag
+                order.insert(0, way)
+                continue
             way = tags.index(tag)
             depth = order.index(way)
             if depth:
                 del order[depth]
                 order.insert(0, way)
-            if per_set:
-                index = s
-            else:
-                index = ((s >> bank_set_bits) * ways + way) * depths + depth
-            if offsets is not None:
-                index += offsets[core]
-            counts[index] += 1
         else:
-            if len(order) < ways:
-                way = len(order)
-            else:
-                way = order.pop()
-            tags[way] = tag
-            order.insert(0, way)
-    return table
-
-
-def engine_pass(records, geometry, policies, per_set, cores=None,
-                mapping=None, page_bytes=None):
-    """Run each bank's own engine (data shuffling) once over an LLC stream.
-
-    Fills a HitTable as `lru_pass` does, with every hit at depth 1 in the
-    way that held the block before any shuffling, and sums the shuffle
-    moves.  Values are not tracked.
-    """
-    banks = len(policies)
-    trace = workload.as_trace(records)
-    table, bank_set_bits, offsets = _empty_table(trace, geometry, banks,
-                                                 per_set, cores)
-    offset_bits, set_bits = geometry.offset_bits, geometry.set_bits
-    set_mask = geometry.num_sets - 1
-    counts, depths = table.counts, table.depths
-    ways = geometry.num_ways
-    state = cache_core.CacheState(geometry)
-    moves = 0
-    for line, core in zip(_lines(trace, offset_bits, mapping, page_bytes),
-                          trace.core.tolist()):
-        s = line & set_mask
-        policy = policies[s >> bank_set_bits]
-        result = policy.engine(state, s, line >> set_bits, line << offset_bits,
-                               False, 0, policy.ways)
-        moves += result.shuffle_moves
-        if result.hit:
-            if per_set:
-                index = s
-            else:
-                index = ((s >> bank_set_bits) * ways + result.way) * depths
-            if offsets is not None:
-                index += offsets[core]
-            counts[index] += 1
+            result = vasa.access_vasa_ds(state, s, tag, line << offset_bits,
+                                         False, 0, shuffle)
+            moves += result.shuffle_moves
+            if not result.hit:
+                continue
+            way, depth = result.way, 0
+        if per_set:
+            index = s
+        else:
+            index = ((s >> bank_set_bits) * ways + way) * depths + depth
+        if offsets is not None:
+            index += offsets[core]
+        counts[index] += 1
     table.shuffle_moves = moves
     return table
 
@@ -243,15 +230,15 @@ def engine_pass(records, geometry, policies, per_set, cores=None,
 def price(table, policies, memory_latency, noc=None):
     """RunStats of one row: a pass's HitTable charged under its policies.
 
-    A counted hit is a hit of the row when its depth is no deeper than the
-    bank's enabled-way count (partial disabling's `ways`; every way
-    otherwise) and, on a way aligned bank, its set is not in `bypass`.  It
-    costs latency[group] + noc[core][bank], with no NoC term when noc (a
-    `noc_table`) is None.  Every other access is a miss at memory_latency.
-    Partial disabling restricts ways only on set aligned banks, at one
-    clock for every way, and bypasses sets only on way aligned ones, so
-    the way the full-way pass names prices the hit as the restricted bank
-    would.
+    A counted hit is a hit of the row unless partial disabling turned its
+    group off.  On a way aligned table that is a hit in a `disabled` set.
+    On a set aligned table it is a hit deeper than the `ways -
+    len(disabled)` ways left on: LRU is a stack algorithm, so a bank
+    restricted to k ways hits exactly where the full-way pass hits at
+    depth k or less, and with one clock for every enabled way the way the
+    pass names prices it alike.  A hit costs latency[group] +
+    noc[core][bank], with no NoC term when noc (a `noc_table`) is None.
+    Every other access is a miss at memory_latency.
     """
     stats = metrics.RunStats(memory_latency, table.accesses,
                              reads=table.accesses - table.writes,
@@ -264,10 +251,10 @@ def price(table, policies, memory_latency, noc=None):
     for core in table.cores or [None]:
         for bank, policy in enumerate(policies):
             hop = 0 if noc is None else noc[core][bank]
-            hit_depth = depths
-            if policy.engine is cache_core.lru_access and policy.ways is not None:
-                hit_depth = len(policy.ways)
-            skip = policy.bypass if table.per_set else ()
+            if table.per_set:
+                hit_depth, skip = 1, policy.disabled
+            else:
+                hit_depth, skip = depths - len(policy.disabled), ()
             for group, i in enumerate(range(start, start + size, depths)):
                 hits = counts[i] if hit_depth == 1 else sum(counts[i:i + hit_depth])
                 if hits and group not in skip:

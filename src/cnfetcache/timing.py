@@ -27,6 +27,12 @@ class LayoutKind(Enum):
     SET_ALIGNED = "set_aligned"
     WAY_ALIGNED = "way_aligned"
 
+    def group_count(self, geometry):
+        """Latency groups of a cache of this geometry: one per way when set
+        aligned, one per set when way aligned."""
+        return (geometry.num_ways if self is LayoutKind.SET_ALIGNED
+                else geometry.num_sets)
+
 
 def _is_pow2(n):
     return n > 0 and (n & (n - 1)) == 0
@@ -76,8 +82,7 @@ class LatencyMap:
         if any(not self.min_cycles <= c <= self.max_cycles for c in self.latencies):
             raise ValueError("latency outside [min_cycles, max_cycles]")
         if self.geometry is not None:
-            expect = (self.geometry.num_ways if self.layout is LayoutKind.SET_ALIGNED
-                      else self.geometry.num_sets)
+            expect = self.layout.group_count(self.geometry)
             if len(self.latencies) != expect:
                 raise ValueError(f"expected {expect} latencies, got {len(self.latencies)}")
 
@@ -188,9 +193,8 @@ def build_latency_map(geometry, layout, params, stages=DEFAULT_STAGES,
         max_cycles = DEFAULT_CYCLE_RANGE[layout][1]
     if nominal_count is None:
         nominal_count = calibrate_nominal_count(params, stages)
-    num_groups = (geometry.num_ways if layout is LayoutKind.SET_ALIGNED
-                  else geometry.num_sets)
-    strengths = variation.sample_group_strengths(params, num_groups, stages, rng)
+    strengths = variation.sample_group_strengths(
+        params, layout.group_count(geometry), stages, rng)
     latencies = strengths_to_latency(strengths, nominal_count, min_cycles, max_cycles)
     return LatencyMap(layout, latencies, min_cycles, max_cycles,
                       geometry=geometry, strengths=strengths)

@@ -296,7 +296,7 @@ def _count_by_core(cores):
 
 
 def _lru_misses(positions, sets, lines, writes, ways, fills, victims):
-    """LRU over per-set lists, as `nuca.lru_pass` keeps them: the line
+    """LRU over per-set lists, as `nuca.count_hits` keeps them: the line
     address and dirty bit in each way, and the set's filled ways, most
     recent first.
 

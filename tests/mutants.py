@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = "tests/test_reference_workload.py::"
+PASS = "tests/test_pass.py::test_pass_and_pricing_match_the_per_access_engine"
+PASS_COUNT = "tests/test_cli.py::test_compare_makes_one_pass_per_stream"
 
 
 class Mutant(NamedTuple):
@@ -36,6 +38,8 @@ class Mutant(NamedTuple):
 
 
 WORKLOAD = "cnfetcache/workload.py"
+NUCA = "cnfetcache/nuca.py"
+CLI = "cnfetcache/cli.py"
 
 MUTANTS = [
     # The trace and L1 mutants of the columnar trace change, re-expressed.
@@ -85,6 +89,48 @@ MUTANTS = [
            'bad = text.count("\\n", 0, exc.start)',
            'bad = text.count("\\n", 0, exc.start) + 1',
            ("tests/test_cli.py::test_simulate_rejects_malformed_trace",)),
+    # The pass and pricing mutants of the one-pass change, re-expressed
+    # against `count_hits` and `price`.
+    Mutant("PD hit test d <= k + 1", NUCA,
+           "depths - len(policy.disabled), ()",
+           "depths - len(policy.disabled) + 1, ()",
+           (PASS + "[set_aligned-baseline_pd]",)),
+    Mutant("bypass ignored", NUCA,
+           "hit_depth, skip = 1, policy.disabled", "hit_depth, skip = 1, ()",
+           (PASS + "[way_aligned-baseline_pd]",)),
+    Mutant("NoC dropped", NUCA,
+           "hop = 0 if noc is None else noc[core][bank]", "hop = 0",
+           (PASS + "[way_aligned-baseline]",)),
+    Mutant("set aligned banks priced by set", NUCA,
+           "if per_set:\n            index = s",
+           "if True:\n            index = s",
+           (PASS + "[set_aligned-vasa]",)),
+    Mutant("DS moves dropped", NUCA,
+           "moves += result.shuffle_moves", "moves += 0",
+           (PASS + "[set_aligned-vasa_ds4]",)),
+    Mutant("LRU depth one too deep", NUCA,
+           "depth = order.index(way)", "depth = order.index(way) + 1",
+           (PASS + "[set_aligned-baseline_pd]", PASS + "[set_aligned-vasa]")),
+    Mutant("DS hit priced after the shuffle", NUCA,
+           "way, depth = result.way, 0", "way, depth = order[0][0], 0",
+           (PASS + "[set_aligned-vasa_ds4]",)),
+    Mutant("core rows swapped", NUCA,
+           "enumerate(cores)", "enumerate(reversed(cores))",
+           (PASS + "[way_aligned-baseline]",)),
+    Mutant("PM addresses not translated", NUCA,
+           "zip(_lines(trace, offset_bits, mapping, page_bytes)",
+           "zip(_lines(trace, offset_bits, None, page_bytes)",
+           (PASS + "[way_aligned-vawa_ug]",)),
+    Mutant("pass key ignoring the mapping", CLI,
+           "if row.mapping is not None or any(", "if any(",
+           (PASS_COUNT + "[way-uca-3-0]",)),
+    # Two on the merged pass and the one PD depth rule.
+    Mutant("shuffling bank sent down the LRU branch", NUCA,
+           "policies[s >> bank_set_bits].shuffle)", "None)",
+           (PASS + "[set_aligned-vasa_ds2]",)),
+    Mutant("disabled ways left out of the depth rule", NUCA,
+           "depths - len(policy.disabled), ()", "depths, ()",
+           (PASS + "[set_aligned-baseline_pd]",)),
 ]
 
 
@@ -104,12 +150,8 @@ def run_tests(src, tests):
         os.pathsep)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, path)))
-    # hypothesis's report of a failing example trips this warning, which the
-    # suite's filterwarnings=error would turn into a pytest internal error.
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "mutants",
-               "-p", "no:cacheprovider", "-o", f"pythonpath={src}",
-               "-W", "ignore:mypy_extensions.TypedDict is deprecated"
-                     ":DeprecationWarning", *tests]
+               "-p", "no:cacheprovider", "-o", f"pythonpath={src}", *tests]
     return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 

@@ -5,6 +5,7 @@ import pytest
 from cnfetcache.cache_core import BankPolicy, partial_disable, worst_groups
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
+from cnfetcache.vasa import WayGroups
 
 GEO_2MB = CacheGeometry(2 * 1024 * 1024, 8, 64)
 GEO_SMALL = CacheGeometry(4 * 1024, 4, 64)   # 16 sets x 4 ways
@@ -169,7 +170,7 @@ def test_partial_disable_hand_trace():
     latmap = _setmap(geometry, [6, 6, 6, 6, 6, 6, 6, 12])
     assert worst_groups(latmap) == {7}
     policy = partial_disable(latmap)
-    assert policy.ways == [0, 1, 2, 3, 4, 5, 6]
+    assert policy.disabled == {7}
     assert policy.latency == [6] * 8
     cache, access = _uca(geometry, policy)
     access(0, 0x100)
@@ -206,7 +207,7 @@ def test_partial_disable_way_aligned_bypass():
     latmap = _waymap(geometry, latencies)
     assert worst_groups(latmap) == {3}
     policy = partial_disable(latmap)
-    assert policy.bypass == {3} and policy.latency == [6] * 16
+    assert policy.disabled == {3} and policy.latency == [6] * 16
     cache, access = _uca(geometry, policy, LayoutKind.WAY_ALIGNED)
     addr_disabled = 3 * 64
     # Writes go straight to memory, reads come back from memory, never a hit.
@@ -218,3 +219,19 @@ def test_partial_disable_way_aligned_bypass():
     access(0, 0x40)
     result = access(0, 0x40)
     assert result.hit and result.latency_cycles == 6
+
+
+def test_bank_policy_rejects_bad_disabled_groups():
+    # `nuca.price` counts a set aligned bank's hits to depth
+    # ways - len(disabled), which holds only for groups the bank has and
+    # for a bank that does not also shuffle.
+    with pytest.raises(ValueError, match=r"disabled groups \[4\] are not "
+                                         r"all in 0\.\.3"):
+        BankPolicy([6] * 4, {4})
+    with pytest.raises(ValueError, match="not all in"):
+        BankPolicy([6] * 4, {-1, 2})
+    groups = WayGroups.from_latency_map(_setmap(GEO_SMALL, [6, 7, 8, 9]), 2)
+    with pytest.raises(ValueError, match="both disable groups and shuffle"):
+        BankPolicy([6] * 4, {3}, groups)
+    assert BankPolicy([6] * 4, {0, 3}).disabled == {0, 3}
+    assert BankPolicy([6] * 4, shuffle=groups).disabled == frozenset()

@@ -1,8 +1,12 @@
 import hashlib
+import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
+import cnfetcache
 from cnfetcache import cli, metrics, nuca, pagemap, timing, workload
 from cnfetcache.cli import (ConfigError, ExperimentConfig, build_latency_maps,
                             main, parse_config_file, recipe_configs,
@@ -57,6 +61,28 @@ def test_readme_tables_every_config_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert [key for key in ExperimentConfig.KEYMAP
             if f"| `{key}` |" not in readme] == []
+
+
+def test_readme_names_real_code():
+    # Every backticked `module.name` in the README, where module is one of
+    # the package's modules, is a config key or names an attribute of it.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = re.sub(r"```.*?```", "", readme, flags=re.S)
+    modules = {info.name for info in pkgutil.iter_modules(cnfetcache.__path__)}
+    stale = []
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        name = re.match(r"([a-z_]\w*)((?:\.[A-Za-z_]\w*)+)", span)
+        if name is None or name[1] not in modules:
+            continue
+        parts = name[2].split(".")[1:]
+        if f"{name[1]}.{parts[0]}" in ExperimentConfig.KEYMAP:
+            continue
+        target = importlib.import_module(f"cnfetcache.{name[1]}")
+        for part in parts:
+            target = getattr(target, part, None)
+        if target is None:
+            stale.append(name[0])
+    assert stale == []
 
 
 def test_unknown_key_rejected():
@@ -516,11 +542,11 @@ def _counting(monkeypatch, module, *names):
     return calls
 
 
-@pytest.mark.parametrize("recipe, lru, engine", [
-    ("way-uca", 3, 0), ("set-uca", 1, 1), ("way-nuca", 3, 0),
-    ("set-nuca", 1, 2)])
+@pytest.mark.parametrize("recipe, passes, shuffling", [
+    ("way-uca", 3, 0), ("set-uca", 2, 1), ("way-nuca", 3, 0),
+    ("set-nuca", 3, 2)])
 def test_compare_makes_one_pass_per_stream(tmp_path, monkeypatch, recipe,
-                                           lru, engine):
+                                           passes, shuffling):
     # Rows without page mapping or data shuffling share one LRU pass; each
     # mapped row translates its own stream and each shuffling row runs its
     # own engine.  Pricing every row from a shared pass gives the CSV that
@@ -529,9 +555,16 @@ def test_compare_makes_one_pass_per_stream(tmp_path, monkeypatch, recipe,
             "--set", "workload.length=3000", "--set", "workload.num_pages=256",
             "--set", "workload.page_bytes=512", "--set", "pagemap.page_bytes=512",
             "--set", "workload.num_cores=4", "--set", "workload.zipf=0.8"]
-    calls = _counting(monkeypatch, nuca, "lru_pass", "engine_pass")
+    count_hits = nuca.count_hits
+    calls = []
+
+    def counting(records, geometry, layout, policies, *args):
+        calls.append(any(p.shuffle is not None for p in policies))
+        return count_hits(records, geometry, layout, policies, *args)
+
+    monkeypatch.setattr(nuca, "count_hits", counting)
     shared = _compare_csv(tmp_path, "shared.csv", argv)
-    assert (calls.count("lru_pass"), calls.count("engine_pass")) == (lru, engine)
+    assert (len(calls), sum(calls)) == (passes, shuffling)
     _rows_on_their_own(monkeypatch)
     calls.clear()
     assert _compare_csv(tmp_path, "alone.csv", argv) == shared

@@ -1,10 +1,10 @@
 """The one-pass run path against the per-access engine.
 
-`run_experiment` counts the hits of each LLC stream once (`nuca.lru_pass`,
-or `nuca.engine_pass` for data shuffling) and prices every row from that
-table (`nuca.price`).  `make_accessor` and `simulate_records` drive
-`NucaCache.access` one access at a time; here they are the reference, and
-every RunStats field must come out equal on random traces.
+`run_experiment` counts the hits of each LLC stream once (`nuca.count_hits`)
+and prices every row from that table (`nuca.price`).  `make_accessor` and
+`simulate_records` drive `NucaCache.access` one access at a time; here they
+are the reference, and every RunStats field must come out equal on random
+traces.
 """
 
 from unittest import mock
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnfetcache import cli, nuca
+from cnfetcache.cache_core import BankPolicy
 from cnfetcache.cli import (ExperimentConfig, build_machinery,
                             build_page_mapping, make_accessor, run_experiment,
                             simulate_records)
@@ -127,11 +128,12 @@ def test_uca_takes_any_core_id():
 def test_hit_table_size_follows_the_geometry_not_the_trace():
     cfg = ExperimentConfig.from_keys({"nuca.enabled": True,
                                       "workload.num_cores": 4})
+    banks = [BankPolicy([6] * cfg.num_ways)] * cfg.num_banks
     sizes = []
     for length in (1_000, 100_000):
         records = generate_synthetic(SyntheticSpec(length=length, num_cores=4))
-        table = nuca.lru_pass(records, cfg.geometry, cfg.num_banks, False,
-                              sorted(cfg.noc))
+        table = nuca.count_hits(records, cfg.geometry, cfg.layout_kind,
+                                banks, sorted(cfg.noc))
         assert table.accesses == length
         assert 0 < sum(table.counts) <= length
         sizes.append(len(table.counts))

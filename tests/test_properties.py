@@ -1,6 +1,13 @@
 """Property tests of the one access path: replacement invariants of the LRU
 and data-shuffling engines, safety of the flattened grouping latency, the
-trace text round trip, and config validation."""
+trace text round trip, and config validation; and that a failing property
+under the suite's settings reports its example."""
+
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +16,7 @@ from cnfetcache.cache_core import BankPolicy, PolicyKind, partial_disable
 from cnfetcache.cli import ConfigError, ExperimentConfig, build_machinery
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
-from cnfetcache.vasa import WayGroups, access_vasa_ds
+from cnfetcache.vasa import WayGroups
 from cnfetcache.vawa import build_nonuniform_groups
 from cnfetcache.workload import TraceRecord, parse_trace, serialize_trace
 
@@ -37,7 +44,7 @@ def test_lru_valid_ranks_are_a_permutation(latencies, pd, trace):
     # enabled ways ever fill, first to last.
     latmap = LatencyMap(LayoutKind.SET_ALIGNED, latencies, 6, 12)
     policy = partial_disable(latmap) if pd else BankPolicy(latencies)
-    allowed = policy.ways if policy.ways is not None else range(4)
+    allowed = [w for w in range(4) if w not in policy.disabled]
     cache = NucaCache(GEO_4WAY, None, LayoutKind.SET_ALIGNED, [policy])
     for seq, (tag, set_index, write) in enumerate(trace, start=1):
         cache.access(0, (tag << 8) | (set_index << 6), write, seq)
@@ -51,7 +58,7 @@ def _ds_cache(latencies, num_groups):
     latmap = LatencyMap(LayoutKind.SET_ALIGNED, latencies, 6, 12)
     groups = WayGroups.from_latency_map(latmap, num_groups)
     cache = NucaCache(GEO_8WAY, None, LayoutKind.SET_ALIGNED,
-                      [BankPolicy(latencies, access_vasa_ds, groups)])
+                      [BankPolicy(latencies, shuffle=groups)])
     return cache, groups
 
 
@@ -150,3 +157,32 @@ def test_config_keys_validate_or_raise_config_error(keys):
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # The suite turns warnings into errors.  One that hypothesis raises
+    # while it reports a failure must not end the session before the
+    # report, nor keep the tests after it from running.
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "test_two.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+
+
+        def test_after():
+            pass
+        """))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+         "-c", str(root / "pyproject.toml"), "--rootdir", str(root),
+         "-rA", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert re.search(r"^PASSED \S*::test_after$", run.stdout, re.M)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cnfetcache.cache_core import AccessResult, BankPolicy, partial_disable
 from cnfetcache.nuca import NucaCache, noc_table
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
-from cnfetcache.vasa import WayGroups, access_vasa_ds
+from cnfetcache.vasa import WayGroups
 
 
 class CacheLine:
@@ -316,10 +316,17 @@ class ReferenceCache:
         self.states = [ReferenceState(geometry, self.memory)
                        for _ in policies]
         self.policies = policies
-        self.engines = [reference_vasa_ds if p.engine is access_vasa_ds
-                        else reference_lru for p in policies]
-        self.noc = noc
         self.per_set = layout is LayoutKind.WAY_ALIGNED
+        # Each bank's engine and its last argument: the way groups for
+        # data shuffling, the enabled ways for a set aligned bank that
+        # partial disabling restricts, else every way.
+        self.engines = [
+            (reference_vasa_ds, p.shuffle) if p.shuffle is not None
+            else (reference_lru, None if self.per_set or not p.disabled
+                  else [w for w in range(geometry.num_ways)
+                        if w not in p.disabled])
+            for p in policies]
+        self.noc = noc
         self.geometry = geometry
         self.num_banks = banks
 
@@ -332,10 +339,11 @@ class ReferenceCache:
         line_addr = line << g.offset_bits
         policy = self.policies[bank]
         state = self.states[bank]
-        if set_index in policy.bypass:
+        if self.per_set and set_index in policy.disabled:
             return reference_bypass(state, line_addr, write, value)
-        result = self.engines[bank](state, set_index, tag, line_addr, write,
-                                    value, policy.ways)
+        engine, restriction = self.engines[bank]
+        result = engine(state, set_index, tag, line_addr, write, value,
+                        restriction)
         if result.hit:
             noc = 0 if self.noc is None else self.noc[core_id][bank]
             result.latency_cycles = (
@@ -361,7 +369,7 @@ def _policy(kind, latencies):
     if kind == "lru":
         return BankPolicy(latencies)
     groups = WayGroups.from_latency_map(latmap, int(kind[2:]))
-    return BankPolicy(latencies, access_vasa_ds, groups)
+    return BankPolicy(latencies, shuffle=groups)
 
 
 def _assert_same_state(cache, reference, policies):
@@ -369,7 +377,7 @@ def _assert_same_state(cache, reference, policies):
     and each list order ranks its ways as the reference's LRU ranks and T
     bits do."""
     for state, ref, policy in zip(cache.banks, reference.states, policies):
-        ds = policy.engine is access_vasa_ds
+        ds = policy.shuffle is not None
         for s, lines in enumerate(ref.sets):
             valid = [w for w, line in enumerate(lines) if line.valid]
             assert state.tags[s] == [line.tag if line.valid else None

@@ -3,7 +3,7 @@ import random
 from cnfetcache.cache_core import BankPolicy
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
-from cnfetcache.vasa import WayGroups, access_vasa_ds, overhead_report
+from cnfetcache.vasa import WayGroups, overhead_report
 
 GEO_8WAY = CacheGeometry(8 * 64 * 4, 8, 64)          # 4 sets x 8 ways
 LATENCIES = [6, 6, 7, 7, 8, 8, 12, 12]
@@ -21,7 +21,7 @@ def _uca(policy):
 
 
 def _ds_cache():
-    return _uca(BankPolicy(list(LATENCIES), access_vasa_ds, GROUPS))
+    return _uca(BankPolicy(list(LATENCIES), shuffle=GROUPS))
 
 
 def _fill_set(state, groups, tags):
