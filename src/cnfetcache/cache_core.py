@@ -65,14 +65,16 @@ class CacheState:
     `data` and `dirty` the value and dirty flag of each way, and `order`
     the set's valid ways, most recent first.  Data shuffling makes it one
     such list per way group instead, on the set's first access.  A line's
-    address follows from its tag and set (`line_address`).
+    address follows from its tag and set (`line_address`).  With
+    values=False, `data` and `dirty` are None: a hit-counting pass that
+    runs no engine needs only `tags` and `order`.
     """
 
-    def __init__(self, geometry, memory=None):
+    def __init__(self, geometry, memory=None, values=True):
         sets, ways = geometry.num_sets, geometry.num_ways
         self.tags = [[None] * ways for _ in range(sets)]
-        self.data = [[0] * ways for _ in range(sets)]
-        self.dirty = [[False] * ways for _ in range(sets)]
+        self.data = [[0] * ways for _ in range(sets)] if values else None
+        self.dirty = [[False] * ways for _ in range(sets)] if values else None
         self.order = [[] for _ in range(sets)]
         # line-aligned address -> last written value
         self.memory = {} if memory is None else memory

@@ -158,8 +158,9 @@ def count_hits(records, geometry, layout, policies, cores=None, mapping=None,
     CacheState of the whole LLC holds every bank, whose sets are the ones
     the bank bits above the per-bank set index select.  A bank whose
     policy does not shuffle runs full-way LRU on the state's tags and
-    order lists alone, since values and dirty bits change no hit, and
-    partial disabling is left to `price`.  A shuffling bank runs
+    order lists alone, since values and dirty bits change no hit (the
+    state holds none unless some bank shuffles), and partial disabling is
+    left to `price`.  A shuffling bank runs
     `vasa.access_vasa_ds`, which counts each hit in the way that held the
     block before any shuffling, and its shuffle moves are summed.  mapping
     (virtual page -> frame of `page_bytes`) rewrites each address as
@@ -185,7 +186,8 @@ def count_hits(records, geometry, layout, policies, cores=None, mapping=None,
     offset_bits, set_bits = geometry.offset_bits, geometry.set_bits
     set_mask = geometry.num_sets - 1
     counts = table.counts
-    state = cache_core.CacheState(geometry)
+    state = cache_core.CacheState(geometry, values=any(
+        policy.shuffle is not None for policy in policies))
     # Each set's tags, order and its bank's way groups, in one lookup.
     sets = [(tags, order, policies[s >> bank_set_bits].shuffle)
             for s, (tags, order) in enumerate(zip(state.tags, state.order))]

@@ -27,6 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = "tests/test_reference_workload.py::"
 PASS = "tests/test_pass.py::test_pass_and_pricing_match_the_per_access_engine"
 PASS_COUNT = "tests/test_cli.py::test_compare_makes_one_pass_per_stream"
+ASSIGN = "tests/test_pagemap.py::test_assignment_matches_quadratic_reference"
+STARTUP = "tests/test_startup.py::"
 
 
 class Mutant(NamedTuple):
@@ -40,6 +42,8 @@ class Mutant(NamedTuple):
 WORKLOAD = "cnfetcache/workload.py"
 NUCA = "cnfetcache/nuca.py"
 CLI = "cnfetcache/cli.py"
+PAGEMAP = "cnfetcache/pagemap.py"
+INIT = "cnfetcache/__init__.py"
 
 MUTANTS = [
     # The trace and L1 mutants of the columnar trace change, re-expressed.
@@ -131,6 +135,31 @@ MUTANTS = [
     Mutant("disabled ways left out of the depth rule", NUCA,
            "depths - len(policy.disabled), ()", "depths, ()",
            (PASS + "[set_aligned-baseline_pd]",)),
+    Mutant("shuffling pass built without values", NUCA,
+           "values=any(", "values=not any(",
+           (PASS + "[set_aligned-vasa_ds2]",)),
+    # The page-mapping mutants of the near-linear greedy, re-expressed
+    # against the per-core frame orders of `assign_pages`.
+    Mutant("frame-index tie-break dropped", PAGEMAP,
+           "(hops[f.bank] if hops else 0), f.index)))",
+           "(hops[f.bank] if hops else 0),)))",
+           (ASSIGN,)),
+    Mutant("one frame order shared by every core", PAGEMAP,
+           "order = orders.get(core)", "order = next(iter(orders.values()), None)",
+           (ASSIGN,)),
+    Mutant("taken never updated", PAGEMAP,
+           "taken.add(index)", "pass",
+           (ASSIGN,)),
+    # Start-up: numpy loads with one OpenBLAS thread and os.environ is kept.
+    Mutant("thread variable left set after import", INIT,
+           'del os.environ["OPENBLAS_NUM_THREADS"]', "pass",
+           (STARTUP + "test_import_loads_numpy_with_one_thread_and_keeps_environ",)),
+    Mutant("caller's thread variable overwritten", INIT,
+           ' and "OPENBLAS_NUM_THREADS" not in os.environ:', ":",
+           (STARTUP + "test_callers_thread_count_wins",)),
+    Mutant("environ set although numpy is loaded", INIT,
+           'if "numpy" not in sys.modules and ', "if ",
+           (STARTUP + "test_numpy_imported_first_leaves_environ_alone",)),
 ]
 
 
