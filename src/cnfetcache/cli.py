@@ -12,6 +12,7 @@ Subcommands: gen-variation, simulate, profile, compare, gen-trace.
 
 import argparse
 import copy
+import ctypes
 import math
 import numbers
 import sys
@@ -375,6 +376,22 @@ def llc_records(cfg, records):
     return records
 
 
+def release_free_heap():
+    """Return the C heap's free pages to the OS, where libc can (glibc's
+    malloc_trim); elsewhere do nothing.
+
+    Whether glibc trims the heap after a large free depends on where its
+    surviving blocks happen to lie, which shifts with the length of argv
+    or of a path.  Without this call the front end's garbage (trace
+    parsing, the L1 filter) stayed resident in some runs and not in
+    others, so the peak RSS of one and the same `compare` moved by 2 MB.
+    """
+    if sys.platform.startswith("linux"):
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+        if trim is not None:
+            trim(0)
+
+
 def build_latency_maps(cfg):
     """One latency map per bank: loaded from timing.map_file when given,
     otherwise sampled, deterministically seeded from cnt.seed."""
@@ -602,14 +619,18 @@ def run_sweep(configs, records):
     each (profiled stream, page size) one page profile.  Every row is
     prepared first; then each distinct pass runs once, its rows are priced
     from its hit table, and the table is dropped before the next pass runs.
+    The streams are built before anything else, and the front end's freed
+    temporaries are then handed back to the OS (`release_free_heap`).
     """
     records = workload.as_trace(records)
     streams, latmaps, profiles = {}, {}, {}
-    rows = []
     for cfg in configs:
         cfg.validate()
         if cfg.l1_enabled not in streams:
             streams[cfg.l1_enabled] = llc_records(cfg, records)
+    release_free_heap()
+    rows = []
+    for cfg in configs:
         key = _latency_key(cfg)
         if key not in latmaps:
             latmaps[key] = build_latency_maps(cfg)

@@ -160,6 +160,16 @@ MUTANTS = [
     Mutant("environ set although numpy is loaded", INIT,
            'if "numpy" not in sys.modules and ', "if ",
            (STARTUP + "test_numpy_imported_first_leaves_environ_alone",)),
+    # The sweep hands the front end's freed heap back once its streams exist.
+    Mutant("heap never trimmed", CLI,
+           "            trim(0)", "            pass",
+           ("tests/test_cli.py::"
+            "test_release_free_heap_returns_freed_blocks_below_a_live_one",)),
+    Mutant("sweep never releases the heap", CLI,
+           "    release_free_heap()\n    rows = []\n",
+           "    rows = []\n",
+           ("tests/test_cli.py::"
+            "test_sweep_releases_the_heap_once_its_streams_are_built",)),
 ]
 
 

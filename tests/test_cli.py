@@ -524,6 +524,43 @@ def test_compare_gives_each_l1_setting_its_own_stream(tmp_path, monkeypatch):
     assert rows[0][5] != rows[1][5]          # miss rates of the two streams
 
 
+def test_sweep_releases_the_heap_once_its_streams_are_built(tmp_path,
+                                                           monkeypatch):
+    a = tmp_path / "a.cfg"
+    b = tmp_path / "b.cfg"
+    common = "cache.capacity_bytes=65536\nworkload.length=2000\n"
+    a.write_text(common + "l1.enabled=false\n")
+    b.write_text(common + "l1.enabled=true\nlayout=way_aligned\n")
+    calls = _counting(monkeypatch, cli, "llc_records", "release_free_heap",
+                      "build_latency_maps")
+    _compare_csv(tmp_path, "out.csv", [str(a), str(b)])
+    assert calls == ["llc_records", "llc_records", "release_free_heap",
+                     "build_latency_maps", "build_latency_maps"]
+
+
+def _rss_anon_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("RssAnon:"))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="needs /proc/self/status")
+def test_release_free_heap_returns_freed_blocks_below_a_live_one():
+    import ctypes
+    if getattr(ctypes.CDLL(None), "malloc_trim", None) is None:
+        pytest.skip("libc has no malloc_trim")
+    # 64 KiB blocks come from the heap, not from mmap; the live block
+    # allocated after them keeps free() from trimming the heap's top.
+    blocks = [bytearray(64 << 10) for _ in range(256)]
+    pin = bytearray(64 << 10)
+    del blocks
+    before = _rss_anon_kb()
+    cli.release_free_heap()
+    assert before - _rss_anon_kb() > 8 << 10
+    del pin
+
+
 def _counting(monkeypatch, module, *names):
     """Patch each named function of `module` to log its name on each call;
     returns the log."""
