@@ -5,9 +5,10 @@ Line payloads are modeled as last-writer sequence numbers rather than bytes;
 a flat memory dict backs misses and write-backs, which is enough to check
 that any replacement or promotion policy returns the most recently written
 value for every read.  Every policy is one replacement engine (plain LRU
-here, or the data-shuffling cascade in `vasa` when its `BankPolicy` has
-way groups) plus a hit-latency list; the engines only decide placement,
-and the caller charges a hit from the list.
+here, or data shuffling in `vasa` when its `BankPolicy` has way groups)
+plus a hit-latency list; the engines only decide placement, and the caller
+charges a hit from the list.  The payloads belong to this per-access path:
+the hit-counting pass (`nuca.count_hits`) keeps tags and orders alone.
 """
 
 from dataclasses import dataclass
@@ -59,22 +60,21 @@ class AccessResult:
 
 
 class CacheState:
-    """Mutable state of one cache instance (single-threaded).
+    """Mutable state of one cache instance on the per-access path
+    (single-threaded).
 
     Per set: `tags` holds the tag in each physical way (None = invalid),
     `data` and `dirty` the value and dirty flag of each way, and `order`
     the set's valid ways, most recent first.  Data shuffling makes it one
     such list per way group instead, on the set's first access.  A line's
-    address follows from its tag and set (`line_address`).  With
-    values=False, `data` and `dirty` are None: a hit-counting pass that
-    runs no engine needs only `tags` and `order`.
+    address follows from its tag and set (`line_address`).
     """
 
-    def __init__(self, geometry, memory=None, values=True):
+    def __init__(self, geometry, memory=None):
         sets, ways = geometry.num_sets, geometry.num_ways
         self.tags = [[None] * ways for _ in range(sets)]
-        self.data = [[0] * ways for _ in range(sets)] if values else None
-        self.dirty = [[False] * ways for _ in range(sets)] if values else None
+        self.data = [[0] * ways for _ in range(sets)]
+        self.dirty = [[False] * ways for _ in range(sets)]
         self.order = [[] for _ in range(sets)]
         # line-aligned address -> last written value
         self.memory = {} if memory is None else memory

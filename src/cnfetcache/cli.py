@@ -49,8 +49,12 @@ def _parse_value(raw):
 
 def parse_config_file(path):
     keys, lines = {}, {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -399,7 +403,8 @@ def build_latency_maps(cfg):
         if cfg.nuca_enabled:
             raise ConfigError("timing.map_file only supports a single bank; "
                               "NUCA maps are generated from cnt.seed")
-        with open(cfg.map_file) as fh:
+        with open(cfg.map_file, encoding="utf-8",
+                  errors="surrogateescape") as fh:
             latmap = timing.load_latency_map(fh)
         if latmap.layout is not cfg.layout_kind:
             raise ConfigError(f"map file layout {latmap.layout.value} does "

@@ -154,17 +154,16 @@ def count_hits(records, geometry, layout, policies, cores=None, mapping=None,
                page_bytes=None):
     """One pass over an LLC stream, counting every hit in a HitTable.
 
-    geometry is the whole LLC, split into one bank per policy; one
-    CacheState of the whole LLC holds every bank, whose sets are the ones
-    the bank bits above the per-bank set index select.  A bank whose
-    policy does not shuffle runs full-way LRU on the state's tags and
-    order lists alone, since values and dirty bits change no hit (the
-    state holds none unless some bank shuffles), and partial disabling is
-    left to `price`.  A shuffling bank runs
-    `vasa.access_vasa_ds`, which counts each hit in the way that held the
-    block before any shuffling, and its shuffle moves are summed.  mapping
-    (virtual page -> frame of `page_bytes`) rewrites each address as
-    `pagemap.translate` does.
+    geometry is the whole LLC, split into one bank per policy; the bank
+    bits above the per-bank set index pick each set's bank.  The pass holds
+    a tag per way and recency lists per set, and no values or dirty bits,
+    which change no hit.  A bank whose policy does not shuffle runs
+    full-way LRU, and partial disabling is left to `price`.  A shuffling
+    bank places each access with `vasa.shuffle` and moves its tags along
+    the chain; each hit counts in the way that held the block before any
+    shuffling, and the shuffle moves are summed.  mapping (virtual page ->
+    frame of `page_bytes`) rewrites each address as `pagemap.translate`
+    does.
     """
     banks = len(policies)
     if banks & (banks - 1):
@@ -186,11 +185,9 @@ def count_hits(records, geometry, layout, policies, cores=None, mapping=None,
     offset_bits, set_bits = geometry.offset_bits, geometry.set_bits
     set_mask = geometry.num_sets - 1
     counts = table.counts
-    state = cache_core.CacheState(geometry, values=any(
-        policy.shuffle is not None for policy in policies))
     # Each set's tags, order and its bank's way groups, in one lookup.
-    sets = [(tags, order, policies[s >> bank_set_bits].shuffle)
-            for s, (tags, order) in enumerate(zip(state.tags, state.order))]
+    sets = [([None] * ways, [], policies[s >> bank_set_bits].shuffle)
+            for s in range(geometry.num_sets)]
     moves = 0
     for line, core in zip(_lines(trace, offset_bits, mapping, page_bytes),
                           trace.core.tolist()):
@@ -212,12 +209,13 @@ def count_hits(records, geometry, layout, policies, cores=None, mapping=None,
                 del order[depth]
                 order.insert(0, way)
         else:
-            result = vasa.access_vasa_ds(state, s, tag, line << offset_bits,
-                                         False, 0, shuffle)
-            moves += result.shuffle_moves
-            if not result.hit:
+            way = tags.index(tag) if tag in tags else None
+            chain, step = vasa.shuffle(order, shuffle, way)
+            vasa.shift(tags, chain, tag)
+            moves += step
+            if way is None:
                 continue
-            way, depth = result.way, 0
+            depth = 0
         if per_set:
             index = s
         else:

@@ -226,6 +226,10 @@ def load_latency_map(stream):
     header = {}
     latencies = {}
     for lineno, line in enumerate(stream, start=1):
+        try:
+            line.encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"line {lineno}: not UTF-8 text") from None
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -53,81 +53,85 @@ class WayGroups:
 def overhead_report(geometry):
     """Bookkeeping storage added by the set aligned architecture."""
     return {
-        "delay_register_bytes": geometry.num_ways * DELAY_REGISTER_BITS // 8,
+        "delay_register_bytes":
+            (geometry.num_ways * DELAY_REGISTER_BITS + 7) // 8,
         "row_metadata_bits": ROW_METADATA_BITS,
         "row_metadata_bytes_total": geometry.num_sets * ROW_METADATA_BITS // 8,
         "shuffle_register_bytes": SHUFFLE_REGISTER_BYTES,
     }
 
 
-def _cascade(tags, data, dirty, orders, block):
-    """Shift `block` (tag, value, dirty) down through the groups of `orders`.
+def shuffle(orders, groups, way):
+    """Place one access to a shuffling set; moving its contents is left to
+    the caller (`shift`).
 
-    Each group takes the carried block in its least recent way, which
-    becomes its most recent, and hands that way's old block one group down.
-    Returns the block displaced from the last group.
+    `orders` holds one most-recent-first list of valid ways per group of
+    `groups`, made on the set's first access; `way` is the hit way, None
+    on a miss.  Hit in G0: the way just becomes its group's most recent.
+    Hit in Gk (k >= 1): the block is promoted into G0's T=1 slot (its least
+    recent way) and every displaced group-LRU block cascades one group
+    down, the last one landing in the way the hit vacated.  Miss: the block
+    fills the fastest group that has a free way; with none, it enters G0's
+    T=1 slot, the cascade runs through all groups, and the slowest group's
+    T=1 block is the victim.  Ways are never emptied, so every group faster
+    than a hit's is full.  Returns (chain, moves): the accessed block
+    enters chain[0], each later way takes the block of the way before it,
+    and the last way's block is pushed out; moves counts the blocks
+    shuffled, for the energy model only.
     """
-    for order in orders:
-        way = order.pop()
+    if not orders:
+        orders.extend([] for _ in groups.groups)
+    if way is None:
+        for group, order in zip(groups.groups, orders):
+            if len(order) < len(group):
+                way = group[len(order)]
+                order.insert(0, way)
+                return [way], 0
+        k = len(orders)
+    else:
+        k = groups.group_of[way]
+    chain = []
+    for order in orders[:k]:
+        chain.append(order.pop())
+        order.insert(0, chain[-1])
+    if way is not None:
+        order = orders[k]
+        order.remove(way)
         order.insert(0, way)
-        displaced = (tags[way], data[way], dirty[way])
-        tags[way], data[way], dirty[way] = block
-        block = displaced
+        chain.append(way)
+    return chain, len(chain) if k else 0
+
+
+def shift(slots, chain, block):
+    """Move `block` into slots[chain[0]] and each displaced content into
+    the next way of the chain; returns the content pushed out of the last."""
+    for way in chain:
+        slots[way], block = block, slots[way]
     return block
 
 
 def access_vasa_ds(state, set_index, tag, line_addr, write, value, groups):
-    """Set aligned access with latency-aware data shuffling.
-
-    The set's `order` holds one most-recent-first list per way group.
-    Hit in G0: the line just becomes its group's most recent (no movement).
-    Hit in Gk (k >= 1): the block is promoted into G0's T=1 slot (its
-    least recent way) and every displaced group-LRU block cascades one
-    group down, the last one landing in the slot the hit vacated.  Miss:
-    the block fills the fastest group that has a free way; with none, it
-    enters G0's T=1 slot, the cascade runs through all groups, and the
-    slowest group's T=1 block is the victim.  Ways are never emptied, so
-    every group faster than a hit's is full.  The result's way is where the block resided before any
-    shuffling, so a hit is charged that way's latency; moves are counted
-    for the energy model only.
-    """
+    """Set aligned access with data shuffling: `shuffle` places it, and the
+    tag, value and dirty bit of each way move along its chain.  The result's
+    way is where the block resided before any shuffling, so a hit is charged
+    that way's latency."""
     tags = state.tags[set_index]
-    data = state.data[set_index]
-    dirty = state.dirty[set_index]
-    orders = state.order[set_index]
-    if not orders:
-        orders.extend([] for _ in groups.groups)
-
-    if tag in tags:
-        way = tags.index(tag)
-        if write:
-            data[way] = value
-            dirty[way] = True
-        hit_value = data[way]
-        k = groups.group_of[way]
-        if k:
-            tags[way], data[way], dirty[way] = _cascade(
-                tags, data, dirty, orders[:k], (tag, hit_value, dirty[way]))
-        order = orders[k]
-        order.remove(way)
-        order.insert(0, way)
-        return AccessResult(True, way, write=write, value=hit_value,
-                            shuffle_moves=k + 1 if k else 0)
-
-    incoming = value if write else state.memory.get(line_addr, 0)
-    for group, order in zip(groups.groups, orders):
-        if len(order) < len(group):
-            way = group[len(order)]
-            order.insert(0, way)
-            tags[way], data[way], dirty[way] = tag, incoming, write
-            return AccessResult(False, write=write, value=incoming)
-
-    victim = orders[-1][-1]
-    ev_tag, ev_dirty = tags[victim], dirty[victim]
-    ev_addr = state.line_address(ev_tag, set_index)
+    way = tags.index(tag) if tag in tags else None
+    if way is None:
+        block = (tag, value if write else state.memory.get(line_addr, 0), write)
+    else:
+        block = (tag, value if write else state.data[set_index][way],
+                 write or state.dirty[set_index][way])
+    chain, moves = shuffle(state.order[set_index], groups, way)
+    ev_tag, ev_value, ev_dirty = [
+        shift(slots[set_index], chain, content)
+        for slots, content in zip((state.tags, state.data, state.dirty), block)]
+    if way is not None:
+        return AccessResult(True, way, write=write, value=block[1],
+                            shuffle_moves=moves)
+    ev_addr = None if ev_tag is None else state.line_address(ev_tag, set_index)
     if ev_dirty:
-        state.memory[ev_addr] = data[victim]
-    _cascade(tags, data, dirty, orders, (tag, incoming, write))
-    return AccessResult(False, evicted_tag=ev_tag, write=write,
-                        value=incoming, shuffle_moves=len(orders),
-                        evicted_addr=ev_addr, evicted_dirty=ev_dirty)
+        state.memory[ev_addr] = ev_value
+    return AccessResult(False, evicted_tag=ev_tag, write=write, value=block[1],
+                        shuffle_moves=moves, evicted_addr=ev_addr,
+                        evicted_dirty=ev_dirty)

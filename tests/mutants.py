@@ -29,6 +29,9 @@ PASS = "tests/test_pass.py::test_pass_and_pricing_match_the_per_access_engine"
 PASS_COUNT = "tests/test_cli.py::test_compare_makes_one_pass_per_stream"
 ASSIGN = "tests/test_pagemap.py::test_assignment_matches_quadratic_reference"
 STARTUP = "tests/test_startup.py::"
+ORACLE = "tests/test_vasa.py::test_engine_agrees_with_straight_line_oracle"
+OBJECT_ENGINE = ("tests/test_reference_engine.py::"
+                 "test_list_engines_match_object_reference")
 
 
 class Mutant(NamedTuple):
@@ -44,6 +47,7 @@ NUCA = "cnfetcache/nuca.py"
 CLI = "cnfetcache/cli.py"
 PAGEMAP = "cnfetcache/pagemap.py"
 INIT = "cnfetcache/__init__.py"
+VASA = "cnfetcache/vasa.py"
 
 MUTANTS = [
     # The trace and L1 mutants of the columnar trace change, re-expressed.
@@ -110,13 +114,14 @@ MUTANTS = [
            "if True:\n            index = s",
            (PASS + "[set_aligned-vasa]",)),
     Mutant("DS moves dropped", NUCA,
-           "moves += result.shuffle_moves", "moves += 0",
+           "moves += step", "moves += 0",
            (PASS + "[set_aligned-vasa_ds4]",)),
     Mutant("LRU depth one too deep", NUCA,
            "depth = order.index(way)", "depth = order.index(way) + 1",
            (PASS + "[set_aligned-baseline_pd]", PASS + "[set_aligned-vasa]")),
     Mutant("DS hit priced after the shuffle", NUCA,
-           "way, depth = result.way, 0", "way, depth = order[0][0], 0",
+           "                continue\n            depth = 0",
+           "                continue\n            way, depth = chain[0], 0",
            (PASS + "[set_aligned-vasa_ds4]",)),
     Mutant("core rows swapped", NUCA,
            "enumerate(cores)", "enumerate(reversed(cores))",
@@ -135,9 +140,27 @@ MUTANTS = [
     Mutant("disabled ways left out of the depth rule", NUCA,
            "depths - len(policy.disabled), ()", "depths, ()",
            (PASS + "[set_aligned-baseline_pd]",)),
-    Mutant("shuffling pass built without values", NUCA,
-           "values=any(", "values=not any(",
-           (PASS + "[set_aligned-vasa_ds2]",)),
+    # Data shuffling's one placement (`vasa.shuffle`), the engine's contents
+    # and the pass's tags that move along its chain.
+    Mutant("DS hit way left off the chain", VASA,
+           "        chain.append(way)\n", "",
+           (ORACLE, OBJECT_ENGINE)),
+    Mutant("DS moves counted on a G0 hit", VASA,
+           "return chain, len(chain) if k else 0", "return chain, len(chain)",
+           (ORACLE, OBJECT_ENGINE)),
+    Mutant("DS free fill always takes the group's first way", VASA,
+           "way = group[len(order)]", "way = group[0]",
+           (ORACLE, OBJECT_ENGINE)),
+    Mutant("DS pass does not shift its tags", NUCA,
+           "            vasa.shift(tags, chain, tag)\n", "",
+           (PASS + "[set_aligned-vasa_ds2]", PASS + "[set_aligned-vasa_ds4]")),
+    Mutant("DS dirty victim not written back", VASA,
+           "    if ev_dirty:\n", "    if False:\n",
+           (OBJECT_ENGINE,)),
+    Mutant("DS write hit keeps the old value", VASA,
+           "block = (tag, value if write else state.data[set_index][way],",
+           "block = (tag, state.data[set_index][way],",
+           (OBJECT_ENGINE,)),
     # The page-mapping mutants of the near-linear greedy, re-expressed
     # against the per-core frame orders of `assign_pages`.
     Mutant("frame-index tie-break dropped", PAGEMAP,

@@ -1,7 +1,10 @@
 import hashlib
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -303,6 +306,45 @@ def test_simulate_rejects_malformed_trace(tmp_path, capsys, data, message):
             "--out", str(tmp_path / "stats.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _map_file(tmp_path, *extra):
+    """A gen-variation map of a 64 KB cache, then the `extra` byte lines."""
+    path = tmp_path / "map.txt"
+    assert main(["gen-variation", "--set", "cache.capacity_bytes=65536",
+                 "--out", str(path), "--summary", str(tmp_path / "s.txt")]) == 0
+    path.write_bytes(path.read_bytes() + b"".join(extra))
+    return path
+
+
+def test_config_and_map_files_reject_bytes_that_are_not_utf8(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_bytes(b"cache.ways=8\n# caf\xe9\n")
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {config}:2: not UTF-8 text\n"
+    map_path = _map_file(tmp_path, b"# caf\xe9\n")
+    lines = map_path.read_bytes().count(b"\n")
+    argv = ["simulate", "--set", "cache.capacity_bytes=65536",
+            "--set", f"timing.map_file={map_path}", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: line {lines}: not UTF-8 text\n"
+
+
+def test_config_and_map_files_are_utf8_in_any_locale(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_bytes("# café\ncache.capacity_bytes=65536\n"
+                       "workload.length=500\n".encode())
+    map_path = _map_file(tmp_path, "# café\n".encode())
+    # An ASCII locale, not coerced to UTF-8: open() would default to ASCII.
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-m", "cnfetcache.cli", "simulate", "--config",
+         str(config), "--set", f"timing.map_file={map_path}",
+         "--out", str(tmp_path / "s.csv")],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_simulate_accepts_pregenerated_map(tmp_path):

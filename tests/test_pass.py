@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnfetcache import cli, nuca
+from cnfetcache import cache_core, cli, nuca, vasa
 from cnfetcache.cache_core import BankPolicy
 from cnfetcache.cli import (ExperimentConfig, build_machinery,
                             build_page_mapping, make_accessor, run_experiment,
                             simulate_records)
 from cnfetcache.metrics import RunStats
 from cnfetcache.pagemap import translate
-from cnfetcache.timing import LatencyMap, LayoutKind
+from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
 from cnfetcache.workload import SyntheticSpec, TraceRecord, generate_synthetic
 
 CAPACITY = 16 * 1024            # 8 ways of 64 B lines: 32 sets
@@ -139,3 +139,27 @@ def test_hit_table_size_follows_the_geometry_not_the_trace():
         sizes.append(len(table.counts))
     # 4 cores x 8 banks x 8 ways x 8 depths, for either length.
     assert sizes == [4 * 8 * 8 * 8] * 2
+
+
+def test_pass_holds_no_values():
+    """The pass moves tags along `vasa.shuffle`'s chains itself: it builds no
+    CacheState and never runs the valued per-access engine."""
+    geometry = CacheGeometry(CAPACITY, 8, 64)
+    groups = vasa.WayGroups([[0, 1], [2, 3], [4, 5], [6, 7]])
+    latency = [6, 6, 7, 7, 8, 8, 12, 12]
+    policies = [BankPolicy(latency, shuffle=groups), BankPolicy(latency),
+                BankPolicy(latency, shuffle=vasa.WayGroups([list(range(8))])),
+                BankPolicy(latency, shuffle=groups)]
+    records = generate_synthetic(SyntheticSpec(num_pages=16, length=4000,
+                                               num_cores=4))
+
+    def count():
+        return nuca.count_hits(records, geometry, LayoutKind.SET_ALIGNED,
+                               policies, [0, 1, 2, 3])
+
+    want = count()
+    assert want.shuffle_moves > 0 and sum(want.counts) > 0
+    forbidden = AssertionError("the pass reached the valued engine")
+    with mock.patch.object(cache_core, "CacheState", side_effect=forbidden), \
+            mock.patch.object(vasa, "access_vasa_ds", side_effect=forbidden):
+        assert count() == want

@@ -3,7 +3,7 @@ import random
 from cnfetcache.cache_core import BankPolicy
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
-from cnfetcache.vasa import WayGroups, overhead_report
+from cnfetcache.vasa import WayGroups, overhead_report, shift, shuffle
 
 GEO_8WAY = CacheGeometry(8 * 64 * 4, 8, 64)          # 4 sets x 8 ways
 LATENCIES = [6, 6, 7, 7, 8, 8, 12, 12]
@@ -114,6 +114,28 @@ def test_shuffle_miss_inserts_at_fast_group_and_evicts_slow():
     assert result.evicted_tag == 17
     assert _tags(state) == [10, 99, 12, 11, 14, 13, 16, 15]
     assert _tbits(state) == [1, 0, 1, 0, 1, 0, 1, 0]
+
+
+def test_shuffle_returns_the_chain_the_contents_follow():
+    # G0's T=1 ways are 1, 3, 5 and 7 when each order lists its lower way first.
+    def full():
+        return [list(group) for group in GROUPS.groups]
+
+    tags = list(range(10, 18))
+    assert shuffle(full(), GROUPS, 1) == ([1], 0)
+    orders = full()
+    assert shuffle(orders, GROUPS, 7) == ([1, 3, 5, 7], 4)
+    assert orders == [[1, 0], [3, 2], [5, 4], [7, 6]]
+    assert shift(tags, [1, 3, 5, 7], 17) == 17
+    assert tags == [10, 17, 12, 11, 14, 13, 16, 15]
+    assert shuffle(full(), GROUPS, None) == ([1, 3, 5, 7], 4)
+    # A free way is filled in place: nothing cascades, nothing is pushed out.
+    orders = []
+    assert shuffle(orders, GROUPS, None) == ([0], 0)
+    assert shuffle(orders, GROUPS, None) == ([1], 0)
+    assert shuffle(orders, GROUPS, None) == ([2], 0)
+    assert orders == [[1, 0], [2], [], []]
+    assert shift([None] * 8, [2], 42) is None
 
 
 def test_vasa_hit_latency_is_way_latency():
@@ -286,3 +308,7 @@ def test_delay_registers_and_overhead():
     assert report["delay_register_bytes"] == 4
     assert report["row_metadata_bytes_total"] == 4096
     assert report["shuffle_register_bytes"] == 260
+    # A register file of 4-bit registers takes whole bytes: 1 way needs 1.
+    for ways, register_bytes in ((1, 1), (2, 1), (4, 2), (16, 8)):
+        geo = CacheGeometry(ways * 64 * 4, ways, 64)
+        assert overhead_report(geo)["delay_register_bytes"] == register_bytes
