@@ -145,8 +145,9 @@ class BankPolicy:
     turns off: ways that are never looked up or filled on a set aligned
     bank, sets whose requests memory serves on a way aligned one.  shuffle
     is data shuffling's `vasa.WayGroups`; None means plain LRU.  A bank
-    that shuffles disables nothing, which is what lets `nuca.price` count
-    a set aligned bank's hits to depth `ways - len(disabled)`.
+    that shuffles disables nothing and every bank keeps a group on, which
+    is what lets `nuca.price` count a set aligned bank's hits to depth
+    `ways - len(disabled)`.
     """
 
     latency: list
@@ -158,6 +159,8 @@ class BankPolicy:
         if any(not 0 <= group < len(self.latency) for group in self.disabled):
             raise ValueError(f"disabled groups {sorted(self.disabled)} are not "
                              f"all in 0..{len(self.latency) - 1}")
+        if self.disabled and len(self.disabled) == len(self.latency):
+            raise ValueError("a bank cannot disable all its groups")
         if self.disabled and self.shuffle is not None:
             raise ValueError("a bank cannot both disable groups and shuffle")
 

@@ -602,10 +602,11 @@ def _pass_key(row, position):
 
 def _hit_table(row):
     cfg = row.cfg
-    cores = sorted(cfg.noc) if cfg.nuca_enabled else None
-    return nuca.count_hits(row.llc, cfg.geometry, cfg.layout_kind,
-                           row.machinery.banks, cores, row.mapping,
-                           cfg.pm_page_bytes)
+    llc = row.llc
+    if row.mapping is not None:
+        llc = pagemap.translate_trace(llc, row.mapping, cfg.pm_page_bytes)
+    return nuca.count_hits(llc, cfg.geometry, cfg.layout_kind,
+                           row.machinery.banks, cfg.noc)
 
 
 def _latency_key(cfg):

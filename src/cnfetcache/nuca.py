@@ -114,86 +114,75 @@ class NucaCache:
 class HitTable:
     """The hits of one address stream, counted by where they landed.
 
-    counts is flat: entry ((c * banks + b) * groups + g) * depths + d - 1
-    counts the hits from the c-th core of `cores` (one row for every core
-    when cores is None, as in a UCA) to latency group g of bank b at LRU
-    depth d.  The group is the set on a way aligned (per_set) bank and the
-    way on a set aligned one.  Set aligned tables keep each hit's depth
-    (depths = ways), which is what partial disabling's enabled-way count
-    is checked against; way aligned tables keep one depth for every hit.
-    A shuffling bank counts every hit at depth 1.  Its size follows from
-    the geometry, never from the stream's length.
+    counts is a flat list in C order over shape = (rows, banks, groups,
+    depths): entry (r, b, g, d) counts the hits from core r of the NoC
+    table (one row for every core in a UCA) to latency group g of bank b
+    at LRU depth d + 1.  The group is the set on a way aligned (per_set)
+    bank and the way on a set aligned one.  Set aligned tables keep each
+    hit's depth (depths = ways), which is what partial disabling's
+    enabled-way count is checked against; way aligned tables keep one
+    depth for every hit.  A shuffling bank counts every hit at depth 1.
+    The shape follows from the geometry, never from the stream's length.
     """
 
     counts: list
-    cores: list
-    groups: int
-    depths: int
+    shape: tuple
     per_set: bool
     accesses: int
     writes: int
     shuffle_moves: int = 0
 
 
-def _lines(trace, offset_bits, mapping, page_bytes):
-    """The line number of every reference, its address rewritten first as
-    `pagemap.translate` rewrites it when a mapping is given."""
-    addr = trace.addr
-    if mapping:
-        vpages = sorted(mapping)
-        frames = np.array([mapping[p] for p in vpages], dtype=np.uint64)
-        vpages = np.array(vpages, dtype=np.uint64)
-        pages, offsets = np.divmod(addr, page_bytes)
-        at = np.minimum(np.searchsorted(vpages, pages), len(vpages) - 1)
-        addr = np.where(vpages[at] == pages, frames[at] * page_bytes + offsets,
-                        addr)
-    return (addr >> offset_bits).tolist()
-
-
-def count_hits(records, geometry, layout, policies, cores=None, mapping=None,
-               page_bytes=None):
+def count_hits(records, geometry, layout, policies, noc=None):
     """One pass over an LLC stream, counting every hit in a HitTable.
 
     geometry is the whole LLC, split into one bank per policy; the bank
-    bits above the per-bank set index pick each set's bank.  The pass holds
-    a tag per way and recency lists per set, and no values or dirty bits,
-    which change no hit.  A bank whose policy does not shuffle runs
-    full-way LRU, and partial disabling is left to `price`.  A shuffling
-    bank places each access with `vasa.shuffle` and moves its tags along
-    the chain; each hit counts in the way that held the block before any
-    shuffling, and the shuffle moves are summed.  mapping (virtual page ->
-    frame of `page_bytes`) rewrites each address as `pagemap.translate`
-    does.
+    bits above the per-bank set index pick each set's bank.  Each core of
+    the `noc_table` noc counts in its own row (a core id off the mesh is a
+    ValueError); with noc None every core id shares one row.  Before the
+    loop, numpy gives each reference its tag, its cell (its global set in
+    its row) and where its hits start in the table; a hit counts at that
+    start plus the way and depth strides.  The pass keeps a tag per way
+    and recency lists per set, never values or dirty bits, which change
+    no hit.  A bank that does not shuffle runs full-way LRU, and partial
+    disabling is left to `price`.  A shuffling bank places each access
+    with `vasa.shuffle`, moves its tags along the chain, counts each hit
+    in the way that held the block before the shuffle, and sums the
+    moves.  Addresses are used as given: translate a page-mapped stream
+    first (`pagemap.translate_trace`).
     """
     banks = len(policies)
     if banks & (banks - 1):
         raise ValueError("num_banks must be a power of two")
     trace = workload.as_trace(records)
-    ways = geometry.num_ways
+    ways, num_sets = geometry.num_ways, geometry.num_sets
     bank_geometry = CacheGeometry(geometry.capacity_bytes // banks, ways,
                                   geometry.line_bytes)
+    bank_sets = bank_geometry.num_sets
     per_set = layout is LayoutKind.WAY_ALIGNED
     groups = layout.group_count(bank_geometry)
-    depths = 1 if per_set else ways
-    size = banks * groups * depths
-    table = HitTable([0] * (size * (1 if cores is None else len(cores))),
-                     cores, groups, depths, per_set, len(trace),
-                     int(trace.write.sum()))
-    offsets = (None if cores is None
-               else {core: i * size for i, core in enumerate(cores)})
-    bank_set_bits = bank_geometry.set_bits
-    offset_bits, set_bits = geometry.offset_bits, geometry.set_bits
-    set_mask = geometry.num_sets - 1
-    counts = table.counts
-    # Each set's tags, order and its bank's way groups, in one lookup.
-    sets = [([None] * ways, [], policies[s >> bank_set_bits].shuffle)
-            for s in range(geometry.num_sets)]
+    depths, way_step, depth_step = (1, 0, 0) if per_set else (ways, ways, 1)
+    rows = 1 if noc is None else len(noc)
+    row = 0 if noc is None else trace.core
+    outside = np.flatnonzero((row < 0) | (row >= rows))
+    if outside.size:
+        raise ValueError(f"core id {row[outside[0]]} is not on the mesh")
+    line = trace.addr >> geometry.offset_bits
+    sets = (line & (num_sets - 1)).astype(np.int64)
+    # A reference's cell is its global set in its core's row; the rows of
+    # a set share its tags, order and way groups.
+    cells = (row * num_sets + sets).tolist()
+    state = [([None] * ways, [], policies[s // bank_sets].shuffle)
+             for s in range(num_sets)] * rows
+    # Where a reference's hits start: at its cell's own entry on a way
+    # aligned table, at its (row, bank) block on a set aligned one.
+    starts = cells if per_set else (
+        (row * banks + sets // bank_sets) * groups * depths).tolist()
+    counts = [0] * (rows * banks * groups * depths)
     moves = 0
-    for line, core in zip(_lines(trace, offset_bits, mapping, page_bytes),
-                          trace.core.tolist()):
-        s = line & set_mask
-        tag = line >> set_bits
-        tags, order, shuffle = sets[s]
+    for c, tag, start in zip(cells, (line >> geometry.set_bits).tolist(),
+                             starts):
+        tags, order, shuffle = state[c]
         if shuffle is None:
             if tag not in tags:
                 if len(order) < ways:
@@ -216,15 +205,9 @@ def count_hits(records, geometry, layout, policies, cores=None, mapping=None,
             if way is None:
                 continue
             depth = 0
-        if per_set:
-            index = s
-        else:
-            index = ((s >> bank_set_bits) * ways + way) * depths + depth
-        if offsets is not None:
-            index += offsets[core]
-        counts[index] += 1
-    table.shuffle_moves = moves
-    return table
+        counts[start + way * way_step + depth * depth_step] += 1
+    return HitTable(counts, (rows, banks, groups, depths), per_set,
+                    len(trace), int(trace.write.sum()), moves)
 
 
 def price(table, policies, memory_latency, noc=None):
@@ -235,31 +218,31 @@ def price(table, policies, memory_latency, noc=None):
     On a set aligned table it is a hit deeper than the `ways -
     len(disabled)` ways left on: LRU is a stack algorithm, so a bank
     restricted to k ways hits exactly where the full-way pass hits at
-    depth k or less, and with one clock for every enabled way the way the
-    pass names prices it alike.  A hit costs latency[group] +
-    noc[core][bank], with no NoC term when noc (a `noc_table`) is None.
-    Every other access is a miss at memory_latency.
+    depth k or less (the cumulative sum over depth, read at k), and with
+    one clock for every enabled way the way the pass names prices it
+    alike.  A hit costs latency[group] + noc[row][bank], with no NoC term
+    when noc (a `noc_table`) is None.  Every other access is a miss at
+    memory_latency.
     """
     stats = metrics.RunStats(memory_latency, table.accesses,
                              reads=table.accesses - table.writes,
                              writes=table.writes,
                              shuffle_moves=table.shuffle_moves)
+    within = np.cumsum(np.reshape(table.counts, table.shape), axis=3)
+    hits = within[..., -1]
+    for bank, policy in enumerate(policies):
+        off = sorted(policy.disabled)
+        if table.per_set:
+            hits[:, bank, off] = 0
+        elif off:
+            hits[:, bank] = within[:, bank, :, -1 - len(off)]
+    hops = 0 if noc is None else np.array([noc[r] for r in range(len(hits))])
+    cycles = np.broadcast_to(np.array([p.latency for p in policies])
+                             + np.expand_dims(hops, -1), hits.shape)
+    landed = hits > 0
     hist = stats.hit_latency_histogram
-    counts, depths = table.counts, table.depths
-    size = table.groups * depths
-    start = 0
-    for core in table.cores or [None]:
-        for bank, policy in enumerate(policies):
-            hop = 0 if noc is None else noc[core][bank]
-            if table.per_set:
-                hit_depth, skip = 1, policy.disabled
-            else:
-                hit_depth, skip = depths - len(policy.disabled), ()
-            for group, i in enumerate(range(start, start + size, depths)):
-                hits = counts[i] if hit_depth == 1 else sum(counts[i:i + hit_depth])
-                if hits and group not in skip:
-                    hist[policy.latency[group] + hop] += hits
-            start += size
+    for cycle, n in zip(cycles[landed].tolist(), hits[landed].tolist()):
+        hist[cycle] += n
     stats.hits = sum(hist.values())
     stats.misses = stats.accesses - stats.hits
     stats.total_llc_cycles = (sum(c * n for c, n in hist.items())

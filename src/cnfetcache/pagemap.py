@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .workload import as_trace
+from .workload import Trace, as_trace
 
 
 @dataclass
@@ -148,6 +148,18 @@ def translate(vaddr, mapping, page_bytes):
     if frame is None:
         return vaddr
     return frame * page_bytes + offset
+
+
+def translate_trace(trace, mapping, page_bytes):
+    """The trace with each address rewritten by `translate`."""
+    if not mapping:
+        return trace
+    vpages, frames = np.array(sorted(mapping.items()), dtype=np.uint64).T
+    pages, offsets = np.divmod(trace.addr, page_bytes)
+    at = np.minimum(np.searchsorted(vpages, pages), len(vpages) - 1)
+    addr = np.where(vpages[at] == pages, frames[at] * page_bytes + offsets,
+                    trace.addr)
+    return Trace(trace.core, trace.write, trace.instr, addr)
 
 
 def serialize_profile(profile):

@@ -28,6 +28,7 @@ REFERENCE = "tests/test_reference_workload.py::"
 PASS = "tests/test_pass.py::test_pass_and_pricing_match_the_per_access_engine"
 PASS_COUNT = "tests/test_cli.py::test_compare_makes_one_pass_per_stream"
 ASSIGN = "tests/test_pagemap.py::test_assignment_matches_quadratic_reference"
+TRANSLATE = "tests/test_pagemap.py::test_translate_trace_matches_translate"
 STARTUP = "tests/test_startup.py::"
 ORACLE = "tests/test_vasa.py::test_engine_agrees_with_straight_line_oracle"
 OBJECT_ENGINE = ("tests/test_reference_engine.py::"
@@ -98,20 +99,20 @@ MUTANTS = [
            'bad = text.count("\\n", 0, exc.start) + 1',
            ("tests/test_cli.py::test_simulate_rejects_malformed_trace",)),
     # The pass and pricing mutants of the one-pass change, re-expressed
-    # against `count_hits` and `price`.
+    # against the array hit table: `count_hits` computes each reference's
+    # cell before its loop and `price` reads the table as an array.
     Mutant("PD hit test d <= k + 1", NUCA,
-           "depths - len(policy.disabled), ()",
-           "depths - len(policy.disabled) + 1, ()",
+           "within[:, bank, :, -1 - len(off)]", "within[:, bank, :, -len(off)]",
            (PASS + "[set_aligned-baseline_pd]",)),
     Mutant("bypass ignored", NUCA,
-           "hit_depth, skip = 1, policy.disabled", "hit_depth, skip = 1, ()",
+           "hits[:, bank, off] = 0", "pass",
            (PASS + "[way_aligned-baseline_pd]",)),
     Mutant("NoC dropped", NUCA,
-           "hop = 0 if noc is None else noc[core][bank]", "hop = 0",
+           "hops = 0 if noc is None else", "hops = 0 if True else",
            (PASS + "[way_aligned-baseline]",)),
     Mutant("set aligned banks priced by set", NUCA,
-           "if per_set:\n            index = s",
-           "if True:\n            index = s",
+           "starts = cells if per_set else (",
+           "starts = cells if True else (",
            (PASS + "[set_aligned-vasa]",)),
     Mutant("DS moves dropped", NUCA,
            "moves += step", "moves += 0",
@@ -124,22 +125,41 @@ MUTANTS = [
            "                continue\n            way, depth = chain[0], 0",
            (PASS + "[set_aligned-vasa_ds4]",)),
     Mutant("core rows swapped", NUCA,
-           "enumerate(cores)", "enumerate(reversed(cores))",
+           "(row * num_sets + sets)", "((rows - 1 - row) * num_sets + sets)",
            (PASS + "[way_aligned-baseline]",)),
-    Mutant("PM addresses not translated", NUCA,
-           "zip(_lines(trace, offset_bits, mapping, page_bytes)",
-           "zip(_lines(trace, offset_bits, None, page_bytes)",
-           (PASS + "[way_aligned-vawa_ug]",)),
+    Mutant("PM addresses not translated", PAGEMAP,
+           "frames[at] * page_bytes + offsets", "pages * page_bytes + offsets",
+           (PASS + "[way_aligned-vawa_ug]", TRANSLATE)),
     Mutant("pass key ignoring the mapping", CLI,
            "if row.mapping is not None or any(", "if any(",
            (PASS_COUNT + "[way-uca-3-0]",)),
     # Two on the merged pass and the one PD depth rule.
     Mutant("shuffling bank sent down the LRU branch", NUCA,
-           "policies[s >> bank_set_bits].shuffle)", "None)",
+           "policies[s // bank_sets].shuffle)", "None)",
            (PASS + "[set_aligned-vasa_ds2]",)),
     Mutant("disabled ways left out of the depth rule", NUCA,
-           "depths - len(policy.disabled), ()", "depths, ()",
+           "        elif off:\n", "        elif False:\n",
            (PASS + "[set_aligned-baseline_pd]",)),
+    # The array hit table: the mesh check, the strides, the depth `price`
+    # reads and the translation that moved to `pagemap`.
+    Mutant("core off the mesh not rejected", NUCA,
+           "    if outside.size:\n", "    if False:\n",
+           ("tests/test_pass.py::test_pass_rejects_a_core_off_the_mesh",)),
+    Mutant("way and depth strides swapped", NUCA,
+           "else (ways, ways, 1)", "else (ways, 1, ways)",
+           (PASS + "[set_aligned-baseline_pd]", PASS + "[set_aligned-vasa]")),
+    Mutant("price's depth cut off by one", NUCA,
+           "within[:, bank, :, -1 - len(off)]",
+           "within[:, bank, :, -2 - len(off)]",
+           (PASS + "[set_aligned-baseline_pd]",)),
+    Mutant("mapped stream not translated before its pass", CLI,
+           "    if row.mapping is not None:\n        llc = pagemap",
+           "    if False:\n        llc = pagemap",
+           (PASS + "[way_aligned-vawa_ug]",)),
+    Mutant("translation search not clamped", PAGEMAP,
+           "np.searchsorted(vpages, pages), len(vpages) - 1)",
+           "np.searchsorted(vpages, pages), len(vpages))",
+           (TRANSLATE,)),
     # Data shuffling's one placement (`vasa.shuffle`), the engine's contents
     # and the pass's tags that move along its chain.
     Mutant("DS hit way left off the chain", VASA,

@@ -233,5 +233,11 @@ def test_bank_policy_rejects_bad_disabled_groups():
     groups = WayGroups.from_latency_map(_setmap(GEO_SMALL, [6, 7, 8, 9]), 2)
     with pytest.raises(ValueError, match="both disable groups and shuffle"):
         BankPolicy([6] * 4, {3}, groups)
+    # A bank with no group left on would serve nothing: the per-access
+    # engine would have no way to fill and `nuca.price` no depth to read.
+    with pytest.raises(ValueError, match="cannot disable all its groups"):
+        BankPolicy([6, 7], {0, 1})
+    with pytest.raises(ValueError, match="cannot disable all its groups"):
+        BankPolicy([6], {0})
     assert BankPolicy([6] * 4, {0, 3}).disabled == {0, 3}
     assert BankPolicy([6] * 4, shuffle=groups).disabled == frozenset()

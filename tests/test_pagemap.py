@@ -11,9 +11,9 @@ from cnfetcache.nuca import noc_table
 from cnfetcache.pagemap import (Frame, FrameInventory, PageProfile,
                                 assign_pages, build_frame_inventory,
                                 frame_span_sets, profile_trace,
-                                serialize_profile, translate)
+                                serialize_profile, translate, translate_trace)
 from cnfetcache.timing import CacheGeometry
-from cnfetcache.workload import TraceRecord
+from cnfetcache.workload import Trace, TraceRecord
 
 
 def test_frame_span_is_granularity_aligned():
@@ -185,6 +185,30 @@ def test_translate_rewrites_page_bits():
     mapping = {2: 7}
     assert translate(2 * 4096 + 123, mapping, 4096) == 7 * 4096 + 123
     assert translate(5 * 4096 + 9, mapping, 4096) == 5 * 4096 + 9
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(page_bytes=st.sampled_from([64, 512, 4096, 1 << 21]),
+       mapping=st.dictionaries(st.integers(0, 1 << 20), st.integers(0, 1 << 20),
+                               max_size=8),
+       extra=st.lists(st.integers(0, (1 << 20) + 2), max_size=16),
+       offset=st.integers(0, (1 << 21) - 1))
+def test_translate_trace_matches_translate(page_bytes, mapping, extra, offset):
+    # Every mapped page and both its neighbours, so pages below, between
+    # and above the mapped ones, and the page past the last mapped one,
+    # which the sorted search clamps onto the last.
+    pages = sorted({q for p in mapping for q in (p - 1, p, p + 1) if q >= 0}
+                   | set(extra) | {0})
+    addrs = [p * page_bytes + (offset + p) % page_bytes for p in pages]
+    n = len(addrs)
+    trace = Trace([i % 4 for i in range(n)], [i % 2 == 0 for i in range(n)],
+                  [i % 3 == 0 for i in range(n)], addrs)
+    out = translate_trace(trace, mapping, page_bytes)
+    assert out.addr.tolist() == [translate(a, mapping, page_bytes)
+                                 for a in addrs]
+    assert trace.addr.tolist() == addrs
+    for column in ("core", "write", "instr"):
+        assert np.array_equal(getattr(out, column), getattr(trace, column))
 
 
 def test_inventory_bank_and_set_math():

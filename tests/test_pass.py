@@ -129,16 +129,26 @@ def test_hit_table_size_follows_the_geometry_not_the_trace():
     cfg = ExperimentConfig.from_keys({"nuca.enabled": True,
                                       "workload.num_cores": 4})
     banks = [BankPolicy([6] * cfg.num_ways)] * cfg.num_banks
-    sizes = []
     for length in (1_000, 100_000):
         records = generate_synthetic(SyntheticSpec(length=length, num_cores=4))
         table = nuca.count_hits(records, cfg.geometry, cfg.layout_kind,
-                                banks, sorted(cfg.noc))
+                                banks, cfg.noc)
         assert table.accesses == length
         assert 0 < sum(table.counts) <= length
-        sizes.append(len(table.counts))
-    # 4 cores x 8 banks x 8 ways x 8 depths, for either length.
-    assert sizes == [4 * 8 * 8 * 8] * 2
+        # 4 cores x 8 banks x 8 ways x 8 depths, for either length.
+        assert table.shape == (4, 8, 8, 8)
+        assert len(table.counts) == 4 * 8 * 8 * 8
+
+
+@pytest.mark.parametrize("core", [4, -1])
+def test_pass_rejects_a_core_off_the_mesh(core):
+    geometry = CacheGeometry(CAPACITY, 8, 64)
+    policies = [BankPolicy([6] * 8)] * 4
+    records = [TraceRecord(0, "R", 0), TraceRecord(core, "R", 64),
+               TraceRecord(3, "R", 128)]
+    with pytest.raises(ValueError, match=f"core id {core} is not on the mesh"):
+        nuca.count_hits(records, geometry, LayoutKind.SET_ALIGNED, policies,
+                        nuca.noc_table(2, 2, 1, 2))
 
 
 def test_pass_holds_no_values():
@@ -155,7 +165,7 @@ def test_pass_holds_no_values():
 
     def count():
         return nuca.count_hits(records, geometry, LayoutKind.SET_ALIGNED,
-                               policies, [0, 1, 2, 3])
+                               policies, nuca.noc_table(2, 2, 1, 2))
 
     want = count()
     assert want.shuffle_moves > 0 and sum(want.counts) > 0
