@@ -14,8 +14,6 @@ the hit-counting pass (`nuca.count_hits`) keeps tags and orders alone.
 from dataclasses import dataclass
 from enum import Enum
 
-from .timing import LayoutKind
-
 
 class PolicyKind(Enum):
     BASELINE_WORST = "baseline"
@@ -174,16 +172,13 @@ def worst_groups(latmap):
     return disabled
 
 
-def partial_disable(latmap, disabled=None):
+def partial_disable(latmap):
     """BankPolicy of the partial-disabling (PD) baseline.
 
-    The `disabled` groups (default: the worst-timing ones) are turned off
-    and the rest run at the fastest uniform clock they support.
+    The worst-timing groups (`worst_groups`) are turned off and the rest
+    run at the fastest uniform clock they support.  A map whose groups all
+    share one latency disables nothing and runs every group at it.
     """
-    if disabled is None:
-        disabled = worst_groups(latmap)
+    disabled = worst_groups(latmap)
     enabled = [c for i, c in enumerate(latmap.latencies) if i not in disabled]
-    if not enabled:
-        groups = "ways" if latmap.layout is LayoutKind.SET_ALIGNED else "sets"
-        raise ValueError(f"all cache {groups} disabled")
     return BankPolicy([max(enabled)] * len(latmap.latencies), disabled)

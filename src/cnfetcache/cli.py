@@ -222,7 +222,7 @@ class ExperimentConfig:
     def cnt_params(self):
         return variation.CntParams(self.mu, self.sigma, self.p_metallic,
                                    self.p_remove_metallic,
-                                   self.p_remove_semiconducting, self.cnt_seed)
+                                   self.p_remove_semiconducting)
 
     @property
     def cycle_range(self):
@@ -398,7 +398,9 @@ def release_free_heap():
 
 def build_latency_maps(cfg):
     """One latency map per bank: loaded from timing.map_file when given,
-    otherwise sampled, deterministically seeded from cnt.seed."""
+    otherwise sampled.  Bank b draws from generator
+    `SeedSequence(cnt.seed).spawn(banks)[b]`, the one seeding rule of the
+    latency maps."""
     if cfg.map_file:
         if cfg.nuca_enabled:
             raise ConfigError("timing.map_file only supports a single bank; "
@@ -510,7 +512,7 @@ def build_page_mapping(cfg, machinery, llc_records, raw_records,
     if cfg.layout_kind is LayoutKind.WAY_ALIGNED:
         set_latencies = [bank.latency for bank in banks]
     else:
-        set_latencies = [[sum(bank.latency) / len(bank.latency)]
+        set_latencies = [[nuca.bank_average_latency(bank.latency)]
                          * geometry.num_sets for bank in banks]
     inventory = pagemap.build_frame_inventory(geometry, page_bytes, num_frames,
                                               set_latencies)
@@ -576,7 +578,7 @@ def _prepare(cfg, records, llc, latmaps, profiles):
                                            profiles)
     notes = []
     if cfg.nuca_enabled:
-        averages = [nuca.bank_average_latency(lm) for lm in latmaps]
+        averages = [nuca.bank_average_latency(lm.latencies) for lm in latmaps]
         spread = max(averages) - min(averages)
         notes.append("bank_avg_hit_latency=" +
                      ";".join(f"{a:.4f}" for a in averages))
@@ -613,8 +615,8 @@ def _latency_key(cfg):
     """Rows with equal keys get equal latency maps from
     `build_latency_maps`: every input it reads."""
     return (cfg.map_file, cfg.layout_kind, cfg.geometry, cfg.num_banks,
-            cfg.nuca_enabled, cfg.cycle_range, cfg.cnt_params, cfg.stages,
-            cfg.nominal_count)
+            cfg.nuca_enabled, cfg.cycle_range, cfg.cnt_params, cfg.cnt_seed,
+            cfg.stages, cfg.nominal_count)
 
 
 def run_sweep(configs, records):
@@ -658,13 +660,10 @@ def run_sweep(configs, records):
             for row, stat in zip(rows, stats)]
 
 
-def run_experiment(cfg, records=None):
-    """Simulate one config over raw `records` (loaded from the config when
-    omitted)."""
+def run_experiment(cfg):
+    """Simulate one config over the raw records it loads."""
     cfg.validate()
-    if records is None:
-        records = load_records(cfg)
-    return run_sweep([cfg], records)[0]
+    return run_sweep([cfg], load_records(cfg))[0]
 
 
 # -- subcommands ----------------------------------------------------------

@@ -34,10 +34,10 @@ def noc_table(rows, cols, cycles_per_hop, round_trip_factor):
             for core, (r, c) in enumerate(corners)}
 
 
-def bank_average_latency(latmap):
-    """Mean way latency of a bank, as reported per bank in NUCA runs; page
-    mapping charges every set of a set aligned bank this mean."""
-    return sum(latmap.latencies) / len(latmap.latencies)
+def bank_average_latency(latencies):
+    """Mean of a bank's per-group latencies.  NUCA runs report it per bank,
+    and page mapping charges every set of a set aligned bank this mean."""
+    return sum(latencies) / len(latencies)
 
 
 class NucaCache:

@@ -173,26 +173,19 @@ def calibrate_nominal_count(params, stages):
     return max(max(cdf), 1)
 
 
-DEFAULT_STAGES = 8
 DEFAULT_CYCLE_RANGE = {
     LayoutKind.SET_ALIGNED: (6, 12),
     LayoutKind.WAY_ALIGNED: (6, 10),
 }
 
 
-def build_latency_map(geometry, layout, params, stages=DEFAULT_STAGES,
-                      min_cycles=None, max_cycles=None, nominal_count=None,
-                      rng=None):
-    """Sample a LatencyMap for the given layout.
+def build_latency_map(geometry, layout, params, stages, min_cycles,
+                      max_cycles, nominal_count, rng):
+    """Sample a LatencyMap for the given layout from generator `rng`.
 
-    Set aligned: one group per way.  Way aligned: one group per set.
+    Set aligned: one group per way.  Way aligned: one group per set.  The
+    config resolves every input (`cli.build_latency_maps`).
     """
-    if min_cycles is None:
-        min_cycles = DEFAULT_CYCLE_RANGE[layout][0]
-    if max_cycles is None:
-        max_cycles = DEFAULT_CYCLE_RANGE[layout][1]
-    if nominal_count is None:
-        nominal_count = calibrate_nominal_count(params, stages)
     strengths = variation.sample_group_strengths(
         params, layout.group_count(geometry), stages, rng)
     latencies = strengths_to_latency(strengths, nominal_count, min_cycles, max_cycles)

@@ -24,7 +24,6 @@ class CntParams:
     p_metallic: float = 0.05
     p_remove_metallic: float = 0.999
     p_remove_semiconducting: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("p_metallic", "p_remove_metallic",
@@ -65,22 +64,19 @@ def surviving_counts(raw_counts, params, rng):
     return kept_m + kept_s
 
 
-def sample_group_strengths(params, num_groups, stages_per_group, rng=None):
+def sample_group_strengths(params, num_groups, stages_per_group, rng):
     """Sample the drive strength of num_groups independent aligned groups:
     each group's effective CNT count as an int, 0 meaning the group failed.
 
     One raw count is shared by all CNFETs of a group (full correlation along
     the growth direction); each of stages_per_group critical-path stages then
     loses CNTs independently, and the group strength is the minimum stage.
-    With rng=None a fresh generator is seeded from params.seed, so identical
-    arguments always produce identical output.
+    Every draw comes from `rng`, so equal generators give equal output.
     """
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
     if stages_per_group < 1:
         raise ValueError("stages_per_group must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
     raw = draw_raw_counts(params, num_groups, rng)
     # stages x groups matrix of per-stage survivors; each column shares raw.
     stage_counts = np.empty((stages_per_group, num_groups), dtype=np.int64)

@@ -40,7 +40,7 @@ class WayGroups:
                 self.group_of[w] = gi
 
     @classmethod
-    def from_latency_map(cls, latmap, num_groups=4):
+    def from_latency_map(cls, latmap, num_groups):
         ways = len(latmap.latencies)
         if ways % num_groups != 0:
             raise ValueError("num_groups must divide the way count")

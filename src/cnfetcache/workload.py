@@ -117,6 +117,8 @@ def parse_trace(stream, num_cores=None):
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
+    # One iterator, so a list of lines is not restarted on every chunk.
+    stream = iter(stream)
     chunks = []
     lineno = 0
     while True:

@@ -49,6 +49,9 @@ CLI = "cnfetcache/cli.py"
 PAGEMAP = "cnfetcache/pagemap.py"
 INIT = "cnfetcache/__init__.py"
 VASA = "cnfetcache/vasa.py"
+CACHE_CORE = "cnfetcache/cache_core.py"
+LATENCY_KEY = ("tests/test_cli.py::"
+               "test_sweep_keeps_rows_with_different_latency_inputs_apart")
 
 MUTANTS = [
     # The trace and L1 mutants of the columnar trace change, re-expressed.
@@ -213,6 +216,27 @@ MUTANTS = [
            "    rows = []\n",
            ("tests/test_cli.py::"
             "test_sweep_releases_the_heap_once_its_streams_are_built",)),
+    # The latency-map inputs: the config owns them, the sweep shares maps
+    # by them, and page mapping charges a set aligned bank its mean.
+    Mutant("latency key without cnt.seed", CLI,
+           "cfg.cnt_params, cfg.cnt_seed,", "cfg.cnt_params,",
+           (LATENCY_KEY + "[cnt.seed-13]",)),
+    Mutant("latency key without cnt_params", CLI,
+           "cfg.cycle_range, cfg.cnt_params,", "cfg.cycle_range,",
+           (LATENCY_KEY + "[cnt.sigma-1.5]",)),
+    Mutant("every bank drawn from one cnt.seed generator", CLI,
+           "nominal, np.random.default_rng(seq))\n            for seq in seeds]",
+           "nominal, rng)\n            for rng in [np.random.default_rng("
+           "cfg.cnt_seed)] * cfg.num_banks]",
+           ("tests/test_cli.py::test_benchmark_compare_csvs_are_pinned",)),
+    Mutant("partial disabling disables nothing", CACHE_CORE,
+           "disabled = worst_groups(latmap)", "disabled = set()",
+           ("tests/test_cache_core.py::test_partial_disable_hand_trace",)),
+    Mutant("bank average takes the slowest group", NUCA,
+           "return sum(latencies) / len(latencies)", "return max(latencies)",
+           ("tests/test_cli.py::"
+            "test_set_aligned_page_mapping_charges_each_bank_its_mean_way_"
+            "latency",)),
 ]
 
 

@@ -13,12 +13,12 @@ import test_vawa
 from cnfetcache import metrics
 from cnfetcache.cli import (ExperimentConfig, build_latency_maps,
                             build_machinery, build_page_mapping, main,
-                            make_accessor, run_experiment)
+                            make_accessor, run_experiment, run_sweep)
 from cnfetcache.nuca import noc_table
 from cnfetcache.pagemap import (PageProfile, assign_pages,
                                 build_frame_inventory, translate)
 from cnfetcache.timing import (CacheGeometry, LatencyMap, LayoutKind,
-                               build_latency_map)
+                               build_latency_map, calibrate_nominal_count)
 from cnfetcache.variation import CntParams, surviving_counts
 from cnfetcache.vawa import build_nonuniform_groups
 from cnfetcache.workload import TraceRecord
@@ -26,6 +26,14 @@ from cnfetcache.workload import TraceRecord
 TABLE_PARAMS = CntParams(mu=9.0, sigma=2.1, p_metallic=0.05,
                          p_remove_metallic=0.999,
                          p_remove_semiconducting=0.05)
+
+
+def _table_way_map(geometry, seed):
+    """A way aligned map at TABLE_PARAMS, 8 stages, 6..10 cycles and the
+    calibrated nominal strength, drawn from a generator seeded with `seed`."""
+    return build_latency_map(geometry, LayoutKind.WAY_ALIGNED, TABLE_PARAMS,
+                             8, 6, 10, calibrate_nominal_count(TABLE_PARAMS, 8),
+                             np.random.default_rng(seed))
 
 
 # -- criterion 1: shuffle scenario fidelity -------------------------------
@@ -164,8 +172,7 @@ def test_criterion_3_grouping_optimality_and_lookup_safety():
     geometry = CacheGeometry(2 * 1024 * 1024, 8, 64)
     queries = 0
     for seed in range(4):
-        m = build_latency_map(geometry, LayoutKind.WAY_ALIGNED,
-                              CntParams(seed=seed))
+        m = _table_way_map(geometry, seed)
         latency, _ = build_nonuniform_groups(m, [6, 7], 16, granularity=8)
         idx = np.random.default_rng(seed).integers(0, geometry.num_sets,
                                                    size=250_000)
@@ -185,9 +192,7 @@ def test_criterion_3_grouping_optimality_and_lookup_safety():
 def test_criterion_4_distribution_and_mc_mean():
     geometry = CacheGeometry(2 * 1024 * 1024, 8, 64)
     for seed in range(20):
-        m = build_latency_map(geometry, LayoutKind.WAY_ALIGNED,
-                              CntParams(seed=seed), stages=8,
-                              min_cycles=6, max_cycles=10)
+        m = _table_way_map(geometry, seed)
         hist = Counter(m.latencies)
         mode = max(hist, key=hist.get)
         assert mode == 6, f"seed {seed}: mode {mode}, hist {dict(hist)}"
@@ -299,8 +304,8 @@ def test_criterion_7_energy_accounting():
     churn = [TraceRecord(0, "R", (i % 8) * stride) for i in range(20_000)]
     plain_cfg = _recipe_a("vasa")
     ds_cfg = _recipe_a("vasa_ds")
-    plain_churn = run_experiment(plain_cfg, records=list(churn))
-    ds_churn = run_experiment(ds_cfg, records=list(churn))
+    plain_churn = run_sweep([plain_cfg], list(churn))[0]
+    ds_churn = run_sweep([ds_cfg], list(churn))[0]
     _, plain_dyn = metrics.energy(plain_churn.stats, params)
     _, ds_dyn = metrics.energy(ds_churn.stats, params)
     assert ds_dyn > plain_dyn

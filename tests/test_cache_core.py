@@ -180,24 +180,26 @@ def test_partial_disable_hand_trace():
 
 
 def test_partial_disable_all_equal_is_baseline():
-    latmap = _setmap(GEO_SMALL, [9, 9, 9, 9])
-    assert worst_groups(latmap) == set()
-    _, pd = _uca(GEO_SMALL, partial_disable(latmap))
-    _, base = _baseline(GEO_SMALL, 9)
-    rng = random.Random(11)
-    for _ in range(3000):
-        addr = rng.randrange(16 * 1024) & ~63
-        a = pd(0, addr)
-        b = base(0, addr)
-        assert (a.hit, a.way, a.latency_cycles) == (b.hit, b.way, b.latency_cycles)
-
-
-def test_partial_disable_everything_rejected():
-    # Disabling every group fails when the bank is built, not per access.
-    with pytest.raises(ValueError, match="all cache ways disabled"):
-        partial_disable(_setmap(CacheGeometry(1024, 1, 64), [12]), {0})
-    with pytest.raises(ValueError, match="all cache sets disabled"):
-        partial_disable(_waymap(GEO_SMALL, [10] * 16), set(range(16)))
+    # Every group at one latency, a lone way included: PD disables nothing
+    # and runs as the worst-case baseline.
+    one_way = CacheGeometry(1024, 1, 64)
+    cases = [(GEO_SMALL, _setmap(GEO_SMALL, [9, 9, 9, 9])),
+             (one_way, _setmap(one_way, [12])),
+             (GEO_SMALL, _waymap(GEO_SMALL, [10] * 16))]
+    for geometry, latmap in cases:
+        assert worst_groups(latmap) == set()
+        policy = partial_disable(latmap)
+        assert policy.disabled == set()
+        _, pd = _uca(geometry, policy, latmap.layout)
+        _, base = _uca(geometry, BankPolicy(list(latmap.latencies)),
+                       latmap.layout)
+        rng = random.Random(11)
+        for _ in range(3000):
+            addr = rng.randrange(16 * 1024) & ~63
+            a = pd(0, addr)
+            b = base(0, addr)
+            assert (a.hit, a.way, a.latency_cycles) == \
+                (b.hit, b.way, b.latency_cycles)
 
 
 def test_partial_disable_way_aligned_bypass():

@@ -13,7 +13,7 @@ import cnfetcache
 from cnfetcache import cli, metrics, nuca, pagemap, timing, workload
 from cnfetcache.cli import (ConfigError, ExperimentConfig, build_latency_maps,
                             main, parse_config_file, recipe_configs,
-                            run_experiment)
+                            run_experiment, run_sweep)
 from cnfetcache.timing import serialize_latency_map
 from cnfetcache.workload import TraceRecord, serialize_trace
 
@@ -140,8 +140,8 @@ def test_shuffling_beats_plain_on_hot_trace():
     hot = [TraceRecord(0, "R", (i % 16) * 64 * 128) for i in range(4000)]
     vasa_cfg = _config(policy="vasa", layout="set_aligned")
     ds_cfg = _config(policy="vasa_ds", layout="set_aligned")
-    out_plain = run_experiment(vasa_cfg, records=list(hot))
-    out_ds = run_experiment(ds_cfg, records=list(hot))
+    out_plain = run_sweep([vasa_cfg], list(hot))[0]
+    out_ds = run_sweep([ds_cfg], list(hot))[0]
     assert out_ds.stats.mean_hit_latency <= out_plain.stats.mean_hit_latency
 
 
@@ -749,6 +749,35 @@ def test_compare_samples_latency_maps_once(tmp_path, monkeypatch, argv,
     calls.clear()
     assert _compare_csv(tmp_path, "alone.csv", argv) == shared
     assert len(calls) == banks * len(cli.RECIPES[argv[1]])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cnt.seed", 13), ("cnt.sigma", 1.5), ("timing.max_cycles", 12)])
+def test_sweep_keeps_rows_with_different_latency_inputs_apart(key, value):
+    # Two rows that differ in one input of the latency maps get maps of
+    # their own in a sweep: each row is what it is when run alone.
+    configs = [_config(policy="vawa_ug", layout="way_aligned"),
+               _config(policy="vawa_ug", layout="way_aligned", **{key: value})]
+    swept = run_sweep(configs, cli.load_records(configs[0]))
+    alone = [run_experiment(cfg) for cfg in configs]
+    assert [out.stats_row() for out in swept] == \
+        [out.stats_row() for out in alone]
+    assert swept[0].stats_row() != swept[1].stats_row()
+
+
+def test_set_aligned_page_mapping_charges_each_bank_its_mean_way_latency():
+    cfg = _config(policy="vasa_ds", layout="set_aligned",
+                  **{"nuca.enabled": True, "workload.num_cores": 4,
+                     "workload.length": 2000, "pagemap.enabled": True,
+                     "pagemap.page_bytes": 512})
+    latmaps = build_latency_maps(cfg)
+    records = cli.load_records(cfg)
+    _, inventory, _ = cli.build_page_mapping(
+        cfg, cli.build_machinery(cfg, latmaps), records, records)
+    means = [sum(lm.latencies) / len(lm.latencies) for lm in latmaps]
+    assert max(means) > min(means)
+    assert all(frame.latency_class == means[frame.bank]
+               for frame in inventory.frames)
 
 
 @pytest.mark.parametrize("sets, sha256", [

@@ -119,9 +119,7 @@ def test_equal_banks_reduce_mapping_to_distance_only():
     # With identical per-bank latency maps, page mapping with unified costs
     # equals a pure NoC-distance assignment.
     geometry = CacheGeometry(GEO_TOTAL.capacity_bytes // 8, 8, 64)
-    latmap = LatencyMap(LayoutKind.SET_ALIGNED, [6, 6, 7, 7, 8, 8, 10, 10],
-                        6, 10)
-    avg = bank_average_latency(latmap)
+    avg = bank_average_latency([6, 6, 7, 7, 8, 8, 10, 10])
     rng = random.Random(4)
     draws = [(p, rng.randrange(4), rng.randrange(1, 100)) for p in range(16)]
     profile = PageProfile({p: n for p, _, n in draws},

@@ -1,6 +1,6 @@
 """The one-pass run path against the per-access engine.
 
-`run_experiment` counts the hits of each LLC stream once (`nuca.count_hits`)
+`run_sweep` counts the hits of each LLC stream once (`nuca.count_hits`)
 and prices every row from that table (`nuca.price`).  `make_accessor` and
 `simulate_records` drive `NucaCache.access` one access at a time; here they
 are the reference, and every RunStats field must come out equal on random
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cnfetcache import cache_core, cli, nuca, vasa
 from cnfetcache.cache_core import BankPolicy
 from cnfetcache.cli import (ExperimentConfig, build_machinery,
-                            build_page_mapping, make_accessor, run_experiment,
+                            build_page_mapping, make_accessor, run_sweep,
                             simulate_records)
 from cnfetcache.metrics import RunStats
 from cnfetcache.pagemap import translate
@@ -53,7 +53,7 @@ def _reference_stats(cfg, latmaps, records):
 
 def _pass_stats(cfg, latmaps, records):
     with mock.patch.object(cli, "build_latency_maps", lambda _: latmaps):
-        return run_experiment(cfg, records=list(records)).stats
+        return run_sweep([cfg], list(records))[0].stats
 
 
 @st.composite

@@ -4,14 +4,28 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cnfetcache.timing import (CacheGeometry, LatencyMap, LayoutKind,
-                               build_latency_map, calibrate_nominal_count,
-                               effective_count_cdf, load_latency_map,
-                               serialize_latency_map, strengths_to_latency)
+from cnfetcache.cli import ExperimentConfig
+from cnfetcache.timing import (DEFAULT_CYCLE_RANGE, CacheGeometry, LatencyMap,
+                               LayoutKind, build_latency_map,
+                               calibrate_nominal_count, effective_count_cdf,
+                               load_latency_map, serialize_latency_map,
+                               strengths_to_latency)
 from cnfetcache.variation import CntParams, sample_group_strengths
 
-TABLE_PARAMS = CntParams(seed=21)
+TABLE_PARAMS = CntParams()
+TABLE_SEED = 21
 GEO_2MB = CacheGeometry(2 * 1024 * 1024, 8, 64)
+
+
+def _build(geometry, layout, params=TABLE_PARAMS, cycles=None, rng=None):
+    """A sampled map at the layout's default cycle range, 8 stages and the
+    calibrated nominal strength, drawn from `rng` (default: a generator
+    seeded with TABLE_SEED)."""
+    lo, hi = cycles or DEFAULT_CYCLE_RANGE[layout]
+    if rng is None:
+        rng = np.random.default_rng(TABLE_SEED)
+    return build_latency_map(geometry, layout, params, 8, lo, hi,
+                             calibrate_nominal_count(params, 8), rng)
 
 
 def test_nominal_strength_maps_to_min_cycles():
@@ -62,7 +76,8 @@ def test_latency_mode_at_min_cycles():
     nominal = calibrate_nominal_count(TABLE_PARAMS, 8)
     oracle = _exact_latency_pmf(TABLE_PARAMS, 8, nominal, 6, 10)
     assert max(oracle, key=oracle.get) == 6
-    strengths = sample_group_strengths(TABLE_PARAMS, 4096, 8)
+    strengths = sample_group_strengths(TABLE_PARAMS, 4096, 8,
+                                       np.random.default_rng(TABLE_SEED))
     hist = Counter(strengths_to_latency(strengths, nominal, 6, 10))
     assert max(hist, key=hist.get) == 6
 
@@ -74,24 +89,30 @@ def test_calibration_unvaried_is_mu():
 
 
 def test_build_map_lengths_per_layout():
-    m_set = build_latency_map(GEO_2MB, LayoutKind.SET_ALIGNED, TABLE_PARAMS)
+    m_set = _build(GEO_2MB, LayoutKind.SET_ALIGNED)
     assert len(m_set.latencies) == 8
     assert (m_set.min_cycles, m_set.max_cycles) == (6, 12)
-    m_way = build_latency_map(GEO_2MB, LayoutKind.WAY_ALIGNED, TABLE_PARAMS)
+    m_way = _build(GEO_2MB, LayoutKind.WAY_ALIGNED)
     assert len(m_way.latencies) == 4096
     assert (m_way.min_cycles, m_way.max_cycles) == (6, 10)
+
+
+def test_config_resolves_default_cycle_range_per_layout():
+    assert ExperimentConfig(layout="set_aligned").cycle_range == (6, 12)
+    assert ExperimentConfig(layout="way_aligned").cycle_range == (6, 10)
 
 
 def test_build_map_unvaried_all_min():
     params = CntParams(mu=9.0, sigma=0.0, p_metallic=0.0,
                        p_remove_metallic=0.0, p_remove_semiconducting=0.0)
-    m = build_latency_map(GEO_2MB, LayoutKind.SET_ALIGNED, params)
+    m = _build(GEO_2MB, LayoutKind.SET_ALIGNED, params,
+               rng=np.random.default_rng(0))
     assert m.latencies == [6] * 8
 
 
 def test_build_map_deterministic():
-    a = build_latency_map(GEO_2MB, LayoutKind.WAY_ALIGNED, TABLE_PARAMS)
-    b = build_latency_map(GEO_2MB, LayoutKind.WAY_ALIGNED, TABLE_PARAMS)
+    a = _build(GEO_2MB, LayoutKind.WAY_ALIGNED)
+    b = _build(GEO_2MB, LayoutKind.WAY_ALIGNED)
     assert a.latencies == b.latencies
 
 
@@ -99,18 +120,16 @@ def test_layouts_share_strength_distribution():
     # Same sampler underneath: large maps from both layouts agree on the
     # latency distribution up to sampling noise.
     geo = CacheGeometry(2 * 1024 * 1024, 512, 64)   # 512 way-groups
-    m_set = build_latency_map(geo, LayoutKind.SET_ALIGNED, TABLE_PARAMS,
-                              min_cycles=6, max_cycles=10)
-    m_way = build_latency_map(GEO_2MB, LayoutKind.WAY_ALIGNED, TABLE_PARAMS,
-                              min_cycles=6, max_cycles=10,
-                              rng=np.random.default_rng(99))
+    m_set = _build(geo, LayoutKind.SET_ALIGNED, cycles=(6, 10))
+    m_way = _build(GEO_2MB, LayoutKind.WAY_ALIGNED, cycles=(6, 10),
+                   rng=np.random.default_rng(99))
     mean_set = sum(m_set.latencies) / len(m_set.latencies)
     mean_way = sum(m_way.latencies) / len(m_way.latencies)
     assert abs(mean_set - mean_way) < 0.3
 
 
 def test_quantized_spread_bounded():
-    m = build_latency_map(GEO_2MB, LayoutKind.WAY_ALIGNED, TABLE_PARAMS)
+    m = _build(GEO_2MB, LayoutKind.WAY_ALIGNED)
     assert m.worst() / m.best() <= m.max_cycles / m.min_cycles
 
 
@@ -130,7 +149,7 @@ def test_latency_map_validation():
 
 
 def test_serialization_bit_exact_round_trip():
-    m = build_latency_map(GEO_2MB, LayoutKind.WAY_ALIGNED, TABLE_PARAMS)
+    m = _build(GEO_2MB, LayoutKind.WAY_ALIGNED)
     text = serialize_latency_map(m)
     loaded = load_latency_map(text)
     assert loaded.latencies == m.latencies

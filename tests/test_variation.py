@@ -6,7 +6,12 @@ from cnfetcache.variation import (CntParams, draw_raw_counts,
 
 TABLE_PARAMS = CntParams(mu=9.0, sigma=2.1, p_metallic=0.05,
                          p_remove_metallic=0.999,
-                         p_remove_semiconducting=0.05, seed=11)
+                         p_remove_semiconducting=0.05)
+TABLE_SEED = 11
+
+
+def _rng(seed=TABLE_SEED):
+    return np.random.default_rng(seed)
 
 
 def test_zero_variance_gives_constant_count():
@@ -61,24 +66,24 @@ def test_effective_never_exceeds_raw():
 def test_group_strengths_unvaried():
     params = CntParams(mu=9.0, sigma=0.0, p_metallic=0.0,
                        p_remove_metallic=0.0, p_remove_semiconducting=0.0)
-    assert sample_group_strengths(params, 4, 8) == [9, 9, 9, 9]
+    assert sample_group_strengths(params, 4, 8, _rng(0)) == [9, 9, 9, 9]
 
 
 def test_group_strengths_deterministic_under_seed():
-    a = sample_group_strengths(TABLE_PARAMS, 2, 8)
-    b = sample_group_strengths(TABLE_PARAMS, 2, 8)
+    a = sample_group_strengths(TABLE_PARAMS, 2, 8, _rng())
+    b = sample_group_strengths(TABLE_PARAMS, 2, 8, _rng())
     assert a == b
-    many = sample_group_strengths(TABLE_PARAMS, 64, 8)
-    assert many == sample_group_strengths(TABLE_PARAMS, 64, 8)
+    many = sample_group_strengths(TABLE_PARAMS, 64, 8, _rng())
+    assert many == sample_group_strengths(TABLE_PARAMS, 64, 8, _rng())
 
 
 def test_group_strengths_rejects_zero_groups():
     with pytest.raises(ValueError):
-        sample_group_strengths(TABLE_PARAMS, 0, 8)
+        sample_group_strengths(TABLE_PARAMS, 0, 8, _rng())
 
 
 def test_failed_fraction_negligible_at_table_params():
-    counts = sample_group_strengths(TABLE_PARAMS, 4096, 8)
+    counts = sample_group_strengths(TABLE_PARAMS, 4096, 8, _rng())
     assert all(type(c) is int and c >= 0 for c in counts)
     assert counts.count(0) / 4096 < 0.001
 
@@ -87,11 +92,9 @@ def test_within_group_correlation():
     # With removals off, every stage of a group sees the shared raw count, so
     # the min equals it; across groups the counts differ with sigma=2.1.
     params = CntParams(mu=9.0, sigma=2.1, p_metallic=0.0,
-                       p_remove_metallic=0.0, p_remove_semiconducting=0.0,
-                       seed=6)
-    rng = np.random.default_rng(6)
-    raw = draw_raw_counts(params, 64, rng)
-    counts = sample_group_strengths(params, 64, 8, np.random.default_rng(6))
+                       p_remove_metallic=0.0, p_remove_semiconducting=0.0)
+    raw = draw_raw_counts(params, 64, _rng(6))
+    counts = sample_group_strengths(params, 64, 8, _rng(6))
     assert counts == list(raw)
     assert len(set(counts)) >= 2
 
@@ -103,9 +106,9 @@ def test_removal_probability_monotonicity():
     means = []
     ses = []
     for p_rs in (0.05, 0.20, 0.50):
-        params = CntParams(mu=9.0, sigma=2.1, p_remove_semiconducting=p_rs,
-                           seed=7)
-        eff = np.array(sample_group_strengths(params, trials, 4), dtype=float)
+        params = CntParams(mu=9.0, sigma=2.1, p_remove_semiconducting=p_rs)
+        eff = np.array(sample_group_strengths(params, trials, 4, _rng(7)),
+                       dtype=float)
         means.append(eff.mean())
         ses.append(eff.std() / np.sqrt(trials))
     assert means[1] <= means[0] + 3 * (ses[0] + ses[1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from cnfetcache import workload
 from cnfetcache.workload import (L1Config, SyntheticSpec, TraceParseError,
                                  TraceRecord, generate_synthetic, l1_filter,
                                  parse_trace, serialize_trace, zipf_weights)
@@ -35,6 +36,26 @@ def test_parse_malformed_line_reports_number():
         parse_trace("0 R 12\n")          # missing 0x prefix
     with pytest.raises(TraceParseError):
         parse_trace("0 R\n")
+
+
+def test_parse_list_of_lines_spans_chunks(monkeypatch):
+    # A list can be iterated afresh; every chunk must go on from where the
+    # last one stopped, as it does on a file.
+    monkeypatch.setattr(workload, "PARSE_CHUNK_LINES", 2)
+    lines = ["0 R 0x10\n", "# note\n", "1 W I 0x20\n", "0 R D 0x30\n",
+             "\n", "2 W 0x40\n", "3 R 0x50\n"]
+    got = parse_trace(lines)
+    want = parse_trace(io.StringIO("".join(lines)))
+    for column in ("core", "write", "instr", "addr"):
+        assert getattr(got, column).tolist() == getattr(want, column).tolist()
+    assert len(got) == 5
+    bad = lines + ["0 X 0x60\n"]
+    linenos = []
+    for stream in (bad, io.StringIO("".join(bad))):
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(stream)
+        linenos.append(err.value.lineno)
+    assert linenos == [8, 8]
 
 
 def test_round_trip_normalizes():
