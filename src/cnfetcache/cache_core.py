@@ -8,11 +8,14 @@ value for every read.  Every policy is one replacement engine (plain LRU
 here, or data shuffling in `vasa` when its `BankPolicy` has way groups)
 plus a hit-latency list; the engines only decide placement, and the caller
 charges a hit from the list.  The payloads belong to this per-access path:
-the hit-counting pass (`nuca.count_hits`) keeps tags and orders alone.
+`replay_lru`, the LRU of `nuca.count_hits` and `workload.l1_filter`, keeps
+tags and orders alone.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class PolicyKind(Enum):
@@ -132,6 +135,39 @@ def bypass_access(state, line_addr, write, value):
         state.memory[line_addr] = value
         return AccessResult(False, write=True, value=value)
     return AccessResult(False, value=state.memory.get(line_addr, 0))
+
+
+def set_order(sets):
+    """Indices that sort references by set, each set's in stream order (a
+    radix sort for keys of 16 bits or fewer)."""
+    return np.argsort(sets.astype(np.min_scalar_type(sets.max(initial=0))),
+                      kind="stable")
+
+
+def replay_lru(sets, tags, ways):
+    """LRU over references sorted by set (`set_order`), each set replayed
+    on its own from empty: ways fill in order, and a full set evicts its
+    least recent way.  Returns each reference's landing: way * ways + depth
+    on a hit (depth 0 is the most recent line), -1 - way on a miss."""
+    landing = np.empty(len(tags), dtype=np.int32)
+    bounds = [0, *(np.flatnonzero(np.diff(sets)) + 1).tolist(), len(sets)]
+    for start, end in zip(bounds, bounds[1:]):
+        out, stack, where = [], [], {}   # stack: tags, most recent first
+        for tag in tags[start:end].tolist():
+            way = where.get(tag)
+            if way is None:
+                way = len(stack) if len(stack) < ways else where.pop(stack.pop())
+                where[tag] = way
+                stack.insert(0, tag)
+                out.append(-1 - way)
+                continue
+            depth = stack.index(tag)
+            if depth:
+                del stack[depth]
+                stack.insert(0, tag)
+            out.append(way * ways + depth)
+        landing[start:end] = out
+    return landing
 
 
 @dataclass

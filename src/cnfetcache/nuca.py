@@ -9,10 +9,11 @@ for the request/response round trip.  Contention is not modeled.
 
 A run is one pass over its address stream that counts hits in a HitTable
 (`count_hits`), then `price`, which charges the table under one row's bank
-policies.  LRU is a stack algorithm, so one full-way pass serves every row
-whose banks do not shuffle: the rows differ only in the price of a hit and
-in how many ways or which sets partial disabling leaves on.  `NucaCache`
-is the per-access path that the pass is checked against."""
+policies.  LRU is a stack algorithm whose sets are independent, so the
+pass replays each set alone, and one full-way pass serves every row whose
+banks do not shuffle: the rows differ only in the price of a hit and in
+how many ways or which sets partial disabling leaves on.  `NucaCache` is
+the per-access path that the pass is checked against."""
 
 from collections import defaultdict
 from dataclasses import dataclass
@@ -139,17 +140,14 @@ def count_hits(records, geometry, layout, policies, noc=None):
     geometry is the whole LLC, split into one bank per policy; the bank
     bits above the per-bank set index pick each set's bank.  Each core of
     the `noc_table` noc counts in its own row (a core id off the mesh is a
-    ValueError); with noc None every core id shares one row.  Before the
-    loop, numpy gives each reference its tag, its cell (its global set in
-    its row) and where its hits start in the table; a hit counts at that
-    start plus the way and depth strides.  The pass keeps a tag per way
-    and recency lists per set, never values or dirty bits, which change
-    no hit.  A bank that does not shuffle runs full-way LRU, and partial
-    disabling is left to `price`.  A shuffling bank places each access
-    with `vasa.shuffle`, moves its tags along the chain, counts each hit
-    in the way that held the block before the shuffle, and sums the
-    moves.  Addresses are used as given: translate a page-mapped stream
-    first (`pagemap.translate_trace`).
+    ValueError); with noc None every core id shares one row.  Sorted by
+    set once (`cache_core.set_order`), each bank's references are one run,
+    replayed with full-way LRU (`cache_core.replay_lru`; partial disabling
+    is left to `price`) or, if the bank shuffles, `vasa.replay_shuffle`.
+    Neither keeps values or dirty bits, which change no hit.  A hit counts
+    at its cell (its global set in its core's row) on a way aligned table,
+    at its landing in its (row, bank) block on a set aligned one.  Use a
+    translated stream under page mapping (`pagemap.translate_trace`).
     """
     banks = len(policies)
     if banks & (banks - 1):
@@ -161,52 +159,35 @@ def count_hits(records, geometry, layout, policies, noc=None):
     bank_sets = bank_geometry.num_sets
     per_set = layout is LayoutKind.WAY_ALIGNED
     groups = layout.group_count(bank_geometry)
-    depths, way_step, depth_step = (1, 0, 0) if per_set else (ways, ways, 1)
+    depths = 1 if per_set else ways
     rows = 1 if noc is None else len(noc)
     row = 0 if noc is None else trace.core
     outside = np.flatnonzero((row < 0) | (row >= rows))
     if outside.size:
         raise ValueError(f"core id {row[outside[0]]} is not on the mesh")
-    line = trace.addr >> geometry.offset_bits
-    sets = (line & (num_sets - 1)).astype(np.int64)
-    # A reference's cell is its global set in its core's row; the rows of
-    # a set share its tags, order and way groups.
-    cells = (row * num_sets + sets).tolist()
-    state = [([None] * ways, [], policies[s // bank_sets].shuffle)
-             for s in range(num_sets)] * rows
-    # Where a reference's hits start: at its cell's own entry on a way
-    # aligned table, at its (row, bank) block on a set aligned one.
-    starts = cells if per_set else (
-        (row * banks + sets // bank_sets) * groups * depths).tolist()
-    counts = [0] * (rows * banks * groups * depths)
-    moves = 0
-    for c, tag, start in zip(cells, (line >> geometry.set_bits).tolist(),
-                             starts):
-        tags, order, shuffle = state[c]
-        if shuffle is None:
-            if tag not in tags:
-                if len(order) < ways:
-                    way = len(order)
-                else:
-                    way = order.pop()
-                tags[way] = tag
-                order.insert(0, way)
-                continue
-            way = tags.index(tag)
-            depth = order.index(way)
-            if depth:
-                del order[depth]
-                order.insert(0, way)
+    sets = ((trace.addr >> geometry.offset_bits)
+            & (num_sets - 1)).astype(np.int64)
+    order = cache_core.set_order(sets)
+    tags = (trace.addr >> (geometry.offset_bits + geometry.set_bits))[order]
+    # The rows of a set share its replay; only the count tells them apart.
+    cells = (row * num_sets + sets)[order]
+    sets = sets[order]
+    del order
+    landings, moves = [], 0
+    bounds = np.searchsorted(sets, np.arange(banks + 1) * bank_sets).tolist()
+    for policy, run in zip(policies, map(slice, bounds, bounds[1:])):
+        if policy.shuffle is None:
+            landings.append(cache_core.replay_lru(sets[run], tags[run], ways))
         else:
-            way = tags.index(tag) if tag in tags else None
-            chain, step = vasa.shuffle(order, shuffle, way)
-            vasa.shift(tags, chain, tag)
+            landed, step = vasa.replay_shuffle(sets[run], tags[run],
+                                               policy.shuffle)
+            landings.append(landed)
             moves += step
-            if way is None:
-                continue
-            depth = 0
-        counts[start + way * way_step + depth * depth_step] += 1
-    return HitTable(counts, (rows, banks, groups, depths), per_set,
+    landing = np.concatenate(landings)
+    index = cells if per_set else cells // bank_sets * groups * depths + landing
+    counts = np.bincount(index[landing >= 0],
+                         minlength=rows * banks * groups * depths)
+    return HitTable(counts.tolist(), (rows, banks, groups, depths), per_set,
                     len(trace), int(trace.write.sum()), moves)
 
 

@@ -13,6 +13,8 @@ group-LRU blocks one group down instead of evicting them.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cache_core import AccessResult
 
 DELAY_REGISTER_BITS = 4
@@ -108,6 +110,30 @@ def shift(slots, chain, block):
     for way in chain:
         slots[way], block = block, slots[way]
     return block
+
+
+def replay_shuffle(sets, tags, groups):
+    """`cache_core.replay_lru` placed by `shuffle`, tags moved by `shift`.
+    A hit lands at depth 0 of the way that held the block before the
+    shuffle, a miss at -1 - the way it enters.  Returns the landings and
+    the moves of every set summed."""
+    ways = len(groups.group_of)
+    landing, moves = np.empty(len(tags), dtype=np.int32), 0
+    bounds = [0, *(np.flatnonzero(np.diff(sets)) + 1).tolist(), len(sets)]
+    for start, end in zip(bounds, bounds[1:]):
+        out, held, orders = [], [None] * ways, []
+        for tag in tags[start:end].tolist():
+            if tag in held:
+                way = held.index(tag)
+                chain, step = shuffle(orders, groups, way)
+                out.append(way * ways)
+            else:
+                chain, step = shuffle(orders, groups, None)
+                out.append(-1 - chain[0])
+            shift(held, chain, tag)
+            moves += step
+        landing[start:end] = out
+    return landing, moves
 
 
 def access_vasa_ds(state, set_index, tag, line_addr, write, value, groups):

@@ -12,9 +12,9 @@ A stream is a `Trace`: four parallel numpy columns, one entry per
 reference.  Parsing, generation, the L1 filter, page profiling and the LLC
 passes all read and write the columns; iterating a Trace yields one
 TraceRecord per reference, for the per-access reference path.  The L1
-filter runs per-core instruction and data caches over a trace and forwards
-only the misses (as reads) and dirty evictions (as writes), i.e. the
-stream the LLC would actually see.
+filter replays per-core instruction and data caches over a trace with the
+LLC pass's LRU (`cache_core.replay_lru`) and forwards only the misses (as
+reads) and dirty evictions (as writes), i.e. the stream the LLC would see.
 """
 
 import io
@@ -24,6 +24,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import cache_core
 from .timing import CacheGeometry
 
 ADDRESS_LIMIT = 1 << 64        # addresses are below this
@@ -297,64 +298,6 @@ def _count_by_core(cores):
     return dict(zip(values[order].tolist(), counts[order].tolist()))
 
 
-def _lru_misses(positions, sets, lines, writes, ways, fills, victims):
-    """LRU over per-set lists, as `nuca.count_hits` keeps them: the line
-    address and dirty bit in each way, and the set's filled ways, most
-    recent first.
-
-    Appends the position of every miss to `fills`, and (position, line
-    address) of every dirty line a miss evicts to `victims`.
-    """
-    num_sets = max(sets, default=-1) + 1
-    all_lines = [[None] * ways for _ in range(num_sets)]
-    all_dirty = [[False] * ways for _ in range(num_sets)]
-    all_orders = [[] for _ in range(num_sets)]
-    for position, s, line, write in zip(positions, sets, lines, writes):
-        held = all_lines[s]
-        order = all_orders[s]
-        if line in held:
-            way = held.index(line)
-            if order[0] != way:
-                order.remove(way)
-                order.insert(0, way)
-            if write:
-                all_dirty[s][way] = True
-        else:
-            fills.append(position)
-            if len(order) < ways:
-                way = len(order)
-            else:
-                way = order.pop()
-                if all_dirty[s][way]:
-                    victims.append((position, held[way]))
-            held[way] = line
-            all_dirty[s][way] = write
-            order.insert(0, way)
-
-
-def _run_heads(sets, lines, writes):
-    """The references that do not repeat the line of the previous reference
-    to their set, each with the OR of the writes of its run of repeats.
-
-    A repeat hits its set's MRU line, so it changes no LRU order and can
-    only dirty the line; its run's head carries that write instead.
-    Returns the heads' indices, in stream order, and their writes.
-    """
-    # numpy's stable sort of keys of 16 bits or fewer is a radix sort.
-    order = np.argsort(sets.astype(np.min_scalar_type(sets.max(initial=0))),
-                       kind="stable")
-    by_set, by_line = sets[order], lines[order]
-    starts_run = np.ones(len(order), dtype=bool)
-    starts_run[1:] = (by_set[1:] != by_set[:-1]) | (by_line[1:] != by_line[:-1])
-    runs = np.flatnonzero(starts_run)
-    head = np.zeros(len(order), dtype=bool)
-    head[order[runs]] = True
-    run_writes = np.zeros(len(order), dtype=bool)
-    run_writes[order[runs]] = np.logical_or.reduceat(writes[order], runs)
-    heads = np.flatnonzero(head)
-    return heads, run_writes[heads]
-
-
 def l1_filter(records, config):
     """Run per-core L1 i/d caches and emit the LLC-bound stream.
 
@@ -363,25 +306,39 @@ def l1_filter(records, config):
     core that triggered it, ahead of the fill.  Caches are LRU, filled and
     dirtied as `cache_core.lru_access` fills and dirties them.
 
-    A reference to the line its (core, L1 set) saw last is an MRU hit that
-    can only dirty the line, so only the first reference of each such run
-    enters the per-set LRU loop (`_run_heads`), carrying the run's writes.
+    Sorted by (core, L1 set), a reference that repeats its set's last line
+    is an MRU hit that can only dirty it, so only the first reference of
+    each run is replayed (`cache_core.replay_lru`), carrying the run's
+    writes.  A (set, way) slot holds one line from one fill to the next,
+    which evicts it dirty if a write reached it in between.
     """
     trace = as_trace(records)
     _, core_rank = np.unique(trace.core, return_inverse=True)
-    fills, victims = [], []
+    parts = []
     for instr, geometry in ((True, config.icache), (False, config.dcache)):
+        ways = geometry.num_ways
         positions = np.flatnonzero(trace.instr == instr)
         line = trace.addr[positions] >> geometry.offset_bits
         sets = (core_rank[positions] * geometry.num_sets
                 + (line & (geometry.num_sets - 1)).astype(np.int64))
-        heads, writes = _run_heads(sets, line, trace.write[positions])
-        _lru_misses(positions[heads].tolist(), sets[heads].tolist(),
-                    (line[heads] << geometry.offset_bits).tolist(),
-                    writes.tolist(), geometry.num_ways, fills, victims)
-    fills = np.array(fills, dtype=np.int64)
-    victim_at = np.array([p for p, _ in victims], dtype=np.int64)
-    victim_addr = np.array([a for _, a in victims], dtype=np.uint64)
+        order = cache_core.set_order(sets)
+        sets, line = sets[order], line[order]
+        runs = np.flatnonzero((np.diff(sets, prepend=-1) != 0)
+                              | (np.diff(line, prepend=line[:1]) != 0))
+        writes = np.logical_or.reduceat(trace.write[positions[order]], runs)
+        positions, sets, line = positions[order[runs]], sets[runs], line[runs]
+        landing = cache_core.replay_lru(sets, line, ways)
+        fill = landing < 0
+        # Each slot's references in stream order: its lives start at fills.
+        slot = sets * ways + np.where(fill, -1 - landing, landing // ways)
+        by_slot = np.argsort(slot, kind="stable")
+        lives = np.flatnonzero(fill[by_slot])
+        dirty = np.logical_or.reduceat(writes[by_slot], lives)[:-1]
+        born, evicting = by_slot[lives[:-1]], by_slot[lives[1:]]
+        evicted = dirty & (slot[born] == slot[evicting])
+        parts.append((positions[fill], positions[evicting[evicted]],
+                      line[born[evicted]] << geometry.offset_bits))
+    fills, victim_at, victim_addr = map(np.concatenate, zip(*parts))
     # A write-back goes out just ahead of the fill of the miss evicting it.
     order = np.argsort(np.concatenate([2 * victim_at, 2 * fills + 1]))
     source = np.concatenate([victim_at, fills])[order]

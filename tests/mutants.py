@@ -54,16 +54,18 @@ LATENCY_KEY = ("tests/test_cli.py::"
                "test_sweep_keeps_rows_with_different_latency_inputs_apart")
 
 MUTANTS = [
-    # The trace and L1 mutants of the columnar trace change, re-expressed.
+    # The trace and L1 mutants of the columnar trace change, re-expressed
+    # against the one LRU replay: the L1 finds its dirty write-backs from
+    # each (set, way) slot's lives, one fill to the next.
     Mutant("read hit clears the dirty bit", WORKLOAD,
-           "            if write:\n                all_dirty[s][way] = True",
-           "            all_dirty[s][way] = write",
+           "np.logical_or.reduceat(writes[by_slot], lives)[:-1]",
+           "writes[by_slot][np.append(lives[1:], len(by_slot)) - 1][:-1]",
            (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
     Mutant("write-back placed after its fill", WORKLOAD,
            "[2 * victim_at, 2 * fills + 1]", "[2 * victim_at + 1, 2 * fills]",
            (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
-    Mutant("L1 one way short", WORKLOAD,
-           "if len(order) < ways:", "if len(order) < ways - 1:",
+    Mutant("L1 one way short", CACHE_CORE,
+           "if len(stack) < ways else", "if len(stack) < ways - 1 else",
            (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
     Mutant("instruction fetch parity flipped", WORKLOAD,
            "instr = rank % 2 == 1", "instr = rank % 2 == 0",
@@ -80,8 +82,8 @@ MUTANTS = [
            "if False:",
            (REFERENCE + "test_parse_matches_the_per_line_parser",)),
     Mutant("run collapse drops the OR of its writes", WORKLOAD,
-           "np.logical_or.reduceat(writes[order], runs)",
-           "writes[order][runs]",
+           "np.logical_or.reduceat(trace.write[positions[order]], runs)",
+           "trace.write[positions[order]][runs]",
            (REFERENCE + "test_l1_columns_match_the_per_record_filter",
             REFERENCE + "test_l1_sends_a_run_of_repeats_through_lru_once")),
     Mutant("scan accepts 17 hex digits", WORKLOAD,
@@ -94,16 +96,16 @@ MUTANTS = [
            "b < 128 and chr(b).isspace()", "b <= 32",
            (REFERENCE + "test_parse_matches_the_per_line_parser",)),
     Mutant("run collapse ignores the set", WORKLOAD,
-           "(by_set[1:] != by_set[:-1]) | (by_line[1:] != by_line[:-1])",
-           "by_line[1:] != by_line[:-1]",
+           "(np.diff(sets, prepend=-1) != 0)", "(np.arange(len(sets)) == 0)",
            (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
     Mutant("not-UTF-8 error names the next line", WORKLOAD,
            'bad = text.count("\\n", 0, exc.start)',
            'bad = text.count("\\n", 0, exc.start) + 1',
            ("tests/test_cli.py::test_simulate_rejects_malformed_trace",)),
     # The pass and pricing mutants of the one-pass change, re-expressed
-    # against the array hit table: `count_hits` computes each reference's
-    # cell before its loop and `price` reads the table as an array.
+    # against the per-set replays: `count_hits` sorts the stream by set,
+    # replays each bank's run and counts the landings with numpy, and
+    # `price` reads the table as an array.
     Mutant("PD hit test d <= k + 1", NUCA,
            "within[:, bank, :, -1 - len(off)]", "within[:, bank, :, -len(off)]",
            (PASS + "[set_aligned-baseline_pd]",)),
@@ -114,18 +116,16 @@ MUTANTS = [
            "hops = 0 if noc is None else", "hops = 0 if True else",
            (PASS + "[way_aligned-baseline]",)),
     Mutant("set aligned banks priced by set", NUCA,
-           "starts = cells if per_set else (",
-           "starts = cells if True else (",
+           "index = cells if per_set else", "index = cells if True else",
            (PASS + "[set_aligned-vasa]",)),
     Mutant("DS moves dropped", NUCA,
            "moves += step", "moves += 0",
            (PASS + "[set_aligned-vasa_ds4]",)),
-    Mutant("LRU depth one too deep", NUCA,
-           "depth = order.index(way)", "depth = order.index(way) + 1",
+    Mutant("LRU depth one too deep", CACHE_CORE,
+           "depth = stack.index(tag)", "depth = stack.index(tag) + 1",
            (PASS + "[set_aligned-baseline_pd]", PASS + "[set_aligned-vasa]")),
-    Mutant("DS hit priced after the shuffle", NUCA,
-           "                continue\n            depth = 0",
-           "                continue\n            way, depth = chain[0], 0",
+    Mutant("DS hit priced after the shuffle", VASA,
+           "out.append(way * ways)", "out.append(chain[0] * ways)",
            (PASS + "[set_aligned-vasa_ds4]",)),
     Mutant("core rows swapped", NUCA,
            "(row * num_sets + sets)", "((rows - 1 - row) * num_sets + sets)",
@@ -138,18 +138,18 @@ MUTANTS = [
            (PASS_COUNT + "[way-uca-3-0]",)),
     # Two on the merged pass and the one PD depth rule.
     Mutant("shuffling bank sent down the LRU branch", NUCA,
-           "policies[s // bank_sets].shuffle)", "None)",
+           "if policy.shuffle is None:", "if True:",
            (PASS + "[set_aligned-vasa_ds2]",)),
     Mutant("disabled ways left out of the depth rule", NUCA,
            "        elif off:\n", "        elif False:\n",
            (PASS + "[set_aligned-baseline_pd]",)),
-    # The array hit table: the mesh check, the strides, the depth `price`
-    # reads and the translation that moved to `pagemap`.
+    # The array hit table: the mesh check, the landing code, the depth
+    # `price` reads and the translation that moved to `pagemap`.
     Mutant("core off the mesh not rejected", NUCA,
            "    if outside.size:\n", "    if False:\n",
            ("tests/test_pass.py::test_pass_rejects_a_core_off_the_mesh",)),
-    Mutant("way and depth strides swapped", NUCA,
-           "else (ways, ways, 1)", "else (ways, 1, ways)",
+    Mutant("way and depth strides swapped", CACHE_CORE,
+           "out.append(way * ways + depth)", "out.append(depth * ways + way)",
            (PASS + "[set_aligned-baseline_pd]", PASS + "[set_aligned-vasa]")),
     Mutant("price's depth cut off by one", NUCA,
            "within[:, bank, :, -1 - len(off)]",
@@ -174,8 +174,8 @@ MUTANTS = [
     Mutant("DS free fill always takes the group's first way", VASA,
            "way = group[len(order)]", "way = group[0]",
            (ORACLE, OBJECT_ENGINE)),
-    Mutant("DS pass does not shift its tags", NUCA,
-           "            vasa.shift(tags, chain, tag)\n", "",
+    Mutant("DS pass does not shift its tags", VASA,
+           "            shift(held, chain, tag)\n", "",
            (PASS + "[set_aligned-vasa_ds2]", PASS + "[set_aligned-vasa_ds4]")),
     Mutant("DS dirty victim not written back", VASA,
            "    if ev_dirty:\n", "    if False:\n",
@@ -237,6 +237,23 @@ MUTANTS = [
            ("tests/test_cli.py::"
             "test_set_aligned_page_mapping_charges_each_bank_its_mean_way_"
             "latency",)),
+    # The one LRU replay: its input order, the bank runs of the pass, and
+    # the L1's reading of its landings.
+    Mutant("unstable set order", CACHE_CORE,
+           'kind="stable")', 'kind="quicksort")',
+           (PASS + "[set_aligned-baseline_pd]",
+            REFERENCE + "test_l1_columns_match_the_per_record_filter")),
+    Mutant("bank run boundary off by one", NUCA,
+           "np.arange(banks + 1) * bank_sets)",
+           "np.arange(banks + 1) * bank_sets + 1)",
+           ("tests/test_pass.py::"
+            "test_pass_replays_each_bank_with_its_own_policy",)),
+    Mutant("fill way decoded as a hit way", WORKLOAD,
+           "np.where(fill, -1 - landing, landing // ways)", "landing // ways",
+           (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
+    Mutant("life boundary off by one", WORKLOAD,
+           "by_slot[lives[1:]]", "by_slot[lives[1:] - 1]",
+           (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
 ]
 
 

@@ -9,21 +9,24 @@ traces.
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnfetcache import cache_core, cli, nuca, vasa
 from cnfetcache.cache_core import BankPolicy
-from cnfetcache.cli import (ExperimentConfig, build_machinery,
-                            build_page_mapping, make_accessor, run_sweep,
-                            simulate_records)
+from cnfetcache.cli import (ExperimentConfig, build_latency_maps,
+                            build_machinery, build_page_mapping, llc_records,
+                            make_accessor, run_sweep, simulate_records)
 from cnfetcache.metrics import RunStats
 from cnfetcache.pagemap import translate
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
-from cnfetcache.workload import SyntheticSpec, TraceRecord, generate_synthetic
+from cnfetcache.workload import (SyntheticSpec, TraceRecord, as_trace,
+                                 generate_synthetic)
 
 CAPACITY = 16 * 1024            # 8 ways of 64 B lines: 32 sets
+WAYS = (1, 2, 8, 16)
 MESHES = {1: None, 2: (1, 2), 8: (2, 4)}      # banks -> NUCA rows, cols
 # (layout, policy, extra keys): every policy, and DS with 1 to 8 groups.
 KINDS = [("set_aligned", "baseline", {}), ("set_aligned", "baseline_pd", {}),
@@ -58,12 +61,17 @@ def _pass_stats(cfg, latmaps, records):
 
 @st.composite
 def experiments(draw, layout, policy, extra):
-    """A config of this kind on 1, 2 or 8 banks, with or without page
-    mapping, and a drawn latency map for each bank."""
+    """A config of this kind with 1, 2, 8 or 16 ways (a count its DS way
+    groups divide) on 1, 2 or 8 banks, with or without page mapping, and a
+    drawn latency map for each bank."""
     banks = draw(st.sampled_from(sorted(MESHES)))
-    keys = {"cache.capacity_bytes": CAPACITY, "layout": layout,
-            "policy": policy, **extra,
-            "grouping.num_groups": draw(st.sampled_from([1, 2, 4])),
+    ways = draw(st.sampled_from([w for w in WAYS
+                                 if w % extra.get("vasa.way_groups", 1) == 0]))
+    bank_sets = CAPACITY // 64 // ways // banks
+    keys = {"cache.capacity_bytes": CAPACITY, "cache.ways": ways,
+            "layout": layout, "policy": policy, **extra,
+            "grouping.num_groups": draw(st.sampled_from(
+                [g for g in (1, 2, 4) if bank_sets % g == 0])),
             "grouping.budget": draw(st.integers(0, 4)),
             "energy.memory_latency": draw(st.integers(20, 40))}
     if MESHES[banks]:
@@ -88,15 +96,19 @@ def experiments(draw, layout, policy, extra):
 
 
 @st.composite
-def traces(draw):
-    """(core, write, line) triples: up to 12 tags in each of a few sets of
-    the 32, so that lines hit at every LRU depth and sets evict."""
-    sets = draw(st.lists(st.integers(0, 31), min_size=1, max_size=4,
-                         unique=True))
+def traces(draw, ways):
+    """(core, write, line) triples: up to ways + 4 tags in each of a few
+    sets of the cache's, so that lines hit at every LRU depth and sets
+    evict."""
+    num_sets = CAPACITY // 64 // ways
+    sets = draw(st.lists(st.integers(0, num_sets - 1), min_size=1,
+                         max_size=4, unique=True))
     accesses = draw(st.lists(st.tuples(st.integers(0, 3), st.booleans(),
-                                       st.integers(0, 11), st.sampled_from(sets)),
+                                       st.integers(0, ways + 3),
+                                       st.sampled_from(sets)),
                              min_size=64, max_size=400))
-    return [(core, write, tag * 32 + s) for core, write, tag, s in accesses]
+    return [(core, write, tag * num_sets + s)
+            for core, write, tag, s in accesses]
 
 
 @pytest.mark.parametrize("layout, policy, extra", KINDS,
@@ -108,9 +120,55 @@ def test_pass_and_pricing_match_the_per_access_engine(layout, policy, extra,
                                                       data):
     cfg, latmaps = data.draw(experiments(layout, policy, extra))
     records = [TraceRecord(core, "W" if write else "R", line * 64)
-               for core, write, line in data.draw(traces())]
+               for core, write, line in data.draw(traces(cfg.num_ways))]
     assert _fields(_pass_stats(cfg, latmaps, records)) == \
         _fields(_reference_stats(cfg, latmaps, records))
+
+
+@pytest.mark.parametrize("policy, extra", [
+    ("baseline_pd", {}), ("vasa", {}), ("vasa_ds", {"vasa.way_groups": 4})],
+    ids=["pd", "vasa", "ds"])
+def test_pass_matches_the_engine_on_one_set_of_256_ways(policy, extra):
+    # Hits land in ways and at depths up to 255: landing codes past 2^15.
+    cfg = ExperimentConfig.from_keys({"cache.capacity_bytes": 256 * 64,
+                                      "cache.ways": 256, "policy": policy,
+                                      **extra})
+    lo, hi = cfg.cycle_range
+    latmaps = [LatencyMap(LayoutKind.SET_ALIGNED,
+                          [lo + w * 5 % (hi - lo + 1) for w in range(256)],
+                          lo, hi)]
+    lines = np.random.default_rng(1).integers(0, 280, 4000).tolist()
+    records = [TraceRecord(0, "RW"[i % 5 == 0], line * 64)
+               for i, line in enumerate(lines)]
+    table = nuca.count_hits(records, cfg.geometry, cfg.layout_kind,
+                            build_machinery(cfg, latmaps).banks)
+    assert any(table.counts[1 << 15:])
+    assert _fields(_pass_stats(cfg, latmaps, records)) == \
+        _fields(_reference_stats(cfg, latmaps, records))
+
+
+@pytest.mark.parametrize("length", [0, 1])
+@pytest.mark.parametrize("l1", [False, True])
+@pytest.mark.parametrize("keys", [
+    {"policy": "baseline"},
+    {"policy": "vasa_ds", "vasa.way_groups": 2},
+    {"policy": "vasa_ds", "nuca.enabled": True},
+    {"layout": "way_aligned", "policy": "vawa_ng", "nuca.enabled": True,
+     "pagemap.enabled": True}],
+    ids=["lru", "ds", "ds-nuca", "way-nuca-pm"])
+def test_sweep_takes_an_empty_or_one_reference_stream(keys, l1, length):
+    cfg = ExperimentConfig.from_keys({"l1.enabled": l1, **keys})
+    latmaps = build_latency_maps(cfg)
+    records = [TraceRecord(3, "W", 0x12345)][:length]
+    table = nuca.count_hits(records, cfg.geometry, cfg.layout_kind,
+                            build_machinery(cfg, latmaps).banks, cfg.noc)
+    assert (table.accesses, sum(table.counts), table.shuffle_moves) == \
+        (length, 0, 0)
+    stats = _pass_stats(cfg, latmaps, records)
+    assert (stats.accesses, stats.hits) == (length, 0)
+    llc = list(llc_records(cfg, as_trace(records)))
+    assert llc == ([TraceRecord(3, "R", 0x12345)][:length] if l1 else records)
+    assert _fields(stats) == _fields(_reference_stats(cfg, latmaps, llc))
 
 
 def test_uca_takes_any_core_id():
@@ -149,6 +207,25 @@ def test_pass_rejects_a_core_off_the_mesh(core):
     with pytest.raises(ValueError, match=f"core id {core} is not on the mesh"):
         nuca.count_hits(records, geometry, LayoutKind.SET_ALIGNED, policies,
                         nuca.noc_table(2, 2, 1, 2))
+
+
+def test_pass_replays_each_bank_with_its_own_policy():
+    # No config mixes policies across banks; the pass still hands each
+    # bank's run of the stream to that bank's replay.
+    geometry = CacheGeometry(CAPACITY, 8, 64)
+    noc = nuca.noc_table(2, 2, 1, 2)
+    latency = [6, 6, 7, 7, 8, 8, 12, 12]
+    policies = [BankPolicy(latency, shuffle=vasa.WayGroups([[0, 1], [2, 3],
+                                                           [4, 5], [6, 7]])),
+                BankPolicy([8] * 8, disabled={6, 7}), BankPolicy(latency),
+                BankPolicy(latency, shuffle=vasa.WayGroups([list(range(8))]))]
+    records = generate_synthetic(SyntheticSpec(num_pages=16, length=4000,
+                                               num_cores=4))
+    table = nuca.count_hits(records, geometry, LayoutKind.SET_ALIGNED,
+                            policies, noc)
+    cache = nuca.NucaCache(geometry, noc, LayoutKind.SET_ALIGNED, policies)
+    want = simulate_records(records, cache.access, RunStats(30))
+    assert _fields(nuca.price(table, policies, 30, noc)) == _fields(want)
 
 
 def test_pass_holds_no_values():

@@ -140,6 +140,11 @@ def test_generated_columns_match_the_per_record_generator(spec):
 # overflow the small L1s below, so that lines hit, evict and write back.
 SMALL_L1 = L1Config(icache=CacheGeometry(2 * 2 * 64, 2, 64),
                     dcache=CacheGeometry(4 * 2 * 64, 2, 64))
+SMALL_L1S = [SMALL_L1,
+             L1Config(icache=CacheGeometry(4 * 64, 1, 64),
+                      dcache=CacheGeometry(8 * 64, 1, 64)),
+             L1Config(icache=CacheGeometry(4 * 64, 4, 64),
+                      dcache=CacheGeometry(2 * 4 * 64, 4, 64))]
 reference = st.builds(
     TraceRecord, core_id=st.integers(0, 3),
     op=st.sampled_from("RWW"), vaddr=st.integers(0, 24 * 64 - 1),
@@ -172,14 +177,25 @@ def repeated_references(draw):
 
 @PROPERTY
 @given(records=st.one_of(references, repeated_references()),
-       small=st.booleans())
-def test_l1_columns_match_the_per_record_filter(records, small):
-    config = SMALL_L1 if small else L1Config()
+       config=st.sampled_from([L1Config(), *SMALL_L1S]))
+def test_l1_columns_match_the_per_record_filter(records, config):
     out, accesses, misses = reference_l1_filter(records, config)
     result = l1_filter(records, config)
     assert list(result.records) == out
     assert list(result.accesses.items()) == list(accesses.items())
     assert list(result.misses.items()) == list(misses.items())
+
+
+@pytest.mark.parametrize("config", SMALL_L1S, ids=["2-way", "1-way", "4-way"])
+@pytest.mark.parametrize("records", [
+    [], [TraceRecord(1, "R", 0x40, "D")], [TraceRecord(0, "W", 0x80, "I")],
+    [TraceRecord(2, "W", 0x40, "D")] * 2],
+    ids=["empty", "read", "write", "repeat"])
+def test_l1_takes_an_empty_or_one_line_stream(records, config):
+    out, accesses, misses = reference_l1_filter(records, config)
+    result = l1_filter(records, config)
+    assert list(result.records) == out
+    assert (result.accesses, result.misses) == (accesses, misses)
 
 
 def test_l1_sends_a_run_of_repeats_through_lru_once():
@@ -188,13 +204,13 @@ def test_l1_sends_a_run_of_repeats_through_lru_once():
     records = [TraceRecord(2, "RW"[i % 3 == 1], 0x1000 + i % 64, "D")
                for i in range(100)]
     seen = []
-    real = workload._lru_misses
+    real = cache_core.replay_lru
 
-    def counting(positions, *args):
-        seen.append(len(positions))
-        return real(positions, *args)
+    def counting(sets, tags, ways):
+        seen.append(len(tags))
+        return real(sets, tags, ways)
 
-    with mock.patch.object(workload, "_lru_misses", counting):
+    with mock.patch.object(cache_core, "replay_lru", counting):
         result = l1_filter(records, SMALL_L1)
     assert sum(seen) == 1
     assert list(result.records) == [TraceRecord(2, "R", 0x1000, "D")]
