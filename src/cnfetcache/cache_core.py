@@ -179,9 +179,11 @@ class BankPolicy:
     turns off: ways that are never looked up or filled on a set aligned
     bank, sets whose requests memory serves on a way aligned one.  shuffle
     is data shuffling's `vasa.WayGroups`; None means plain LRU.  A bank
-    that shuffles disables nothing and every bank keeps a group on, which
-    is what lets `nuca.price` count a set aligned bank's hits to depth
-    `ways - len(disabled)`.
+    that shuffles disables nothing, every bank keeps a group on, and a bank
+    that disables groups runs every enabled group at one clock, as
+    `partial_disable` builds it.  That is what lets `nuca.price` count a
+    set aligned bank's hits to depth `ways - len(disabled)` and price each
+    at the way the full-way pass names.
     """
 
     latency: list
@@ -197,6 +199,11 @@ class BankPolicy:
             raise ValueError("a bank cannot disable all its groups")
         if self.disabled and self.shuffle is not None:
             raise ValueError("a bank cannot both disable groups and shuffle")
+        enabled = {c for i, c in enumerate(self.latency)
+                   if i not in self.disabled} if self.disabled else ()
+        if len(enabled) > 1:
+            raise ValueError(f"a bank that disables groups runs its enabled "
+                             f"groups at one clock, not {sorted(enabled)}")
 
 
 def worst_groups(latmap):

@@ -504,7 +504,7 @@ def build_page_mapping(cfg, machinery, llc_records, raw_records,
     geometry = cfg.bank_geometry
     span = pagemap.frame_span_sets(page_bytes, cfg.line_bytes, geometry.num_sets)
     blocks = cfg.num_banks * (geometry.num_sets // span)
-    pages = len(profile.counts)
+    pages = len(profile.page_ids)
     copies = max(1, -(-pages // blocks))
     num_frames = copies * blocks
 

@@ -199,11 +199,11 @@ def price(table, policies, memory_latency, noc=None):
     On a set aligned table it is a hit deeper than the `ways -
     len(disabled)` ways left on: LRU is a stack algorithm, so a bank
     restricted to k ways hits exactly where the full-way pass hits at
-    depth k or less (the cumulative sum over depth, read at k), and with
-    one clock for every enabled way the way the pass names prices it
-    alike.  A hit costs latency[group] + noc[row][bank], with no NoC term
-    when noc (a `noc_table`) is None.  Every other access is a miss at
-    memory_latency.
+    depth k or less (the cumulative sum over depth, read at k), and
+    `BankPolicy` requires one clock for every enabled way, so the way the
+    pass names prices it alike.  A hit costs latency[group] +
+    noc[row][bank], with no NoC term when noc (a `noc_table`) is None.
+    Every other access is a miss at memory_latency.
     """
     stats = metrics.RunStats(memory_latency, table.accesses,
                              reads=table.accesses - table.writes,
@@ -220,10 +220,11 @@ def price(table, policies, memory_latency, noc=None):
     hops = 0 if noc is None else np.array([noc[r] for r in range(len(hits))])
     cycles = np.broadcast_to(np.array([p.latency for p in policies])
                              + np.expand_dims(hops, -1), hits.shape)
-    landed = hits > 0
+    count = np.zeros(cycles.max() + 1, dtype=np.int64)   # hits per cycle count
+    np.add.at(count, cycles.ravel(), hits.ravel())
+    landed = np.flatnonzero(count)
     hist = stats.hit_latency_histogram
-    for cycle, n in zip(cycles[landed].tolist(), hits[landed].tolist()):
-        hist[cycle] += n
+    hist.update(dict(zip(landed.tolist(), count[landed].tolist())))
     stats.hits = sum(hist.values())
     stats.misses = stats.accesses - stats.hits
     stats.total_llc_cycles = (sum(c * n for c, n in hist.items())

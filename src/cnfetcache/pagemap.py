@@ -14,13 +14,15 @@ unified mapping it charges each page at its dominant core only, while the
 true cost is weighted over every core that touches the page, so the result
 is a close upper bound on the optimum rather than the optimum itself.
 
-A frame's cost depends only on (frame, core), so the frames are sorted once
-per dominant core and each page takes the first untaken frame of its
-core's order: O(F K log F + P) for F frames, K cores and P pages.
+Profiles and inventories are numpy columns.  A frame's cost depends only on
+(frame, core), so one `np.lexsort` orders the frames for each dominant core.
+With a core-independent cost every page shares that order and the hottest
+pages take its first frames, with no loop over pages; under unified mapping
+each page takes the first untaken frame of its core's order.
 """
 
 import io
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -28,24 +30,51 @@ import numpy as np
 from .workload import Trace, as_trace
 
 
-@dataclass
 class PageProfile:
-    """Per-virtual-page LLC access counts, with per-core breakdowns."""
+    """Per-virtual-page LLC access counts, with per-core breakdowns.
 
-    counts: dict = field(default_factory=dict)        # vpage -> count
-    core_counts: dict = field(default_factory=dict)   # vpage -> {core: count}
+    The profile is its run columns: one (page, core, count) run per pair
+    that occurs, in ascending (page, core) order, with count > 0.  Per page
+    (`page_ids` ascending) it derives the total (`totals`) and the dominant
+    core (`dominant`: most accesses, lowest core id on ties).
+    """
+
+    def __init__(self, pages, cores, counts):
+        pages = np.asarray(pages, dtype=np.uint64)
+        cores = np.asarray(cores, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        self.pages, self.cores, self.run_counts = pages, cores, counts
+        # True at each page's first run.
+        head = np.concatenate(([True], pages[1:] != pages[:-1]))[:len(pages)]
+        starts = np.flatnonzero(head)
+        self.page_ids = pages[starts]
+        self.totals = np.add.reduceat(counts, starts) if len(starts) else counts
+        # Sorted by page, then most accesses, then lowest core, each page's
+        # block starts with its dominant core.
+        page_of = np.cumsum(head) - 1
+        self.dominant = cores[np.lexsort((cores, -counts, page_of))[starts]]
+
+    @cached_property
+    def counts(self):
+        """{vpage: accesses}."""
+        return dict(zip(self.page_ids.tolist(), self.totals.tolist()))
+
+    @cached_property
+    def core_counts(self):
+        """{vpage: {core: accesses}}."""
+        out = {}
+        for page, core, n in zip(self.pages.tolist(), self.cores.tolist(),
+                                  self.run_counts.tolist()):
+            out.setdefault(page, {})[core] = n
+        return out
 
     def dominant_core(self, vpage):
-        """Core issuing the most accesses to the page (ties: lowest id)."""
-        per = self.core_counts.get(vpage)
-        if not per:
+        """Core issuing the most accesses to the page (ties: lowest id), or
+        None for a page the profile never saw."""
+        at = int(np.searchsorted(self.page_ids, vpage))
+        if at == len(self.page_ids) or self.page_ids[at] != vpage:
             return None
-        best = max(per.values())
-        return min(c for c, n in per.items() if n == best)
-
-    def pages_by_hotness(self):
-        """Pages ordered by access count descending, ties by page number."""
-        return sorted(self.counts, key=lambda p: (-self.counts[p], p))
+        return int(self.dominant[at])
 
 
 class Frame(NamedTuple):
@@ -57,9 +86,21 @@ class Frame(NamedTuple):
     latency_class: int = 0
 
 
-@dataclass
 class FrameInventory:
-    frames: list
+    """Physical frames as three columns: `index`, `bank` and
+    `latency_class`, one entry per frame.  `frames` reads them as `Frame`s."""
+
+    def __init__(self, index, bank, latency_class):
+        self.index = np.asarray(index, dtype=np.int64)
+        self.bank = np.asarray(bank, dtype=np.int64)
+        self.latency_class = np.asarray(latency_class)
+
+    @cached_property
+    def frames(self):
+        """The frames as `Frame`s, in column order."""
+        return [Frame(*frame) for frame in zip(
+            self.index.tolist(), self.bank.tolist(),
+            self.latency_class.tolist())]
 
 
 def frame_span_sets(page_bytes, line_bytes, num_sets):
@@ -68,6 +109,18 @@ def frame_span_sets(page_bytes, line_bytes, num_sets):
     if page_bytes % line_bytes != 0:
         raise ValueError("page size not divisible by line size")
     return min(page_bytes // line_bytes, num_sets)
+
+
+def _window_max(rows, span):
+    """Per row and set s, the max of row[s:s + span], cut at the row's end;
+    the windows double in width, so it takes about log2(span) steps."""
+    out = np.array(rows)
+    width = 1
+    while width < span:
+        step = min(width, span - width)
+        out[:, :-step] = np.maximum(out[:, :-step], out[:, step:])
+        width += step
+    return out
 
 
 def build_frame_inventory(geometry, page_bytes, num_frames, set_latencies):
@@ -82,19 +135,16 @@ def build_frame_inventory(geometry, page_bytes, num_frames, set_latencies):
     that class and any straddling frame is tagged conservatively.
     """
     span = frame_span_sets(page_bytes, geometry.line_bytes, geometry.num_sets)
-    sets = len(set_latencies) * geometry.num_sets   # over every bank
-    frames = []
-    for idx in range(num_frames):
-        bank, start = divmod((idx * page_bytes >> geometry.offset_bits) % sets,
-                             geometry.num_sets)
-        lat = max(set_latencies[bank][start:start + span])
-        frames.append(Frame(idx, bank, lat))
-    return FrameInventory(frames)
+    classes = _window_max(set_latencies, span)
+    sets = len(classes) * geometry.num_sets   # over every bank
+    index = np.arange(num_frames)
+    bank, start = np.divmod((index * page_bytes >> geometry.offset_bits) % sets,
+                            geometry.num_sets)
+    return FrameInventory(index, bank, classes[bank, start])
 
 
 def profile_trace(records, page_bytes):
-    """Count accesses per virtual page, per core.  Pages and each page's
-    cores are in ascending order."""
+    """Count accesses per virtual page, per core."""
     trace = as_trace(records)
     pages = trace.addr // page_bytes
     order = np.lexsort((trace.core, pages))
@@ -103,12 +153,16 @@ def profile_trace(records, page_bytes):
     starts = np.flatnonzero(np.concatenate((
         [len(pages) > 0], (pages[1:] != pages[:-1]) | (cores[1:] != cores[:-1]))))
     counts = np.diff(np.append(starts, len(pages)))
-    profile = PageProfile()
-    for page, core, n in zip(pages[starts].tolist(), cores[starts].tolist(),
-                             counts.tolist()):
-        profile.core_counts.setdefault(page, {})[core] = n
-        profile.counts[page] = profile.counts.get(page, 0) + n
-    return profile
+    return PageProfile(pages[starts], cores[starts], counts)
+
+
+def _cheapest_first(inventory, hops=None):
+    """Frame positions by cost, ties by frame index.  A frame costs its
+    latency class, plus hops[bank] when a core's NoC row `hops` is given."""
+    cost = inventory.latency_class
+    if hops is not None:
+        cost = cost + np.asarray(hops)[inventory.bank]
+    return np.lexsort((inventory.index, cost))
 
 
 def assign_pages(profile, inventory, noc=None):
@@ -121,24 +175,31 @@ def assign_pages(profile, inventory, noc=None):
     given.  The inventory is left untouched.  Raises if the touched pages
     outnumber the frames.
     """
-    pages = profile.pages_by_hotness()
-    frames = inventory.frames
-    if len(pages) > len(frames):
-        raise ValueError(f"{len(pages)} pages exceed {len(frames)} frames")
-    taken = set()
-    orders = {}   # core -> iterator over the frames, cheapest first
-    mapping = {}
-    for vpage in pages:
-        core = profile.dominant_core(vpage)
-        order = orders.get(core)
-        if order is None:
-            hops = noc[core] if noc else None
-            order = orders[core] = iter(sorted(frames, key=lambda f: (
-                f.latency_class + (hops[f.bank] if hops else 0), f.index)))
-        index = next(f.index for f in order if f.index not in taken)
-        taken.add(index)
-        mapping[vpage] = index
-    return mapping
+    hot = np.lexsort((profile.page_ids, -profile.totals))
+    pages = profile.page_ids[hot]
+    if len(pages) > len(inventory.index):
+        raise ValueError(f"{len(pages)} pages exceed {len(inventory.index)} "
+                         f"frames")
+    if not noc:
+        # One order for every page: the i-th hottest takes its i-th frame.
+        claimed = _cheapest_first(inventory)[:len(pages)]
+    else:
+        cores = profile.dominant[hot].tolist()
+        # Each order stays a numpy array: a memoryview reads it as Python
+        # ints without a list of them per core.
+        orders = {core: memoryview(_cheapest_first(inventory, noc[core]))
+                  for core in set(cores)}
+        at = dict.fromkeys(orders, 0)   # core -> its order's first untried
+        taken = bytearray(len(inventory.index))
+        claimed = []
+        for core in cores:
+            order, i = orders[core], at[core]
+            while taken[order[i]]:
+                i += 1
+            taken[order[i]] = 1
+            at[core] = i + 1
+            claimed.append(order[i])
+    return dict(zip(pages.tolist(), inventory.index[claimed].tolist()))
 
 
 def translate(vaddr, mapping, page_bytes):

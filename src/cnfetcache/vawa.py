@@ -10,6 +10,8 @@ first (fastest) class whose runs contain it.  Both build a flat per-set
 latency list once; NG also returns its runs for the register accounting.
 """
 
+import numpy as np
+
 # Register-file sizes of the two grouping schemes as modeled for the
 # overhead report (4096-set reference configuration).
 UNIFORM_GROUPING_REGISTER_BYTES = 224
@@ -34,24 +36,14 @@ def uniform_latencies(latmap, num_groups):
 def _qualifying_runs(latencies, max_latency, granularity, out, worst):
     """Maximal runs of consecutive granularity-aligned blocks whose sets all
     have latency <= max_latency and are still at `worst` in `out` (not
-    covered by a faster class)."""
-    num_blocks = len(latencies) // granularity
-    ok = []
-    for b in range(num_blocks):
-        block = range(b * granularity, (b + 1) * granularity)
-        ok.append(all(latencies[s] <= max_latency and out[s] == worst
-                      for s in block))
-    runs = []
-    b = 0
-    while b < num_blocks:
-        if not ok[b]:
-            b += 1
-            continue
-        start = b
-        while b < num_blocks and ok[b]:
-            b += 1
-        runs.append((start * granularity, b * granularity - 1))
-    return runs
+    covered by a faster class): their first and last sets, ascending."""
+    ok = ((latencies <= max_latency) & (out == worst)).reshape(
+        -1, granularity).all(axis=1)
+    # Block b qualifies and b - 1 does not (a start), or the reverse (one
+    # past an end): starts and ends alternate.
+    ok = np.concatenate(([False], ok, [False]))
+    edges = np.flatnonzero(ok[1:] != ok[:-1]) * granularity
+    return edges[::2], edges[1::2] - 1
 
 
 def build_nonuniform_groups(latmap, classes, budget_per_class, granularity=1):
@@ -64,7 +56,7 @@ def build_nonuniform_groups(latmap, classes, budget_per_class, granularity=1):
     Returns the per-set latency list and, per class, its chosen inclusive
     (start, end) runs in ascending order.
     """
-    latencies = latmap.latencies
+    latencies = np.asarray(latmap.latencies)
     num_sets = len(latencies)
     if granularity < 1 or num_sets % granularity != 0:
         raise ValueError("granularity must divide the set count")
@@ -73,16 +65,18 @@ def build_nonuniform_groups(latmap, classes, budget_per_class, granularity=1):
         raise ValueError("classes must be ascending")
     if any(c >= worst for c in classes):
         raise ValueError("classes must be below the worst latency")
-    out = [worst] * num_sets
+    out = np.full(num_sets, worst)
     runs_per_class = []
     for cycles in classes:
-        runs = _qualifying_runs(latencies, cycles, granularity, out, worst)
-        runs.sort(key=lambda r: (-(r[1] - r[0] + 1), r[0]))
-        chosen = sorted(runs[:budget_per_class])
+        starts, ends = _qualifying_runs(latencies, cycles, granularity, out,
+                                        worst)
+        # The budget's longest runs (ties: lower start), in ascending order.
+        keep = np.sort(np.lexsort((starts, starts - ends))[:budget_per_class])
+        chosen = list(zip(starts[keep].tolist(), ends[keep].tolist()))
         for a, b in chosen:
-            out[a:b + 1] = [cycles] * (b - a + 1)
+            out[a:b + 1] = cycles
         runs_per_class.append(chosen)
-    return out, runs_per_class
+    return out.tolist(), runs_per_class
 
 
 def overhead_report(runs_per_class=None):

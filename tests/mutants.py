@@ -29,6 +29,14 @@ PASS = "tests/test_pass.py::test_pass_and_pricing_match_the_per_access_engine"
 PASS_COUNT = "tests/test_cli.py::test_compare_makes_one_pass_per_stream"
 ASSIGN = "tests/test_pagemap.py::test_assignment_matches_quadratic_reference"
 TRANSLATE = "tests/test_pagemap.py::test_translate_trace_matches_translate"
+INVENTORY = ("tests/test_pagemap.py::"
+             "test_inventory_matches_the_per_frame_reference")
+DOMINANT = ("tests/test_pagemap.py::"
+            "test_profile_columns_give_counts_and_dominant_core")
+NG_RUNS = ("tests/test_properties.py::"
+           "test_flattened_ng_never_undercuts_physical_latency",
+           "tests/test_vawa.py::"
+           "test_nonuniform_groups_match_the_per_block_reference")
 STARTUP = "tests/test_startup.py::"
 ORACLE = "tests/test_vasa.py::test_engine_agrees_with_straight_line_oracle"
 OBJECT_ENGINE = ("tests/test_reference_engine.py::"
@@ -49,6 +57,7 @@ CLI = "cnfetcache/cli.py"
 PAGEMAP = "cnfetcache/pagemap.py"
 INIT = "cnfetcache/__init__.py"
 VASA = "cnfetcache/vasa.py"
+VAWA = "cnfetcache/vawa.py"
 CACHE_CORE = "cnfetcache/cache_core.py"
 LATENCY_KEY = ("tests/test_cli.py::"
                "test_sweep_keeps_rows_with_different_latency_inputs_apart")
@@ -151,6 +160,10 @@ MUTANTS = [
     Mutant("way and depth strides swapped", CACHE_CORE,
            "out.append(way * ways + depth)", "out.append(depth * ways + way)",
            (PASS + "[set_aligned-baseline_pd]", PASS + "[set_aligned-vasa]")),
+    Mutant("histogram drops single-hit latencies", NUCA,
+           "landed = np.flatnonzero(count)",
+           "landed = np.flatnonzero(count > 1)",
+           (PASS + "[way_aligned-vawa_ug]",)),
     Mutant("price's depth cut off by one", NUCA,
            "within[:, bank, :, -1 - len(off)]",
            "within[:, bank, :, -2 - len(off)]",
@@ -185,17 +198,43 @@ MUTANTS = [
            "block = (tag, state.data[set_index][way],",
            (OBJECT_ENGINE,)),
     # The page-mapping mutants of the near-linear greedy, re-expressed
-    # against the per-core frame orders of `assign_pages`.
+    # against the array greedy: one lexsort of the frames per dominant core,
+    # one bytearray of taken frames.
     Mutant("frame-index tie-break dropped", PAGEMAP,
-           "(hops[f.bank] if hops else 0), f.index)))",
-           "(hops[f.bank] if hops else 0),)))",
+           "np.lexsort((inventory.index, cost))",
+           'np.argsort(cost, kind="stable")',
            (ASSIGN,)),
     Mutant("one frame order shared by every core", PAGEMAP,
-           "order = orders.get(core)", "order = next(iter(orders.values()), None)",
+           "_cheapest_first(inventory, noc[core])",
+           "_cheapest_first(inventory, noc[min(cores)])",
            (ASSIGN,)),
     Mutant("taken never updated", PAGEMAP,
-           "taken.add(index)", "pass",
+           "taken[order[i]] = 1", "pass",
            (ASSIGN,)),
+    # The frame inventory's windowed max and the profile's dominant core.
+    Mutant("frame window one set short", PAGEMAP,
+           "while width < span:", "while width < span - 1:",
+           (INVENTORY,)),
+    Mutant("dominant core tie to the highest id", PAGEMAP,
+           "np.lexsort((cores, -counts, page_of))",
+           "np.lexsort((-cores, -counts, page_of))",
+           (DOMINANT,)),
+    # Non-uniform grouping's runs (the four of the plain-list NG change),
+    # re-expressed against the block reduction and the array fill.
+    Mutant("NG runs left unsorted", VAWA,
+           "keep = np.sort(np.lexsort((starts, starts - ends))[:budget_per_class])",
+           "keep = np.lexsort((starts, starts - ends))[:budget_per_class]",
+           NG_RUNS),
+    Mutant("NG keeps budget + 1 runs", VAWA,
+           "ends))[:budget_per_class])", "ends))[:budget_per_class + 1])",
+           NG_RUNS),
+    Mutant("NG drops a qualifying run", VAWA,
+           "return edges[::2], edges[1::2] - 1",
+           "return edges[2::2], edges[3::2] - 1",
+           NG_RUNS),
+    Mutant("NG fill one set short", VAWA,
+           "out[a:b + 1] = cycles", "out[a:b] = cycles",
+           NG_RUNS),
     # Start-up: numpy loads with one OpenBLAS thread and os.environ is kept.
     Mutant("thread variable left set after import", INIT,
            'del os.environ["OPENBLAS_NUM_THREADS"]', "pass",
@@ -229,6 +268,10 @@ MUTANTS = [
            "nominal, rng)\n            for rng in [np.random.default_rng("
            "cfg.cnt_seed)] * cfg.num_banks]",
            ("tests/test_cli.py::test_benchmark_compare_csvs_are_pinned",)),
+    Mutant("PD policy with two clocks accepted", CACHE_CORE,
+           "if len(enabled) > 1:", "if False:",
+           ("tests/test_cache_core.py::"
+            "test_bank_policy_rejects_bad_disabled_groups",)),
     Mutant("partial disabling disables nothing", CACHE_CORE,
            "disabled = worst_groups(latmap)", "disabled = set()",
            ("tests/test_cache_core.py::test_partial_disable_hand_trace",)),

@@ -263,8 +263,7 @@ def test_criterion_6_unified_mapping_dominates():
     for trial in range(50):
         draws = [(p, rng.randrange(4), rng.randrange(1, 1000))
                  for p in range(rng.randrange(16, 48))]
-        profile = PageProfile({p: n for p, _, n in draws},
-                              {p: {core: n} for p, core, n in draws})
+        profile = PageProfile(*zip(*draws))   # (page, core, count) runs
 
         def build():
             return build_frame_inventory(bank_geo, page, 64, set_latencies)

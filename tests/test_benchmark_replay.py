@@ -29,6 +29,18 @@ BENCHMARK_RECIPES = {
                 "l1.enabled": "true"},
 }
 
+# Each page-mapped row's (pm_pages, pm_frames, pm_fast, pm_traffic): the
+# profile's pages, the inventory's frames, and the profiled traffic placed on
+# minimum-latency-class frames out of all of it.  The replay reads these from
+# `profile.counts`, `inventory.frames` and the mapping.
+PAGE_MAPPING = {
+    "way-uca": {"vawa_ug_pm": (243, 256, 1170, 1500),
+                "vawa_ng_pm": (243, 256, 1500, 1500)},
+    "way-nuca": {"vawa_ng_pm": (243, 512, 521, 1500),
+                 "vawa_ng_upm": (243, 512, 150, 1500)},
+    "set-uca": {},
+}
+
 
 @pytest.mark.parametrize("recipe", sorted(BENCHMARK_RECIPES))
 def test_oracle_replay_matches_run_sweep(tmp_path, recipe):
@@ -55,3 +67,7 @@ def test_oracle_replay_matches_run_sweep(tmp_path, recipe):
         assert row["oracle_reads"] > 0 and row["oracle_errors"] == 0
         assert row["stats_row"] == dict(zip(metrics.CSV_FIELDS,
                                             output.stats_row()))
+    page_mapping = {row["label"]: tuple(row[key] for key in (
+        "pm_pages", "pm_frames", "pm_fast", "pm_traffic"))
+        for row in rows if row["pm_pages"]}
+    assert page_mapping == PAGE_MAPPING[recipe]

@@ -241,5 +241,13 @@ def test_bank_policy_rejects_bad_disabled_groups():
         BankPolicy([6, 7], {0, 1})
     with pytest.raises(ValueError, match="cannot disable all its groups"):
         BankPolicy([6], {0})
+    # `nuca.price` prices a set aligned hit at the way the full-way pass
+    # names, which is right only when every enabled group shares one clock,
+    # as `partial_disable` builds it.
+    with pytest.raises(ValueError, match=r"one clock, not \[6, 7, 8\]"):
+        BankPolicy([6, 6, 7, 7, 8, 8, 12, 12], disabled={6, 7})
+    with pytest.raises(ValueError, match="one clock"):
+        BankPolicy([6, 7, 6, 10], {3})
+    assert BankPolicy([8, 8, 8, 8, 8, 8, 12, 12], {6, 7}).disabled == {6, 7}
     assert BankPolicy([6] * 4, {0, 3}).disabled == {0, 3}
     assert BankPolicy([6] * 4, shuffle=groups).disabled == frozenset()

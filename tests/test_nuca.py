@@ -122,8 +122,7 @@ def test_equal_banks_reduce_mapping_to_distance_only():
     avg = bank_average_latency([6, 6, 7, 7, 8, 8, 10, 10])
     rng = random.Random(4)
     draws = [(p, rng.randrange(4), rng.randrange(1, 100)) for p in range(16)]
-    profile = PageProfile({p: n for p, _, n in draws},
-                          {p: {core: n} for p, core, n in draws})
+    profile = PageProfile(*zip(*draws))   # (page, core, count) runs
 
     span_pages = 1024
     set_latencies = [[avg] * geometry.num_sets] * 8
@@ -153,8 +152,7 @@ def test_unified_mapping_beats_noc_oblivious():
 
         draws = [(p, rng.randrange(4), rng.randrange(1, 1000))
                  for p in range(24)]
-        profile = PageProfile({p: n for p, _, n in draws},
-                              {p: {core: n} for p, core, n in draws})
+        profile = PageProfile(*zip(*draws))   # (page, core, count) runs
 
         page = 512                      # 8-set footprint
         def build():

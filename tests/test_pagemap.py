@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -56,17 +57,18 @@ def test_profile_dominant_core_majority():
 
 def _profile(entries):
     """PageProfile of (vpage, core, count) entries; repeats add up."""
-    profile = PageProfile()
+    runs = Counter()
     for vpage, core, n in entries:
-        profile.counts[vpage] = profile.counts.get(vpage, 0) + n
-        per = profile.core_counts.setdefault(vpage, {})
-        per[core] = per.get(core, 0) + n
-    return profile
+        runs[vpage, core] += n
+    keys = sorted(runs)
+    return PageProfile([p for p, _ in keys], [c for _, c in keys],
+                       [runs[k] for k in keys])
 
 
 def _inventory(latencies):
-    frames = [Frame(i, 0, lat) for i, lat in enumerate(latencies)]
-    return FrameInventory(frames)
+    """Frames 0..n-1 of one bank, frame i at latency class latencies[i]."""
+    return FrameInventory(range(len(latencies)), [0] * len(latencies),
+                          latencies)
 
 
 def test_hot_page_takes_fast_frame():
@@ -101,8 +103,9 @@ def test_capacity_error():
 
 def _reference_assign(profile, inventory, noc=None):
     """The quadratic greedy: a min over every untaken frame for each page,
-    at latency class plus the NoC table's cycles when one is given."""
-    pages = profile.pages_by_hotness()
+    hottest page first (ties by page number), at latency class plus the NoC
+    table's cycles when one is given."""
+    pages = sorted(profile.counts, key=lambda p: (-profile.counts[p], p))
     free = list(inventory.frames)
     if len(pages) > len(free):
         raise ValueError(f"{len(pages)} pages exceed {len(free)} frames")
@@ -138,8 +141,8 @@ def test_assignment_matches_quadratic_reference(data, frames, pages, noc):
     profile = _profile(pages)
 
     def inventory():
-        rows = zip(indexes, frames)
-        return FrameInventory([Frame(i, bank, lat) for i, (lat, bank) in rows])
+        return FrameInventory(indexes, [bank for _, bank in frames],
+                              [lat for lat, _ in frames])
 
     new_inv = inventory()
     try:
@@ -149,7 +152,7 @@ def test_assignment_matches_quadratic_reference(data, frames, pages, noc):
             assign_pages(profile, new_inv, noc)
         return
     assert assign_pages(profile, new_inv, noc) == want
-    assert new_inv == inventory()   # assignment leaves the frames as built
+    assert new_inv.frames == inventory().frames   # left as built
 
 
 def test_greedy_is_globally_optimal_for_separable_costs():
@@ -237,6 +240,69 @@ def test_inventory_bank_and_set_math():
                 % geometry.num_sets < start + span
 
 
+def _reference_inventory(geometry, page_bytes, num_frames, set_latencies):
+    """The per-frame loop: frame i's bank and first set from one divmod of
+    its first line's set index over every bank, its class the max over the
+    sets its lines occupy."""
+    span = frame_span_sets(page_bytes, geometry.line_bytes, geometry.num_sets)
+    sets = len(set_latencies) * geometry.num_sets
+    frames = []
+    for idx in range(num_frames):
+        bank, start = divmod((idx * page_bytes >> geometry.offset_bits) % sets,
+                             geometry.num_sets)
+        frames.append(Frame(idx, bank,
+                            max(set_latencies[bank][start:start + span])))
+    return frames
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), banks=st.sampled_from([1, 2, 8]),
+       bank_sets=st.sampled_from([1, 2, 8, 32]), line_bytes=st.sampled_from([32, 64]),
+       page_lines=st.sampled_from([1, 2, 3, 8, 16, 64]), mean=st.booleans())
+def test_inventory_matches_the_per_frame_reference(data, banks, bank_sets,
+                                                   line_bytes, page_lines,
+                                                   mean):
+    # Pages of up to 64 lines against banks of 1-32 sets (the span clamp),
+    # 3-line pages whose footprints run off a bank's last set, and up to
+    # three times the frames of one pass over the banks (the wrap).
+    geometry = CacheGeometry(bank_sets * 4 * line_bytes, 4, line_bytes)
+    cycles = st.integers(6, 12)
+    if mean:        # a set aligned bank's mean way latency
+        cycles = cycles.map(lambda c: c / 4)
+    set_latencies = data.draw(st.lists(
+        st.lists(cycles, min_size=bank_sets, max_size=bank_sets),
+        min_size=banks, max_size=banks))
+    page_bytes = page_lines * line_bytes
+    num_frames = data.draw(st.integers(0, 3 * banks * bank_sets))
+    got = build_frame_inventory(geometry, page_bytes, num_frames,
+                                set_latencies).frames
+    want = _reference_inventory(geometry, page_bytes, num_frames,
+                                set_latencies)
+    assert repr(got) == repr(want)   # equal values of equal types
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(refs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)),
+                     max_size=80))
+def test_profile_columns_give_counts_and_dominant_core(refs):
+    # Few cores and pages, so per-core counts tie often.
+    trace = Trace([core for core, _ in refs], [False] * len(refs),
+                  [False] * len(refs), [512 * page + 64 for _, page in refs])
+    profile = profile_trace(trace, 512)
+    per = Counter((page, core) for core, page in refs)
+    core_counts = {}
+    for (page, core), n in sorted(per.items()):
+        core_counts.setdefault(page, {})[core] = n
+    assert profile.core_counts == core_counts
+    assert profile.counts == {p: sum(c.values()) for p, c in core_counts.items()}
+    for page, cores in core_counts.items():
+        best = max(cores.values())
+        assert profile.dominant_core(page) == min(
+            c for c, n in cores.items() if n == best)
+    assert all(profile.dominant_core(page) is None
+               for page in range(9) if page not in core_counts)
+
+
 def test_profile_serialization():
     profile = _profile([(1, 0, 3), (4, 1, 9)])
     dump = serialize_profile(profile)
@@ -269,7 +335,7 @@ def _upm_instance(seed, affinity):
     cost = np.array([[sum(k * (f.latency_class + noc[c][f.bank])
                           for c, k in profile.core_counts[p].items())
                       for f in frames] for p in range(num_pages)])
-    greedy = assign_pages(profile, FrameInventory(frames), noc)
+    greedy = assign_pages(profile, FrameInventory(*zip(*frames)), noc)
     greedy_cost = sum(cost[p, greedy[p]] for p in range(num_pages))
     rows, cols = linear_sum_assignment(cost)
     return int(greedy_cost), int(cost[rows, cols].sum())

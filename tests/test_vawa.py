@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnfetcache.cli import ExperimentConfig, build_machinery, make_accessor
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
@@ -91,6 +93,64 @@ def test_nonuniform_respects_granularity():
     _, runs = build_nonuniform_groups(_waymap(lat), [6], 16, granularity=8)
     # Only one aligned 8-set block is fully fast.
     assert runs == [[(0, 7)]]
+
+
+def _reference_qualifying_runs(latencies, max_latency, granularity, out,
+                                worst):
+    """The per-block loop: maximal runs of granularity-aligned blocks whose
+    sets all have latency <= max_latency and are still at `worst`."""
+    num_blocks = len(latencies) // granularity
+    ok = []
+    for b in range(num_blocks):
+        block = range(b * granularity, (b + 1) * granularity)
+        ok.append(all(latencies[s] <= max_latency and out[s] == worst
+                      for s in block))
+    runs = []
+    b = 0
+    while b < num_blocks:
+        if not ok[b]:
+            b += 1
+            continue
+        start = b
+        while b < num_blocks and ok[b]:
+            b += 1
+        runs.append((start * granularity, b * granularity - 1))
+    return runs
+
+
+def _reference_nonuniform_groups(latmap, classes, budget, granularity):
+    """`build_nonuniform_groups` on plain lists, one set at a time."""
+    latencies, worst = latmap.latencies, latmap.max_cycles
+    out = [worst] * len(latencies)
+    runs_per_class = []
+    for cycles in classes:
+        runs = _reference_qualifying_runs(latencies, cycles, granularity, out,
+                                          worst)
+        runs.sort(key=lambda r: (-(r[1] - r[0] + 1), r[0]))
+        chosen = sorted(runs[:budget])
+        for a, b in chosen:
+            out[a:b + 1] = [cycles] * (b - a + 1)
+        runs_per_class.append(chosen)
+    return out, runs_per_class
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), granularity=st.sampled_from([1, 2, 4, 8]),
+       blocks=st.integers(1, 16),
+       classes=st.sets(st.integers(6, 9), max_size=4).map(sorted),
+       budget=st.integers(0, 4))
+def test_nonuniform_groups_match_the_per_block_reference(
+        data, granularity, blocks, classes, budget):
+    # Few latency values, so runs of each class are long and tie often.
+    latencies = data.draw(st.lists(st.sampled_from([6, 6, 7, 8, 9, 10]),
+                                   min_size=blocks * granularity,
+                                   max_size=blocks * granularity))
+    latmap = _waymap(latencies)
+    latency, runs = build_nonuniform_groups(latmap, classes, budget,
+                                            granularity)
+    assert (latency, runs) == _reference_nonuniform_groups(
+        latmap, classes, budget, granularity)
+    assert all(type(c) is int for c in latency)
 
 
 def _dp_optimal_savings(latencies, classes, budget, worst):
