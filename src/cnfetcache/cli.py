@@ -558,24 +558,7 @@ class ExperimentOutput:
                                  self.config.workload_label())
 
 
-@dataclass
-class _Row:
-    """One config made ready to price: its LLC stream, bank policies, page
-    mapping (None without page mapping) and notes."""
-
-    cfg: ExperimentConfig
-    llc: workload.Trace
-    machinery: Machinery
-    mapping: dict
-    notes: list
-
-
-def _prepare(cfg, records, llc, latmaps, profiles):
-    machinery = build_machinery(cfg, latmaps)
-    mapping = None
-    if cfg.pm_enabled:
-        _, _, mapping = build_page_mapping(cfg, machinery, llc, records,
-                                           profiles)
+def _notes(cfg, latmaps, machinery):
     notes = []
     if cfg.nuca_enabled:
         averages = [nuca.bank_average_latency(lm.latencies) for lm in latmaps]
@@ -587,28 +570,7 @@ def _prepare(cfg, records, llc, latmaps, profiles):
     if machinery.overhead is not None:
         notes.append("overhead: " + " ".join(
             f"{k}={v}" for k, v in sorted(machinery.overhead.items())))
-    return _Row(cfg, llc, machinery, mapping, notes)
-
-
-def _pass_key(row, position):
-    """Rows with equal keys share one LRU pass: the same stream, untranslated,
-    on the same banks.  A row with a page mapping or a shuffling bank runs
-    alone."""
-    if row.mapping is not None or any(p.shuffle is not None
-                                      for p in row.machinery.banks):
-        return position
-    cfg = row.cfg
-    return (id(row.llc), cfg.geometry, cfg.num_banks, cfg.layout_kind,
-            cfg.nuca_enabled)
-
-
-def _hit_table(row):
-    cfg = row.cfg
-    llc = row.llc
-    if row.mapping is not None:
-        llc = pagemap.translate_trace(llc, row.mapping, cfg.pm_page_bytes)
-    return nuca.count_hits(llc, cfg.geometry, cfg.layout_kind,
-                           row.machinery.banks, cfg.noc)
+    return notes
 
 
 def _latency_key(cfg):
@@ -624,11 +586,16 @@ def run_sweep(configs, records):
 
     Each l1.enabled value gets one LLC stream, each distinct set of
     latency-map inputs one set of maps (no consumer mutates a map) and
-    each (profiled stream, page size) one page profile.  Every row is
-    prepared first; then each distinct pass runs once, its rows are priced
-    from its hit table, and the table is dropped before the next pass runs.
-    The streams are built before anything else, and the front end's freed
-    temporaries are then handed back to the OS (`release_free_heap`).
+    each (profiled stream, page size) one page profile.  The streams are
+    built before anything else, and the front end's freed temporaries are
+    then handed back to the OS (`release_free_heap`).
+
+    The first loop builds each row and files it under its pass.  Rows of
+    one pass read the same stream, untranslated, on the same banks; a row
+    with a page mapping or a shuffling bank runs alone.  The second loop
+    runs each pass once, translating a mapped stream only there, prices
+    the pass's rows from its hit table and drops the table and the
+    translated stream before the next pass runs.
     """
     records = workload.as_trace(records)
     streams, latmaps, profiles = {}, {}, {}
@@ -637,27 +604,40 @@ def run_sweep(configs, records):
         if cfg.l1_enabled not in streams:
             streams[cfg.l1_enabled] = llc_records(cfg, records)
     release_free_heap()
-    rows = []
-    for cfg in configs:
+    rows, passes = [], {}
+    for position, cfg in enumerate(configs):
         key = _latency_key(cfg)
         if key not in latmaps:
             latmaps[key] = build_latency_maps(cfg)
-        rows.append(_prepare(cfg, records, streams[cfg.l1_enabled],
-                             latmaps[key], profiles))
-    passes = {}
-    for position, row in enumerate(rows):
-        passes.setdefault(_pass_key(row, position), []).append(position)
+        machinery = build_machinery(cfg, latmaps[key])
+        mapping = None
+        if cfg.pm_enabled:
+            _, _, mapping = build_page_mapping(
+                cfg, machinery, streams[cfg.l1_enabled], records, profiles)
+        rows.append((cfg, machinery, mapping,
+                     _notes(cfg, latmaps[key], machinery)))
+        if mapping is not None or any(bank.shuffle is not None
+                                      for bank in machinery.banks):
+            pass_key = position
+        else:
+            pass_key = (cfg.l1_enabled, cfg.geometry, cfg.num_banks,
+                        cfg.layout_kind, cfg.nuca_enabled)
+        passes.setdefault(pass_key, []).append(position)
     stats = [None] * len(rows)
     for positions in passes.values():
-        table = _hit_table(rows[positions[0]])
+        cfg, machinery, mapping, _ = rows[positions[0]]
+        llc = streams[cfg.l1_enabled]
+        if mapping is not None:
+            llc = pagemap.translate_trace(llc, mapping, cfg.pm_page_bytes)
+        table = nuca.count_hits(llc, cfg.geometry, cfg.layout_kind,
+                                machinery.banks, cfg.noc)
         for position in positions:
-            cfg = rows[position].cfg
-            stats[position] = nuca.price(
-                table, rows[position].machinery.banks, cfg.memory_latency,
-                cfg.noc)
-        del table
-    return [ExperimentOutput(row.cfg, stat, row.notes)
-            for row, stat in zip(rows, stats)]
+            cfg, machinery, _, _ = rows[position]
+            stats[position] = nuca.price(table, machinery.banks,
+                                         cfg.memory_latency, cfg.noc)
+        del table, llc
+    return [ExperimentOutput(cfg, stat, notes)
+            for (cfg, _, _, notes), stat in zip(rows, stats)]
 
 
 def run_experiment(cfg):

@@ -68,14 +68,6 @@ class PageProfile:
             out.setdefault(page, {})[core] = n
         return out
 
-    def dominant_core(self, vpage):
-        """Core issuing the most accesses to the page (ties: lowest id), or
-        None for a page the profile never saw."""
-        at = int(np.searchsorted(self.page_ids, vpage))
-        if at == len(self.page_ids) or self.page_ids[at] != vpage:
-            return None
-        return int(self.dominant[at])
-
 
 class Frame(NamedTuple):
     """One physical page frame: its bank and the latency class of the cache

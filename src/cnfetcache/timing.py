@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from . import variation
 
 
@@ -102,14 +104,10 @@ def strengths_to_latency(strengths, nominal_count, min_cycles, max_cycles):
         raise ValueError("nominal_count must be > 0")
     if min_cycles > max_cycles:
         raise ValueError("min_cycles must be <= max_cycles")
-    out = []
-    for count in strengths:
-        if count == 0:
-            out.append(max_cycles)
-        else:
-            cycles = math.ceil(min_cycles * nominal_count / count)
-            out.append(min(max(cycles, min_cycles), max_cycles))
-    return out
+    counts = np.asarray(strengths, dtype=np.float64)
+    with np.errstate(divide="ignore"):      # a zero count takes inf cycles
+        cycles = np.ceil(min_cycles * nominal_count / counts)
+    return np.clip(cycles, min_cycles, max_cycles).astype(np.int64).tolist()
 
 
 def delay_ratios(counts, nominal_count):

@@ -143,8 +143,17 @@ MUTANTS = [
            "frames[at] * page_bytes + offsets", "pages * page_bytes + offsets",
            (PASS + "[way_aligned-vawa_ug]", TRANSLATE)),
     Mutant("pass key ignoring the mapping", CLI,
-           "if row.mapping is not None or any(", "if any(",
+           "if mapping is not None or any(", "if any(",
            (PASS_COUNT + "[way-uca-3-0]",)),
+    Mutant("shuffling row shares the LRU pass", CLI,
+           "if mapping is not None or any(bank.shuffle is not None\n"
+           "                                      for bank in machinery.banks):",
+           "if mapping is not None:",
+           (PASS_COUNT + "[set-uca-2-1]",)),
+    Mutant("pass key ignores the l1 setting", CLI,
+           "pass_key = (cfg.l1_enabled, cfg.geometry,", "pass_key = (cfg.geometry,",
+           ("tests/test_cli.py::"
+            "test_compare_gives_each_l1_setting_its_own_stream",)),
     # Two on the merged pass and the one PD depth rule.
     Mutant("shuffling bank sent down the LRU branch", NUCA,
            "if policy.shuffle is None:", "if True:",
@@ -169,8 +178,8 @@ MUTANTS = [
            "within[:, bank, :, -2 - len(off)]",
            (PASS + "[set_aligned-baseline_pd]",)),
     Mutant("mapped stream not translated before its pass", CLI,
-           "    if row.mapping is not None:\n        llc = pagemap",
-           "    if False:\n        llc = pagemap",
+           "        if mapping is not None:\n            llc = pagemap",
+           "        if False:\n            llc = pagemap",
            (PASS + "[way_aligned-vawa_ug]",)),
     Mutant("translation search not clamped", PAGEMAP,
            "np.searchsorted(vpages, pages), len(vpages) - 1)",
@@ -251,8 +260,8 @@ MUTANTS = [
            ("tests/test_cli.py::"
             "test_release_free_heap_returns_freed_blocks_below_a_live_one",)),
     Mutant("sweep never releases the heap", CLI,
-           "    release_free_heap()\n    rows = []\n",
-           "    rows = []\n",
+           "    release_free_heap()\n    rows, passes = [], {}\n",
+           "    rows, passes = [], {}\n",
            ("tests/test_cli.py::"
             "test_sweep_releases_the_heap_once_its_streams_are_built",)),
     # The latency-map inputs: the config owns them, the sweep shares maps

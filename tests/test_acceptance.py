@@ -10,6 +10,7 @@ import pytest
 
 import test_vasa
 import test_vawa
+from test_pagemap import dominant_cores
 from cnfetcache import metrics
 from cnfetcache.cli import (ExperimentConfig, build_latency_maps,
                             build_machinery, build_page_mapping, main,
@@ -271,11 +272,12 @@ def test_criterion_6_unified_mapping_dominates():
         unified = assign_pages(profile, build(), noc)
         oblivious = assign_pages(profile, build())
         frames = {f.index: f for f in build().frames}
+        dominant = dominant_cores(profile)
 
         def cost(mapping):
             return sum(profile.counts[p]
                        * (frames[mapping[p]].latency_class
-                          + noc[profile.dominant_core(p)][frames[mapping[p]].bank])
+                          + noc[dominant[p]][frames[mapping[p]].bank])
                        for p in mapping)
 
         cu, co = cost(unified), cost(oblivious)

@@ -734,10 +734,38 @@ def test_compare_profiles_each_stream_once(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("argv, banks", [
-    (WAY_UCA, 1),
-    (["--recipe", "way-nuca", "--set", "workload.length=2000",
-      "--set", "workload.num_cores=4"], 8)], ids=["way-uca", "way-nuca"])
+WAY_NUCA = ["--recipe", "way-nuca", "--set", "workload.length=2000",
+            "--set", "workload.num_cores=4"]
+
+
+@pytest.mark.parametrize("argv", [WAY_UCA, WAY_NUCA],
+                         ids=["way-uca", "way-nuca"])
+def test_compare_translates_each_mapped_stream_just_before_its_pass(
+        tmp_path, monkeypatch, argv):
+    # The shared LRU pass runs first; then each page-mapped row translates
+    # its stream and hands that stream straight to its own pass, so only
+    # one translated stream is alive at a time.
+    translate_trace, count_hits = pagemap.translate_trace, nuca.count_hits
+    calls = []
+
+    def translating(*args):
+        calls.append(("translate", translate_trace(*args)))
+        return calls[-1][1]
+
+    def counting(records, *args):
+        calls.append(("count", records))
+        return count_hits(records, *args)
+
+    monkeypatch.setattr(pagemap, "translate_trace", translating)
+    monkeypatch.setattr(nuca, "count_hits", counting)
+    _compare_csv(tmp_path, "out.csv", argv)
+    assert [name for name, _ in calls] == [
+        "count", "translate", "count", "translate", "count"]
+    assert calls[2][1] is calls[1][1] and calls[4][1] is calls[3][1]
+
+
+@pytest.mark.parametrize("argv, banks", [(WAY_UCA, 1), (WAY_NUCA, 8)],
+                         ids=["way-uca", "way-nuca"])
 def test_compare_samples_latency_maps_once(tmp_path, monkeypatch, argv,
                                            banks):
     # Every row of a recipe reads the same map inputs, so one set of

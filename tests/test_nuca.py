@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from test_pagemap import dominant_cores
 from cnfetcache.cache_core import BankPolicy, partial_disable
 from cnfetcache.metrics import RunStats, record_access
 from cnfetcache.nuca import NucaCache, bank_average_latency, noc_table
@@ -160,12 +161,13 @@ def test_unified_mapping_beats_noc_oblivious():
 
         unified = assign_pages(profile, build(), NOC)
         oblivious = assign_pages(profile, build())
+        dominant = dominant_cores(profile)
 
         def cost(mapping, inventory):
             frames = {f.index: f for f in inventory.frames}
             return sum(profile.counts[p]
                        * (frames[mapping[p]].latency_class
-                          + NOC[profile.dominant_core(p)][frames[mapping[p]].bank])
+                          + NOC[dominant[p]][frames[mapping[p]].bank])
                        for p in mapping)
 
         inv = build()

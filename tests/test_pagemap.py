@@ -43,16 +43,21 @@ def test_profile_counts_raw_accesses():
     records = [TraceRecord(0, "R", 0x2000 + 64 * (i % 64)) for i in range(100)]
     profile = profile_trace(records, 4096)
     assert profile.counts == {2: 100}
-    assert profile.dominant_core(2) == 0
+    assert dominant_cores(profile) == {2: 0}
 
 
 def test_profile_dominant_core_majority():
     records = ([TraceRecord(0, "R", 0x5000)] * 70
                + [TraceRecord(1, "R", 0x5000)] * 30)
     profile = profile_trace(records, 4096)
-    assert profile.dominant_core(5) == 0
+    assert dominant_cores(profile) == {5: 0}
     tied = _profile([(9, 3, 10), (9, 1, 10)])
-    assert tied.dominant_core(9) == 1
+    assert dominant_cores(tied) == {9: 1}
+
+
+def dominant_cores(profile):
+    """{vpage: dominant core}, read from the profile's columns."""
+    return dict(zip(profile.page_ids.tolist(), profile.dominant.tolist()))
 
 
 def _profile(entries):
@@ -109,9 +114,10 @@ def _reference_assign(profile, inventory, noc=None):
     free = list(inventory.frames)
     if len(pages) > len(free):
         raise ValueError(f"{len(pages)} pages exceed {len(free)} frames")
+    dominant = dominant_cores(profile)
     mapping = {}
     for vpage in pages:
-        core = profile.dominant_core(vpage)
+        core = dominant[vpage]
         best = min(free, key=lambda f: (
             f.latency_class + (0 if noc is None else noc[core][f.bank]),
             f.index))
@@ -295,12 +301,9 @@ def test_profile_columns_give_counts_and_dominant_core(refs):
         core_counts.setdefault(page, {})[core] = n
     assert profile.core_counts == core_counts
     assert profile.counts == {p: sum(c.values()) for p, c in core_counts.items()}
-    for page, cores in core_counts.items():
-        best = max(cores.values())
-        assert profile.dominant_core(page) == min(
-            c for c, n in cores.items() if n == best)
-    assert all(profile.dominant_core(page) is None
-               for page in range(9) if page not in core_counts)
+    assert dominant_cores(profile) == {
+        page: min(c for c, n in cores.items() if n == max(cores.values()))
+        for page, cores in core_counts.items()}
 
 
 def test_profile_serialization():

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnfetcache.cli import ExperimentConfig
 from cnfetcache.timing import (DEFAULT_CYCLE_RANGE, CacheGeometry, LatencyMap,
@@ -48,6 +50,39 @@ def test_clamping_bounds():
     lat = strengths_to_latency([1, 2, 20, 9], 9, 6, 12)
     assert lat == [12, 12, 6, 6]
     assert all(6 <= c <= 12 for c in lat)
+
+
+def _reference_latency(strengths, nominal_count, min_cycles, max_cycles):
+    """The per-group loop: ceil(min * nominal / count), clamped; a failed
+    group at max_cycles."""
+    out = []
+    for count in strengths:
+        if count == 0:
+            out.append(max_cycles)
+        else:
+            cycles = math.ceil(min_cycles * nominal_count / count)
+            out.append(min(max(cycles, min_cycles), max_cycles))
+    return out
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(strengths=st.lists(st.integers(0, 40), max_size=60),
+       nominal=st.one_of(st.integers(1, 40),
+                         st.floats(0.5, 40)),
+       min_cycles=st.integers(1, 20), width=st.integers(0, 10))
+def test_latency_matches_the_per_group_loop(strengths, nominal, min_cycles,
+                                            width):
+    got = strengths_to_latency(strengths, nominal, min_cycles,
+                               min_cycles + width)
+    assert got == _reference_latency(strengths, nominal, min_cycles,
+                                     min_cycles + width)
+    assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("nominal, cycles", [(0, (6, 12)), (9, (7, 6))])
+def test_latency_rejects_bad_inputs(nominal, cycles):
+    with pytest.raises(ValueError):
+        strengths_to_latency([9], nominal, *cycles)
 
 
 def _exact_latency_pmf(params, stages, nominal, min_c, max_c):
