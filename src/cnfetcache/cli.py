@@ -240,7 +240,7 @@ class ExperimentConfig:
     @property
     def energy_params(self):
         return metrics.EnergyParams(self.static_power, self.e_read,
-                                    self.e_write, self.memory_latency)
+                                    self.e_write)
 
     @property
     def noc(self):
@@ -479,27 +479,21 @@ def build_machinery(cfg, latmaps):
     return Machinery(banks, overhead)
 
 
-def page_profile(cfg, raw_records, llc_records, profiles=None):
-    """The page profile page mapping uses: of the raw stream when
-    pagemap.count_raw, else of the LLC stream.  `profiles` keeps one
-    profile per (stream, page size) across calls; it is keyed by the
-    stream's identity, so it must not outlive the streams (`run_sweep`
-    keeps one per sweep)."""
-    source = raw_records if cfg.pm_count_raw else llc_records
-    key = (id(source), cfg.pm_page_bytes)
-    profiles = {} if profiles is None else profiles
-    if key not in profiles:
-        profiles[key] = pagemap.profile_trace(source, cfg.pm_page_bytes)
-    return profiles[key]
-
-
 def build_page_mapping(cfg, machinery, llc_records, raw_records,
                        profiles=None):
-    """Profile the workload (see `page_profile`) and assign hot pages to
-    fast frames.  A set aligned bank charges every set its mean way
-    latency."""
+    """Profile the workload and assign hot pages to fast frames.  The
+    profile counts the raw stream when pagemap.count_raw, else the LLC
+    stream.  `profiles` keeps one profile per (stream, page size) across
+    the rows of a sweep; a stream is named, as in `run_sweep`, by whether
+    it is what the L1s forward.  A set aligned bank charges every set its
+    mean way latency."""
     page_bytes = cfg.pm_page_bytes
-    profile = page_profile(cfg, raw_records, llc_records, profiles)
+    profiles = {} if profiles is None else profiles
+    key = (cfg.l1_enabled and not cfg.pm_count_raw, page_bytes)
+    if key not in profiles:
+        profiles[key] = pagemap.profile_trace(
+            raw_records if cfg.pm_count_raw else llc_records, page_bytes)
+    profile = profiles[key]
 
     geometry = cfg.bank_geometry
     span = pagemap.frame_span_sets(page_bytes, cfg.line_bytes, geometry.num_sets)
@@ -717,9 +711,10 @@ def cmd_simulate(args):
 def cmd_profile(args):
     cfg = _config_from_args(args)
     records = load_records(cfg)
-    llc = records if cfg.pm_count_raw else llc_records(cfg, records)
-    profile = page_profile(cfg, records, llc)
-    text = pagemap.serialize_profile(profile)
+    if not cfg.pm_count_raw:
+        records = llc_records(cfg, records)
+    text = pagemap.serialize_profile(
+        pagemap.profile_trace(records, cfg.pm_page_bytes))
     with open(args.out, "w") as fh:
         fh.write(text)
     return 0
@@ -819,7 +814,7 @@ def cmd_compare(args):
             "pm": ("upm" if cfg.pm_enabled and cfg.pm_unified and cfg.nuca_enabled
                    else "pm" if cfg.pm_enabled else "-"),
             "mean_hit_latency": stats.mean_hit_latency,
-            "amat": metrics.amat(stats, cfg.energy_params),
+            "amat": metrics.amat(stats),
             "miss_rate": stats.llc_miss_rate,
             "total_energy": static + dynamic,
         }

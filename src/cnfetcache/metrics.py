@@ -15,25 +15,46 @@ class EnergyParams:
     static_power_units_per_cycle: float = 1.0
     e_read_units: float = 1.0
     e_write_units: float = 2.0
-    memory_latency_cycles: int = 30
 
     def __post_init__(self):
         if min(self.static_power_units_per_cycle, self.e_read_units,
-               self.e_write_units, self.memory_latency_cycles) < 0:
+               self.e_write_units) < 0:
             raise ValueError("energy parameters must be non-negative")
 
 
 @dataclass
 class RunStats:
+    """The counts of one run; every total follows from them.
+
+    A hit costs its histogram latency (hit latency plus, in NUCA, the NoC
+    round trip).  A miss costs memory_latency_cycles and nothing else: no
+    NoC trip and no hit latency, whatever the bank or the policy, and a
+    request that partial disabling sends straight to memory is priced the
+    same way.
+    """
+
     memory_latency_cycles: int = 30
     accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    reads: int = 0
     writes: int = 0
     shuffle_moves: int = 0
     hit_latency_histogram: Counter = field(default_factory=Counter)
-    total_llc_cycles: int = 0
+
+    @property
+    def hits(self):
+        return sum(self.hit_latency_histogram.values())
+
+    @property
+    def misses(self):
+        return self.accesses - self.hits
+
+    @property
+    def reads(self):
+        return self.accesses - self.writes
+
+    @property
+    def total_llc_cycles(self):
+        return (sum(c * n for c, n in self.hit_latency_histogram.items())
+                + self.misses * self.memory_latency_cycles)
 
     @property
     def llc_miss_rate(self):
@@ -46,36 +67,22 @@ class RunStats:
 
 
 def record_access(stats, result):
-    """Fold one AccessResult into the running counters.
-
-    A hit costs its priced latency_cycles (hit latency plus, in NUCA, the
-    NoC round trip).  A miss costs memory_latency_cycles and nothing else:
-    no NoC trip and no hit latency, whatever the bank or the policy, and a
-    request that partial disabling sends straight to memory is priced the
-    same way.
-    """
+    """Count one AccessResult; a hit lands in the histogram at its cost."""
     stats.accesses += 1
     if result.write:
         stats.writes += 1
-    else:
-        stats.reads += 1
     stats.shuffle_moves += result.shuffle_moves
     if result.hit:
-        stats.hits += 1
         stats.hit_latency_histogram[result.latency_cycles] += 1
-        stats.total_llc_cycles += result.latency_cycles
-    else:
-        stats.misses += 1
-        stats.total_llc_cycles += stats.memory_latency_cycles
     return stats
 
 
-def amat(stats, params):
+def amat(stats):
     """Average memory access time: mean hit latency + miss_rate * memory penalty."""
     if stats.accesses == 0:
         raise ValueError("no accesses recorded")
     return (stats.mean_hit_latency
-            + stats.llc_miss_rate * params.memory_latency_cycles)
+            + stats.llc_miss_rate * stats.memory_latency_cycles)
 
 
 def energy(stats, params):
@@ -104,7 +111,7 @@ def stats_row(stats, params, policy, layout, workload):
         "misses": stats.misses,
         "miss_rate": f"{stats.llc_miss_rate:.6f}",
         "mean_hit_latency": f"{stats.mean_hit_latency:.6f}",
-        "amat": f"{amat(stats, params):.6f}" if stats.accesses else "",
+        "amat": f"{amat(stats):.6f}" if stats.accesses else "",
         "total_llc_cycles": stats.total_llc_cycles,
         "shuffle_moves": stats.shuffle_moves,
         "reads": stats.reads,

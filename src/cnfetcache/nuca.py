@@ -115,7 +115,7 @@ class NucaCache:
 class HitTable:
     """The hits of one address stream, counted by where they landed.
 
-    counts is a flat list in C order over shape = (rows, banks, groups,
+    counts is a flat array in C order over shape = (rows, banks, groups,
     depths): entry (r, b, g, d) counts the hits from core r of the NoC
     table (one row for every core in a UCA) to latency group g of bank b
     at LRU depth d + 1.  The group is the set on a way aligned (per_set)
@@ -126,7 +126,7 @@ class HitTable:
     The shape follows from the geometry, never from the stream's length.
     """
 
-    counts: list
+    counts: np.ndarray
     shape: tuple
     per_set: bool
     accesses: int
@@ -187,7 +187,7 @@ def count_hits(records, geometry, layout, policies, noc=None):
     index = cells if per_set else cells // bank_sets * groups * depths + landing
     counts = np.bincount(index[landing >= 0],
                          minlength=rows * banks * groups * depths)
-    return HitTable(counts.tolist(), (rows, banks, groups, depths), per_set,
+    return HitTable(counts, (rows, banks, groups, depths), per_set,
                     len(trace), int(trace.write.sum()), moves)
 
 
@@ -203,13 +203,12 @@ def price(table, policies, memory_latency, noc=None):
     `BankPolicy` requires one clock for every enabled way, so the way the
     pass names prices it alike.  A hit costs latency[group] +
     noc[row][bank], with no NoC term when noc (a `noc_table`) is None.
-    Every other access is a miss at memory_latency.
+    Every other access is a miss at memory_latency: price fills only the
+    histogram, and `metrics.RunStats` derives the hits and totals from it.
     """
-    stats = metrics.RunStats(memory_latency, table.accesses,
-                             reads=table.accesses - table.writes,
-                             writes=table.writes,
-                             shuffle_moves=table.shuffle_moves)
-    within = np.cumsum(np.reshape(table.counts, table.shape), axis=3)
+    stats = metrics.RunStats(memory_latency, table.accesses, table.writes,
+                             table.shuffle_moves)
+    within = np.cumsum(table.counts.reshape(table.shape), axis=3)
     hits = within[..., -1]
     for bank, policy in enumerate(policies):
         off = sorted(policy.disabled)
@@ -223,10 +222,6 @@ def price(table, policies, memory_latency, noc=None):
     count = np.zeros(cycles.max() + 1, dtype=np.int64)   # hits per cycle count
     np.add.at(count, cycles.ravel(), hits.ravel())
     landed = np.flatnonzero(count)
-    hist = stats.hit_latency_histogram
-    hist.update(dict(zip(landed.tolist(), count[landed].tolist())))
-    stats.hits = sum(hist.values())
-    stats.misses = stats.accesses - stats.hits
-    stats.total_llc_cycles = (sum(c * n for c, n in hist.items())
-                              + stats.misses * memory_latency)
+    stats.hit_latency_histogram.update(
+        dict(zip(landed.tolist(), count[landed].tolist())))
     return stats

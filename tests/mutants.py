@@ -59,6 +59,8 @@ INIT = "cnfetcache/__init__.py"
 VASA = "cnfetcache/vasa.py"
 VAWA = "cnfetcache/vawa.py"
 CACHE_CORE = "cnfetcache/cache_core.py"
+METRICS = "cnfetcache/metrics.py"
+TOTALS = "tests/test_metrics.py::test_totals_follow_from_the_counts"
 LATENCY_KEY = ("tests/test_cli.py::"
                "test_sweep_keeps_rows_with_different_latency_inputs_apart")
 
@@ -306,6 +308,27 @@ MUTANTS = [
     Mutant("life boundary off by one", WORKLOAD,
            "by_slot[lives[1:]]", "by_slot[lives[1:] - 1]",
            (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
+    # A run's totals follow from its counts in `metrics.RunStats`, which
+    # the pass and the per-access engine share: the hand-built counts pin
+    # them, with a memory latency other than the default.
+    Mutant("misses derived from the writes", METRICS,
+           "return self.accesses - self.hits", "return self.accesses - self.writes",
+           (TOTALS,)),
+    Mutant("hits counted per distinct latency", METRICS,
+           "return sum(self.hit_latency_histogram.values())",
+           "return len(self.hit_latency_histogram)",
+           (TOTALS,)),
+    Mutant("miss term dropped from the cycle total", METRICS,
+           "+ self.misses * self.memory_latency_cycles)", ")",
+           (TOTALS,)),
+    Mutant("AMAT charges a literal 30 per miss", METRICS,
+           "stats.llc_miss_rate * stats.memory_latency_cycles)",
+           "stats.llc_miss_rate * 30)",
+           (TOTALS,)),
+    Mutant("record_access does not count writes", METRICS,
+           "        stats.writes += 1\n", "        pass\n",
+           (PASS + "[set_aligned-baseline]",
+            "tests/test_pass.py::test_dirty_evictions_and_fills_are_not_charged")),
 ]
 
 

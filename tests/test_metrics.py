@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import fields
+
 import pytest
 
 from cnfetcache.cache_core import AccessResult
@@ -5,7 +8,7 @@ from cnfetcache.metrics import (EnergyParams, RunStats, amat, energy,
                                 record_access, stats_row,
                                 write_histogram_csv, write_stats_csv)
 
-PARAMS = EnergyParams(memory_latency_cycles=30)
+PARAMS = EnergyParams()
 
 
 def _hit(latency, write=False, moves=0):
@@ -51,25 +54,40 @@ def test_amat_all_hits():
     stats = RunStats()
     for _ in range(5):
         record_access(stats, _hit(6))
-    assert amat(stats, PARAMS) == 6.0
+    assert amat(stats) == 6.0
 
 
 def test_amat_all_misses_at_least_memory():
     stats = RunStats(memory_latency_cycles=30)
     record_access(stats, _miss())
-    assert amat(stats, PARAMS) >= 30
+    assert amat(stats) >= 30
 
 
 def test_amat_mixed_formula():
     stats = RunStats(memory_latency_cycles=30)
     record_access(stats, _hit(6))
     record_access(stats, _miss())
-    assert amat(stats, PARAMS) == 6 + 0.5 * 30
+    assert amat(stats) == 6 + 0.5 * 30
+
+
+def test_totals_follow_from_the_counts():
+    # A memory latency other than the default 30: AMAT and the cycle total
+    # read the stats' own.
+    stats = RunStats(memory_latency_cycles=50, accesses=5, writes=2,
+                     hit_latency_histogram=Counter({6: 2, 9: 1}))
+    assert [f.name for f in fields(RunStats)] == [
+        "memory_latency_cycles", "accesses", "writes", "shuffle_moves",
+        "hit_latency_histogram"]
+    assert (stats.hits, stats.misses, stats.reads) == (3, 2, 3)
+    assert stats.total_llc_cycles == 6 * 2 + 9 + 2 * 50 == 121
+    assert stats.mean_hit_latency == 7.0 and stats.llc_miss_rate == 0.4
+    assert amat(stats) == 7 + 0.4 * 50 == 27.0
+    assert energy(stats, PARAMS) == (121.0, 3 * 1.0 + 2 * 2.0)
 
 
 def test_amat_rejects_empty():
     with pytest.raises(ValueError):
-        amat(RunStats(), PARAMS)
+        amat(RunStats())
 
 
 def test_energy_zero_accesses():
@@ -116,7 +134,7 @@ def test_amat_monotone_in_hit_latency():
         record_access(lower, _hit(latency - 1))
         record_access(base, _miss())
         record_access(lower, _miss())
-    assert amat(lower, PARAMS) <= amat(base, PARAMS)
+    assert amat(lower) <= amat(base)
 
 
 def test_csv_shapes():

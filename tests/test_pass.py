@@ -3,8 +3,8 @@
 `run_sweep` counts the hits of each LLC stream once (`nuca.count_hits`)
 and prices every row from that table (`nuca.price`).  `make_accessor` and
 `simulate_records` drive `NucaCache.access` one access at a time; here they
-are the reference, and every RunStats field must come out equal on random
-traces.
+are the reference, and every statistic of a run must come out equal on
+random traces.
 """
 
 from unittest import mock
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnfetcache import cache_core, cli, nuca, vasa
+from cnfetcache import cache_core, cli, metrics, nuca, vasa
 from cnfetcache.cache_core import BankPolicy
 from cnfetcache.cli import (ExperimentConfig, build_latency_maps,
                             build_machinery, build_page_mapping, llc_records,
@@ -37,9 +37,19 @@ KINDS += [("way_aligned", policy, {})
           for policy in ("baseline", "baseline_pd", "vawa_ug", "vawa_ng")]
 
 
+STATISTICS = ("memory_latency_cycles", "accesses", "writes", "shuffle_moves",
+              "hits", "misses", "reads", "total_llc_cycles", "llc_miss_rate",
+              "mean_hit_latency")
+
+
 def _fields(stats):
-    return {**vars(stats),
-            "hit_latency_histogram": dict(stats.hit_latency_histogram)}
+    """Every statistic of a run: the stored counts, the totals derived from
+    them and, when there are accesses, the AMAT."""
+    out = {name: getattr(stats, name) for name in STATISTICS}
+    out["hit_latency_histogram"] = dict(stats.hit_latency_histogram)
+    if stats.accesses:
+        out["amat"] = metrics.amat(stats)
+    return out
 
 
 def _reference_stats(cfg, latmaps, records):
@@ -249,4 +259,46 @@ def test_pass_holds_no_values():
     forbidden = AssertionError("the pass reached the valued engine")
     with mock.patch.object(cache_core, "CacheState", side_effect=forbidden), \
             mock.patch.object(vasa, "access_vasa_ds", side_effect=forbidden):
-        assert count() == want
+        got = count()
+    assert {**vars(got), "counts": got.counts.tolist()} == \
+        {**vars(want), "counts": want.counts.tolist()}
+
+
+def test_dirty_evictions_and_fills_are_not_charged():
+    """No row pays for writing a dirty LLC victim back, nor for a read
+    miss's fill beyond its one read: the same addresses as all writes cost
+    the cycles of all reads, and e_write - e_read more energy per access."""
+    cfg = ExperimentConfig.from_keys({"cache.capacity_bytes": CAPACITY,
+                                      "energy.memory_latency": 45})
+    latmaps = build_latency_maps(cfg)
+    # Up to 12 tags in each of 2 sets of 8 ways: hits and evictions.
+    lines = np.random.default_rng(2).integers(0, 24, 600) * 16
+    params = cfg.energy_params
+    stats, dirty = {}, {}
+    for op in "RW":
+        records = [TraceRecord(0, op, line * 64) for line in lines]
+        access = make_accessor(cfg, build_machinery(cfg, latmaps))
+        results = []
+
+        def watched(*args):
+            results.append(access(*args))
+            return results[-1]
+
+        reference = simulate_records(records, watched,
+                                     RunStats(cfg.memory_latency))
+        swept = _pass_stats(cfg, latmaps, records)
+        assert _fields(swept) == _fields(reference)
+        stats[op] = swept, reference
+        dirty[op] = [result.evicted_dirty for result in results]
+    assert any(dirty["W"]) and not any(dirty["R"])
+    for read, write in zip(stats["R"], stats["W"]):
+        assert 0 < read.hits < read.accesses == len(lines)
+        assert (read.reads, read.writes) == (len(lines), 0)
+        assert (write.reads, write.writes) == (0, len(lines))
+        assert (read.hits, read.misses, read.total_llc_cycles) == \
+            (write.hits, write.misses, write.total_llc_cycles)
+        (read_static, read_dynamic), (write_static, write_dynamic) = (
+            metrics.energy(read, params), metrics.energy(write, params))
+        assert read_static == write_static
+        assert write_dynamic - read_dynamic == \
+            (params.e_write_units - params.e_read_units) * len(lines)
