@@ -9,7 +9,8 @@ here, or data shuffling in `vasa` when its `BankPolicy` has way groups)
 plus a hit-latency list; the engines only decide placement, and the caller
 charges a hit from the list.  The payloads belong to this per-access path:
 `replay_lru`, the LRU of `nuca.count_hits` and `workload.l1_filter`, keeps
-tags and orders alone.
+tags and orders alone, and `replay_two_way` is its closed form for the
+2-way L1s.
 """
 
 from dataclasses import dataclass
@@ -168,6 +169,23 @@ def replay_lru(sets, tags, ways):
             out.append(way * ways + depth)
         landing[start:end] = out
     return landing
+
+
+def replay_two_way(sets, tags):
+    """`replay_lru(sets, tags, 2)` in closed form, for references sorted by
+    set in which none repeats its set's previous tag.
+
+    Under that precondition a set's LRU stack after its references x_0 ..
+    x_i is [x_i, x_(i-1)], so x_i hits, at depth 1, when it equals x_(i-2),
+    and by induction lands in way i % 2, hit or miss.
+    """
+    rank = np.arange(len(sets))
+    first = np.flatnonzero(np.diff(sets, prepend=-1))
+    rank -= np.repeat(first, np.diff(first, append=len(sets)))
+    way = (rank % 2).astype(np.int32)
+    hit = np.zeros(len(sets), dtype=bool)
+    hit[2:] = (tags[2:] == tags[:-2]) & (rank[2:] >= 2)
+    return np.where(hit, 2 * way + 1, -1 - way)
 
 
 @dataclass

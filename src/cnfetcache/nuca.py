@@ -16,7 +16,7 @@ how many ways or which sets partial disabling leaves on.  `NucaCache` is
 the per-access path that the pass is checked against."""
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -132,6 +132,14 @@ class HitTable:
     accesses: int
     writes: int
     shuffle_moves: int = 0
+
+    def __eq__(self, other):
+        """Field by field, so the counts arrays compare whole."""
+        if not isinstance(other, HitTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, field.name),
+                                  getattr(other, field.name))
+                   for field in fields(self))
 
 
 def count_hits(records, geometry, layout, policies, noc=None):

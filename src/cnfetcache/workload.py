@@ -19,7 +19,6 @@ reads) and dirty evictions (as writes), i.e. the stream the LLC would see.
 
 import io
 from dataclasses import dataclass
-from itertools import islice
 from operator import attrgetter
 
 import numpy as np
@@ -29,9 +28,9 @@ from .timing import CacheGeometry
 
 ADDRESS_LIMIT = 1 << 64        # addresses are below this
 CORE_LIMIT = 1 << 63           # core ids are below this (int64)
-# Lines parsed per chunk: each chunk becomes columns before the next is
+# Characters read per block: each block becomes columns before the next is
 # read, so the text of a trace is never held whole.
-PARSE_CHUNK_LINES = 4096
+PARSE_BLOCK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,44 +107,40 @@ class TraceParseError(ValueError):
 def parse_trace(stream, num_cores=None):
     """Parse the text grammar into a Trace, validating core ids.
 
-    Lines are read PARSE_CHUNK_LINES at a time, and each chunk becomes
-    columns before the next is read.  A chunk is first scanned as bytes
-    with numpy (`_scan_chunk`); one the scan does not accept whole goes
-    through `_parse_lines`, which defines the grammar and names the first
-    bad line.  A surrogate in the text, which is how a file opened with
-    errors="surrogateescape" carries a byte that is not UTF-8, is an
-    error on its line.
+    The text is read in blocks of PARSE_BLOCK_CHARS characters, each
+    completed to the end of its last line, and each block becomes columns
+    before the next is read.  A block is first scanned as bytes with numpy
+    (`_scan_chunk`); one the scan does not accept whole goes through
+    `_parse_lines`, split at "\\n" alone, which defines the grammar and
+    names the first bad line.  A surrogate in the text, which is how a file
+    opened with errors="surrogateescape" carries a byte that is not UTF-8,
+    is an error on its line.  An iterable of lines is read as their joined
+    text.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    # One iterator, so a list of lines is not restarted on every chunk.
-    stream = iter(stream)
-    chunks = []
-    lineno = 0
-    while True:
-        lines = list(islice(stream, PARSE_CHUNK_LINES))
-        if not lines:
-            break
-        chunks.append(_parse_chunk(lines, lineno, num_cores))
-        lineno += len(lines)
-    if not chunks:
-        return Trace([], [], [], [])
+    elif not hasattr(stream, "read"):
+        stream = io.StringIO("".join(stream))
+    chunks, lineno = [_columns([], [], [], [])], 0
+    while text := stream.read(PARSE_BLOCK_CHARS):
+        text += stream.readline()
+        chunks.append(_parse_chunk(text, lineno, num_cores))
+        lineno += text.count("\n")
     return Trace(*map(np.concatenate, zip(*chunks)))
 
 
-def _parse_chunk(lines, first_lineno, num_cores):
-    """Columns of a chunk of lines, from the byte scan when it accepts the
-    chunk and from `_parse_lines` otherwise."""
-    text = "".join(lines)
+def _parse_chunk(text, first_lineno, num_cores):
+    """Columns of a block of whole lines, from the byte scan when it accepts
+    the block and from `_parse_lines` otherwise."""
     try:
         data = text.encode()
     except UnicodeEncodeError as exc:
         bad = text.count("\n", 0, exc.start)
-        _parse_lines(lines[:bad], first_lineno, num_cores)
+        _parse_lines(text.split("\n", bad)[:bad], first_lineno, num_cores)
         raise TraceParseError(first_lineno + bad + 1, "not UTF-8 text") from None
     columns = _scan_chunk(data, num_cores)
     if columns is None:
-        columns = _parse_lines(lines, first_lineno, num_cores)
+        columns = _parse_lines(text.split("\n"), first_lineno, num_cores)
     return columns
 
 
@@ -158,7 +153,7 @@ _DIGIT[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
 
 def _scan_chunk(data, num_cores):
-    """Columns of a chunk of UTF-8 text whose every line is blank, a
+    """Columns of a block of UTF-8 text whose every line is blank, a
     comment or a plain record, or None.
 
     A plain record has 3 or 4 fields split by ASCII whitespace: a core id
@@ -170,11 +165,14 @@ def _scan_chunk(data, num_cores):
     if not data.endswith(b"\n"):
         data += b"\n"
     text = np.frombuffer(data, dtype=np.uint8)
-    # Tokens are the runs of non-separator bytes: each starts where a
-    # separator run ends and ends where the next begins.
-    edges = np.flatnonzero(np.diff(_SEPARATOR[text].view(np.int8), prepend=1))
-    starts, ends = edges[0::2], edges[1::2]
-    token_line = np.searchsorted(np.flatnonzero(text == ord("\n")), starts)
+    # Tokens fill the gaps between separators (all of them bytes <= 32),
+    # counting one just before the text, which reads the text's last byte:
+    # a newline, so the newlines up to a token's left bound number its line.
+    low = np.flatnonzero(text <= 32)
+    bounds = np.concatenate([[-1], low[_SEPARATOR[text[low]]]]).astype(np.int32)
+    gap = np.flatnonzero(np.diff(bounds) > 1)
+    starts, ends = bounds[gap] + 1, bounds[gap + 1]
+    token_line = np.cumsum(text[bounds] == ord("\n"))[gap]
     head = np.flatnonzero(np.diff(token_line, prepend=-1))
     count = np.diff(head, append=len(starts))
     record = text[starts[head]] != ord("#")
@@ -210,9 +208,9 @@ def _scan_number(text, starts, ends, max_digits, base, dtype):
     if width.min() < 1 or width.max() > max_digits:
         return None
     # Right-align the tokens, their digits padded on the left with zeros.
-    at = ends[:, None] + np.arange(-int(width.max()), 0)
-    digits = _DIGIT[text.take(at, mode="clip")]
-    digits[at < starts[:, None]] = 0
+    at = ends[:, None] + np.arange(-int(width.max()), 0, dtype=np.int32)
+    digits = _DIGIT.take(text.take(at, mode="clip"))
+    digits *= at >= starts[:, None]
     if np.any(digits >= base):
         return None
     value = np.zeros(len(starts), dtype=dtype)
@@ -290,14 +288,6 @@ class L1FilterResult:
     misses: dict       # core -> L1 misses
 
 
-def _count_by_core(cores):
-    """{core: references} in order of each core's first reference."""
-    values, first, counts = np.unique(cores, return_index=True,
-                                      return_counts=True)
-    order = np.argsort(first)
-    return dict(zip(values[order].tolist(), counts[order].tolist()))
-
-
 def l1_filter(records, config):
     """Run per-core L1 i/d caches and emit the LLC-bound stream.
 
@@ -308,12 +298,18 @@ def l1_filter(records, config):
 
     Sorted by (core, L1 set), a reference that repeats its set's last line
     is an MRU hit that can only dirty it, so only the first reference of
-    each run is replayed (`cache_core.replay_lru`), carrying the run's
-    writes.  A (set, way) slot holds one line from one fill to the next,
-    which evicts it dirty if a write reached it in between.
+    each run is replayed (`cache_core.replay_two_way` for two ways, else
+    `replay_lru`), carrying the run's writes.  A (set, way) slot holds one
+    line from one fill to the next, which evicts it dirty if a write
+    reached it in between.  Every core's first reference misses, so the
+    misses list the cores in the order the accesses do.
     """
     trace = as_trace(records)
-    _, core_rank = np.unique(trace.core, return_inverse=True)
+    # Cores are ranked in their narrowest unsigned type, which sorts fastest.
+    key = trace.core.view(np.uint64)
+    _, first, core_rank, accesses = np.unique(
+        key.astype(np.min_scalar_type(key.max(initial=0))),
+        return_index=True, return_inverse=True, return_counts=True)
     parts = []
     for instr, geometry in ((True, config.icache), (False, config.dcache)):
         ways = geometry.num_ways
@@ -327,7 +323,8 @@ def l1_filter(records, config):
                               | (np.diff(line, prepend=line[:1]) != 0))
         writes = np.logical_or.reduceat(trace.write[positions[order]], runs)
         positions, sets, line = positions[order[runs]], sets[runs], line[runs]
-        landing = cache_core.replay_lru(sets, line, ways)
+        landing = (cache_core.replay_two_way(sets, line) if ways == 2
+                   else cache_core.replay_lru(sets, line, ways))
         fill = landing < 0
         # Each slot's references in stream order: its lives start at fills.
         slot = sets * ways + np.where(fill, -1 - landing, landing // ways)
@@ -346,8 +343,11 @@ def l1_filter(records, config):
     out = Trace(trace.core[source], writeback,
                 trace.instr[source] & ~writeback,
                 np.concatenate([victim_addr, trace.addr[fills]])[order])
-    return L1FilterResult(out, _count_by_core(trace.core),
-                          _count_by_core(trace.core[np.sort(fills)]))
+    misses = np.bincount(core_rank[fills], minlength=len(first))
+    order = np.argsort(first)
+    cores = trace.core[first[order]].tolist()
+    return L1FilterResult(out, dict(zip(cores, accesses[order].tolist())),
+                          dict(zip(cores, misses[order].tolist())))
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,21 @@ MUTANTS = [
     Mutant("instruction fetch parity flipped", WORKLOAD,
            "instr = rank % 2 == 1", "instr = rank % 2 == 0",
            (REFERENCE + "test_generated_columns_match_the_per_record_generator",)),
+    # The block reader's line numbers and block size, and the lines a
+    # block that falls back is split into.
     Mutant("chunk line numbers off by one", WORKLOAD,
-           "lineno += len(lines)", "lineno += len(lines) - 1",
+           'lineno += text.count("\\n")', 'lineno += text.count("\\n") - 1',
            (REFERENCE + "test_parse_matches_the_per_line_parser",)),
     Mutant("whole trace in one chunk", WORKLOAD,
-           "PARSE_CHUNK_LINES = 4096", "PARSE_CHUNK_LINES = 1_000_000",
+           "PARSE_BLOCK_CHARS = 1 << 16", "PARSE_BLOCK_CHARS = 1 << 24",
            (REFERENCE + "test_parse_peak_memory_per_record",)),
+    Mutant("block read without the rest of its last line", WORKLOAD,
+           "        text += stream.readline()\n", "",
+           (REFERENCE + "test_parse_matches_the_per_line_parser",)),
+    Mutant("fallback lines split on every line break", WORKLOAD,
+           '_parse_lines(text.split("\\n"), first_lineno',
+           "_parse_lines(text.splitlines(), first_lineno",
+           (REFERENCE + "test_parse_matches_the_per_line_parser",)),
     # The byte scan and the run collapse.
     Mutant("scan skips the num_cores check", WORKLOAD,
            "if num_cores is not None and np.any(core >= num_cores):",
@@ -308,6 +317,29 @@ MUTANTS = [
     Mutant("life boundary off by one", WORKLOAD,
            "by_slot[lives[1:]]", "by_slot[lives[1:] - 1]",
            (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
+    Mutant("L1 counts listed in core order", WORKLOAD,
+           "order = np.argsort(first)", "order = np.arange(len(first))",
+           (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
+    # The closed-form 2-way replay of the L1s: a hit is a repeat of the
+    # set's reference before last, and the ways alternate within a set.
+    Mutant("2-way hit tests the previous reference", CACHE_CORE,
+           "(tags[2:] == tags[:-2])", "(tags[2:] == tags[1:-1])",
+           (REFERENCE + "test_two_way_closed_form_matches_the_lru_replay",
+            REFERENCE + "test_l1_columns_match_the_per_record_filter")),
+    Mutant("2-way hit across a set boundary", CACHE_CORE,
+           " & (rank[2:] >= 2)", "",
+           (REFERENCE + "test_two_way_closed_form_matches_the_lru_replay",
+            REFERENCE + "test_l1_columns_match_the_per_record_filter")),
+    Mutant("2-way way parity flipped", CACHE_CORE,
+           "way = (rank % 2)", "way = (1 - rank % 2)",
+           (REFERENCE + "test_two_way_closed_form_matches_the_lru_replay",)),
+    Mutant("2-way way parity taken over the stream", CACHE_CORE,
+           "way = (rank % 2)", "way = (np.arange(len(sets)) % 2)",
+           (REFERENCE + "test_two_way_closed_form_matches_the_lru_replay",
+            REFERENCE + "test_l1_columns_match_the_per_record_filter")),
+    Mutant("hit tables equal whatever their counts", NUCA,
+           "for field in fields(self))", "for field in fields(self)[1:])",
+           ("tests/test_pass.py::test_hit_tables_compare_field_by_field",)),
     # A run's totals follow from its counts in `metrics.RunStats`, which
     # the pass and the per-access engine share: the hand-built counts pin
     # them, with a memory latency other than the default.

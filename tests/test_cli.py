@@ -293,7 +293,7 @@ def test_compare_checks_trace_cores_against_the_mesh(tmp_path, capsys):
     (b"0 R D 0x40\n1 R D 0x\xff0\n", "trace line 2: not UTF-8 text"),
     (b"# caf\xe9\n0 R D 0x40\n", "trace line 1: not UTF-8 text"),
     (b"0 X D 0x40\n1 R D \xff\n", "trace line 1: bad op 'X'"),
-    (b"0 R D 0x40\n" * 5000 + b"\xff\n", "trace line 5001: not UTF-8 text"),
+    (b"0 R D 0x40\n" * 7000 + b"\xff\n", "trace line 7001: not UTF-8 text"),
     (b"0 R D 0x40\n1 R D 0x8\n7 W D 0x4\n",
      "trace line 3: core 7 out of range (num_cores=4)"),
 ], ids=["byte-0xff", "comment-latin-1", "bad-op-first", "second-chunk",

@@ -199,18 +199,20 @@ def test_l1_takes_an_empty_or_one_line_stream(records, config):
 
 
 def test_l1_sends_a_run_of_repeats_through_lru_once():
-    # 100 reads and writes within one line are one reference to the LRU
-    # loop: a fill carrying the run's write.
+    # 100 reads and writes within one line are one reference to the 2-way
+    # LRU replay: a fill carrying the run's write.
     records = [TraceRecord(2, "RW"[i % 3 == 1], 0x1000 + i % 64, "D")
                for i in range(100)]
     seen = []
-    real = cache_core.replay_lru
+    real = cache_core.replay_two_way
 
-    def counting(sets, tags, ways):
+    def counting(sets, tags):
         seen.append(len(tags))
-        return real(sets, tags, ways)
+        return real(sets, tags)
 
-    with mock.patch.object(cache_core, "replay_lru", counting):
+    forbidden = AssertionError("a 2-way L1 reached the general LRU loop")
+    with mock.patch.object(cache_core, "replay_two_way", counting), \
+            mock.patch.object(cache_core, "replay_lru", side_effect=forbidden):
         result = l1_filter(records, SMALL_L1)
     assert sum(seen) == 1
     assert list(result.records) == [TraceRecord(2, "R", 0x1000, "D")]
@@ -219,6 +221,30 @@ def test_l1_sends_a_run_of_repeats_through_lru_once():
     out = list(l1_filter(records, SMALL_L1).records)
     assert out == reference_l1_filter(records, SMALL_L1)[0]
     assert TraceRecord(2, "W", 0x1000, "D") in out
+
+
+@st.composite
+def set_sorted_streams(draw):
+    # Tags of up to 5 sets, each set's in stream order, sorted by set; no
+    # tag repeats its set's previous one, as after the L1's run collapse.
+    sets, tags = [], []
+    for set_index in sorted(draw(st.lists(st.integers(0, 7), max_size=5,
+                                          unique=True))):
+        previous = None
+        for tag in draw(st.lists(st.integers(0, 3), max_size=30)):
+            if tag != previous:
+                sets.append(set_index)
+                tags.append(tag)
+                previous = tag
+    return np.array(sets, dtype=np.int64), np.array(tags, dtype=np.uint64)
+
+
+@PROPERTY
+@given(stream=set_sorted_streams())
+def test_two_way_closed_form_matches_the_lru_replay(stream):
+    sets, tags = stream
+    got = cache_core.replay_two_way(sets, tags)
+    assert got.tolist() == cache_core.replay_lru(sets, tags, 2).tolist()
 
 
 def _line_text(draw_line):
@@ -255,19 +281,25 @@ lines = st.lists(st.one_of(
     max_size=40)
 
 
+# Block sizes the parse tests patch in: reads of 1, 7 and 64 characters
+# end inside lines, and the default holds a small text whole.
+BLOCKS = [1, 7, 64, workload.PARSE_BLOCK_CHARS]
+
+
 @PROPERTY
-@given(text_lines=lines, chunk=st.sampled_from([1, 3, 7, 4096]),
-       num_cores=st.sampled_from([None, 4]), last_newline=st.booleans())
+@given(text_lines=lines, chunk=st.sampled_from(BLOCKS),
+       num_cores=st.sampled_from([None, 4]), last_newline=st.booleans(),
+       newline=st.sampled_from(["\n", "\r\n"]))
 def test_parse_matches_the_per_line_parser(text_lines, chunk, num_cores,
-                                           last_newline):
-    # Chunks of every size name the same line in the same words, and
-    # parse the same records.
-    text = "\n".join(text_lines) + "\n" * last_newline
+                                           last_newline, newline):
+    # Blocks of every size name the same line in the same words, and
+    # parse the same records, with LF or CRLF line ends.
+    text = newline.join(text_lines) + newline * last_newline
     try:
         want = reference_parse_trace(text, num_cores)
     except TraceParseError as exc:
         want = str(exc)
-    with mock.patch.object(workload, "PARSE_CHUNK_LINES", chunk):
+    with mock.patch.object(workload, "PARSE_BLOCK_CHARS", chunk):
         try:
             got = list(parse_trace(text, num_cores))
         except TraceParseError as exc:
@@ -297,14 +329,39 @@ def test_generated_trace_parses_on_the_byte_scan(tmp_path):
 ], ids=["address-2^64", "core-2^63"])
 def test_parse_rejects_values_beyond_the_columns(line, message):
     text = "0 R D 0x0\n" * 5 + line + "\n"
-    for chunk in (2, 4096):
-        with mock.patch.object(workload, "PARSE_CHUNK_LINES", chunk):
+    for chunk in BLOCKS:
+        with mock.patch.object(workload, "PARSE_BLOCK_CHARS", chunk):
             with pytest.raises(TraceParseError, match=message) as err:
                 parse_trace(text)
         assert str(err.value).startswith("trace line 6: ")
     # The largest values that fit are read back exactly.
     top = parse_trace(f"{2 ** 63 - 1} W I 0x{2 ** 64 - 1:x}\n")
     assert list(top) == [TraceRecord(2 ** 63 - 1, "W", 2 ** 64 - 1, "I")]
+
+
+@pytest.mark.parametrize("chunk", BLOCKS)
+@pytest.mark.parametrize("last, message", [
+    (b"1 W D 0x80", None),
+    (b"1 W D 0x8\xff0\r\n0 R D 0x40", "trace line 22: not UTF-8 text"),
+    (b"# caf\xe9", "trace line 22: not UTF-8 text"),
+], ids=["utf8", "record-0xff", "comment-latin-1"])
+def test_parse_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, chunk,
+                                                         last, message):
+    # 21 CRLF lines, one with a 2-byte character, come first, so small
+    # blocks put the bad byte in a later block than the first; the file's
+    # last line has no newline.
+    path = tmp_path / "trace.txt"
+    path.write_bytes(b"0 R D 0x40\r\n" * 20 + b"# caf\xc3\xa9\r\n" + last)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh, \
+            mock.patch.object(workload, "PARSE_BLOCK_CHARS", chunk):
+        try:
+            got = list(parse_trace(fh))
+        except TraceParseError as exc:
+            got = str(exc)
+    if message is None:
+        assert got == reference_parse_trace(path.read_text()) and len(got) == 21
+    else:
+        assert got == message
 
 
 @pytest.mark.parametrize("record", [

@@ -39,9 +39,10 @@ def test_parse_malformed_line_reports_number():
 
 
 def test_parse_list_of_lines_spans_chunks(monkeypatch):
-    # A list can be iterated afresh; every chunk must go on from where the
-    # last one stopped, as it does on a file.
-    monkeypatch.setattr(workload, "PARSE_CHUNK_LINES", 2)
+    # A list parses as its joined text, block by block, as a file does:
+    # 7-character reads end inside lines, and line numbers run on across
+    # the blocks.
+    monkeypatch.setattr(workload, "PARSE_BLOCK_CHARS", 7)
     lines = ["0 R 0x10\n", "# note\n", "1 W I 0x20\n", "0 R D 0x30\n",
              "\n", "2 W 0x40\n", "3 R 0x50\n"]
     got = parse_trace(lines)
