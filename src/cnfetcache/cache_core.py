@@ -9,14 +9,20 @@ here, or data shuffling in `vasa` when its `BankPolicy` has way groups)
 plus a hit-latency list; the engines only decide placement, and the caller
 charges a hit from the list.  The payloads belong to this per-access path:
 `replay_lru`, the LRU of `nuca.count_hits` and `workload.l1_filter`, keeps
-tags and orders alone, and `replay_two_way` is its closed form for the
-2-way L1s.
+tags and orders alone, `replay_two_way` is its closed form for the 2-way
+L1s, and `lru_hits` tells only whether each reference hits, with no
+replay.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+# The size of `lru_hits`'s work at once: a block of whole sets holds at most
+# LRU_BLOCK_CELLS // ways references (or is one larger set), and its gap
+# scan reads at most LRU_BLOCK_CELLS positions in one array.
+LRU_BLOCK_CELLS = 1 << 15
 
 
 class PolicyKind(Enum):
@@ -186,6 +192,83 @@ def replay_two_way(sets, tags):
     hit = np.zeros(len(sets), dtype=bool)
     hit[2:] = (tags[2:] == tags[:-2]) & (rank[2:] >= 2)
     return np.where(hit, 2 * way + 1, -1 - way)
+
+
+def lru_hits(sets, tags, ways):
+    """`replay_lru(sets, tags, ways) >= 0` without a replay: whether each
+    reference sorted by set (`set_order`) hits a `ways`-way LRU set.
+
+    By the LRU stack property (Mattson et al., 1970) a reference hits iff
+    fewer than `ways` distinct lines of its set were referenced in its gap,
+    the references since its line's previous one.  Position j of the gap
+    holds a line first seen there iff j's own previous reference comes
+    before the gap.  The sets are run in blocks (`LRU_BLOCK_CELLS`).
+    """
+    hit = np.empty(len(tags), dtype=bool)
+    ends = np.append(np.flatnonzero(np.diff(sets)) + 1, len(sets))
+    start = 0
+    while start < len(tags):
+        # The last set end within the block's size, or else the first one.
+        stop = ends[max(np.searchsorted(ends, start + LRU_BLOCK_CELLS // ways,
+                                        "right") - 1,
+                        np.searchsorted(ends, start, "right"))]
+        hit[start:stop] = _block_hits(sets[start:stop], tags[start:stop], ways)
+        start = stop
+    return hit
+
+
+def _narrow(column):
+    """column less its least value, in the smallest type that holds it."""
+    column = column - column.min()
+    return column.astype(np.min_scalar_type(column.max()))
+
+
+def _block_hits(sets, tags, ways):
+    """`lru_hits` of whole sets.
+
+    prev links each reference to its line's previous one (-1 for none), by
+    one stable sort of the tags.  A gap of fewer than `ways` references is
+    a sure hit, and one that holds `ways` cold references (first references
+    to their lines) is a sure miss.
+    The rest scan their gaps in stretches of 2 * ways, 4 * ways, ... until
+    they count `ways` first-seen lines (a miss) or read the whole gap (a
+    hit).  By the stack property each position lies in the counted part of
+    fewer than `ways` gaps, so the scan reads O(ways * len(tags)) cells, at
+    most LRU_BLOCK_CELLS at a time.
+    """
+    sets, tags = _narrow(sets), _narrow(tags)
+    order = np.argsort(tags, kind="stable").astype(np.int32)
+    s, t = sets[order], tags[order]
+    same = np.flatnonzero((t[1:] == t[:-1]) & (s[1:] == s[:-1]))
+    prev = np.full(len(tags), -1, dtype=np.int32)
+    prev[order[1:][same]] = order[same]
+    del order, s, t, same
+    ref = np.arange(len(tags), dtype=np.int32)
+    cold = np.cumsum(prev < 0, dtype=np.int32)   # cold references in 0..k
+    hit = prev >= 0
+    pending = np.flatnonzero(hit & (ref - prev > ways))
+    last = prev[pending]
+    miss = cold[pending - 1] - cold[last] >= ways
+    hit[pending[miss]] = False
+    pending, last = pending[~miss], last[~miss]
+    start, seen = last + 1, np.zeros(len(pending), dtype=np.int32)
+    stretch = 2 * ways
+    while len(pending):
+        rows = max(LRU_BLOCK_CELLS // stretch, 1)
+        for low in range(0, len(pending), rows):
+            part = slice(low, low + rows)
+            at = start[part, None] + np.arange(stretch, dtype=np.int32)
+            first = ((prev.take(at, mode="clip") < last[part, None])
+                     & (at < pending[part, None]))
+            seen[part] += first.sum(axis=1, dtype=np.int32)
+        start += stretch
+        miss = seen >= ways
+        hit[pending[miss]] = False
+        keep = ~miss & (start < pending)
+        pending, last = pending[keep], last[keep]
+        start, seen = start[keep], seen[keep]
+        stretch *= 2
+    return hit
 
 
 @dataclass

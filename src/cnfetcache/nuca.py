@@ -10,7 +10,7 @@ for the request/response round trip.  Contention is not modeled.
 A run is one pass over its address stream that counts hits in a HitTable
 (`count_hits`), then `price`, which charges the table under one row's bank
 policies.  LRU is a stack algorithm whose sets are independent, so the
-pass replays each set alone, and one full-way pass serves every row whose
+pass takes each set alone, and one full-way pass serves every row whose
 banks do not shuffle: the rows differ only in the price of a hit and in
 how many ways or which sets partial disabling leaves on.  `NucaCache` is
 the per-access path that the pass is checked against."""
@@ -149,13 +149,15 @@ def count_hits(records, geometry, layout, policies, noc=None):
     bits above the per-bank set index pick each set's bank.  Each core of
     the `noc_table` noc counts in its own row (a core id off the mesh is a
     ValueError); with noc None every core id shares one row.  Sorted by
-    set once (`cache_core.set_order`), each bank's references are one run,
-    replayed with full-way LRU (`cache_core.replay_lru`; partial disabling
-    is left to `price`) or, if the bank shuffles, `vasa.replay_shuffle`.
-    Neither keeps values or dirty bits, which change no hit.  A hit counts
-    at its cell (its global set in its core's row) on a way aligned table,
-    at its landing in its (row, bank) block on a set aligned one.  Use a
-    translated stream under page mapping (`pagemap.translate_trace`).
+    set once (`cache_core.set_order`), each bank's references are one run.
+    A bank that shuffles is replayed by `vasa.replay_shuffle`.  Any other
+    bank runs full-way LRU (partial disabling is left to `price`): on a way
+    aligned table, where a hit counts at its cell (its global set in its
+    core's row), `cache_core.lru_hits` tells whether each reference hits
+    without a replay; on a set aligned one, where a hit counts at its
+    landing (way and depth) in its (row, bank) block, `cache_core.replay_lru`
+    replays it.  None keeps values or dirty bits, which change no hit.  Use
+    a translated stream under page mapping (`pagemap.translate_trace`).
     """
     banks = len(policies)
     if banks & (banks - 1):
@@ -181,20 +183,26 @@ def count_hits(records, geometry, layout, policies, noc=None):
     cells = (row * num_sets + sets)[order]
     sets = sets[order]
     del order
-    landings, moves = [], 0
+    hits, landings, moves = [], [], 0
     bounds = np.searchsorted(sets, np.arange(banks + 1) * bank_sets).tolist()
     for policy, run in zip(policies, map(slice, bounds, bounds[1:])):
-        if policy.shuffle is None:
-            landings.append(cache_core.replay_lru(sets[run], tags[run], ways))
-        else:
+        if policy.shuffle is not None:
             landed, step = vasa.replay_shuffle(sets[run], tags[run],
                                                policy.shuffle)
-            landings.append(landed)
             moves += step
-    landing = np.concatenate(landings)
-    index = cells if per_set else cells // bank_sets * groups * depths + landing
-    counts = np.bincount(index[landing >= 0],
-                         minlength=rows * banks * groups * depths)
+        elif per_set:
+            hits.append(cache_core.lru_hits(sets[run], tags[run], ways))
+            continue
+        else:
+            landed = cache_core.replay_lru(sets[run], tags[run], ways)
+        hits.append(landed >= 0)
+        landings.append(landed)
+    hit = np.concatenate(hits)
+    index = cells[hit]
+    if not per_set:
+        landing = np.concatenate(landings)[hit]
+        index = index // bank_sets * groups * depths + landing
+    counts = np.bincount(index, minlength=rows * banks * groups * depths)
     return HitTable(counts, (rows, banks, groups, depths), per_set,
                     len(trace), int(trace.write.sum()), moves)
 

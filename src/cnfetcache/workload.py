@@ -124,24 +124,28 @@ def parse_trace(stream, num_cores=None):
     chunks, lineno = [_columns([], [], [], [])], 0
     while text := stream.read(PARSE_BLOCK_CHARS):
         text += stream.readline()
-        chunks.append(_parse_chunk(text, lineno, num_cores))
-        lineno += text.count("\n")
+        columns, lines = _parse_chunk(text, lineno, num_cores)
+        chunks.append(columns)
+        lineno += lines
     return Trace(*map(np.concatenate, zip(*chunks)))
 
 
 def _parse_chunk(text, first_lineno, num_cores):
-    """Columns of a block of whole lines, from the byte scan when it accepts
-    the block and from `_parse_lines` otherwise."""
+    """Columns and newline count of a block of whole lines, from the byte
+    scan when it accepts the block and from `_parse_lines` otherwise.  The
+    count numbers the next block's lines, so it need only be exact for a
+    block that ends in a newline, as every block but the last does."""
     try:
         data = text.encode()
     except UnicodeEncodeError as exc:
         bad = text.count("\n", 0, exc.start)
         _parse_lines(text.split("\n", bad)[:bad], first_lineno, num_cores)
         raise TraceParseError(first_lineno + bad + 1, "not UTF-8 text") from None
-    columns = _scan_chunk(data, num_cores)
+    columns, lines = _scan_chunk(data, num_cores)
     if columns is None:
-        columns = _parse_lines(text.split("\n"), first_lineno, num_cores)
-    return columns
+        split = text.split("\n")
+        columns, lines = _parse_lines(split, first_lineno, num_cores), len(split) - 1
+    return columns, lines
 
 
 # Byte tables of the scan: the ASCII bytes str.split() splits on, and the
@@ -153,8 +157,9 @@ _DIGIT[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
 
 def _scan_chunk(data, num_cores):
-    """Columns of a block of UTF-8 text whose every line is blank, a
-    comment or a plain record, or None.
+    """(columns, newlines) of a block of UTF-8 text: the columns when its
+    every line is blank, a comment or a plain record, else None, and the
+    number of its newlines once its last line is ended with one.
 
     A plain record has 3 or 4 fields split by ASCII whitespace: a core id
     of 1 to 18 decimal digits (below num_cores when given), R or W,
@@ -172,15 +177,17 @@ def _scan_chunk(data, num_cores):
     bounds = np.concatenate([[-1], low[_SEPARATOR[text[low]]]]).astype(np.int32)
     gap = np.flatnonzero(np.diff(bounds) > 1)
     starts, ends = bounds[gap] + 1, bounds[gap + 1]
-    token_line = np.cumsum(text[bounds] == ord("\n"))[gap]
+    line = np.cumsum(text[bounds] == ord("\n"))
+    lines = int(line[-1]) - 1       # the bound before the text counts twice
+    token_line = line[gap]
     head = np.flatnonzero(np.diff(token_line, prepend=-1))
     count = np.diff(head, append=len(starts))
     record = text[starts[head]] != ord("#")
     head, count = head[record], count[record]
     if not len(head):
-        return _columns([], [], [], [])
+        return _columns([], [], [], []), lines
     if not np.all((count == 3) | (count == 4)):
-        return None
+        return None, lines
     op_at, kind_at = starts[head + 1], starts[head + 2]
     addr_start, addr_end = starts[head + count - 1], ends[head + count - 1]
     has_kind = count == 4
@@ -191,14 +198,15 @@ def _scan_chunk(data, num_cores):
             and np.all(~has_kind | (kind == ord("I")) | (kind == ord("D")))
             and np.all(text[addr_start] == ord("0"))
             and np.all((text[addr_start + 1] | 0x20) == ord("x"))):
-        return None
+        return None, lines
     core = _scan_number(text, starts[head], ends[head], 18, 10, np.int64)
     addr = _scan_number(text, addr_start + 2, addr_end, 16, 16, np.uint64)
     if core is None or addr is None:
-        return None
+        return None, lines
     if num_cores is not None and np.any(core >= num_cores):
-        return None
-    return _columns(core, op == ord("W"), has_kind & (kind == ord("I")), addr)
+        return None, lines
+    return (_columns(core, op == ord("W"), has_kind & (kind == ord("I")), addr),
+            lines)
 
 
 def _scan_number(text, starts, ends, max_digits, base, dtype):

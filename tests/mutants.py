@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = "tests/test_reference_workload.py::"
+CORE = "tests/test_cache_core.py::"
 PASS = "tests/test_pass.py::test_pass_and_pricing_match_the_per_access_engine"
 PASS_COUNT = "tests/test_cli.py::test_compare_makes_one_pass_per_stream"
 ASSIGN = "tests/test_pagemap.py::test_assignment_matches_quadratic_reference"
@@ -84,7 +85,11 @@ MUTANTS = [
     # The block reader's line numbers and block size, and the lines a
     # block that falls back is split into.
     Mutant("chunk line numbers off by one", WORKLOAD,
-           'lineno += text.count("\\n")', 'lineno += text.count("\\n") - 1',
+           "lines = int(line[-1]) - 1", "lines = int(line[-1])",
+           (REFERENCE + "test_parse_matches_the_per_line_parser",)),
+    Mutant("fallback block's line count off by one", WORKLOAD,
+           "first_lineno, num_cores), len(split) - 1",
+           "first_lineno, num_cores), len(split)",
            (REFERENCE + "test_parse_matches_the_per_line_parser",)),
     Mutant("whole trace in one chunk", WORKLOAD,
            "PARSE_BLOCK_CHARS = 1 << 16", "PARSE_BLOCK_CHARS = 1 << 24",
@@ -93,8 +98,7 @@ MUTANTS = [
            "        text += stream.readline()\n", "",
            (REFERENCE + "test_parse_matches_the_per_line_parser",)),
     Mutant("fallback lines split on every line break", WORKLOAD,
-           '_parse_lines(text.split("\\n"), first_lineno',
-           "_parse_lines(text.splitlines(), first_lineno",
+           'split = text.split("\\n")', "split = text.splitlines()",
            (REFERENCE + "test_parse_matches_the_per_line_parser",)),
     # The byte scan and the run collapse.
     Mutant("scan skips the num_cores check", WORKLOAD,
@@ -136,7 +140,7 @@ MUTANTS = [
            "hops = 0 if noc is None else", "hops = 0 if True else",
            (PASS + "[way_aligned-baseline]",)),
     Mutant("set aligned banks priced by set", NUCA,
-           "index = cells if per_set else", "index = cells if True else",
+           "    if not per_set:\n", "    if False:\n",
            (PASS + "[set_aligned-vasa]",)),
     Mutant("DS moves dropped", NUCA,
            "moves += step", "moves += 0",
@@ -167,7 +171,7 @@ MUTANTS = [
             "test_compare_gives_each_l1_setting_its_own_stream",)),
     # Two on the merged pass and the one PD depth rule.
     Mutant("shuffling bank sent down the LRU branch", NUCA,
-           "if policy.shuffle is None:", "if True:",
+           "if policy.shuffle is not None:", "if False:",
            (PASS + "[set_aligned-vasa_ds2]",)),
     Mutant("disabled ways left out of the depth rule", NUCA,
            "        elif off:\n", "        elif False:\n",
@@ -303,7 +307,8 @@ MUTANTS = [
     # The one LRU replay: its input order, the bank runs of the pass, and
     # the L1's reading of its landings.
     Mutant("unstable set order", CACHE_CORE,
-           'kind="stable")', 'kind="quicksort")',
+           '(initial=0))),\n                      kind="stable")',
+           '(initial=0))),\n                      kind="quicksort")',
            (PASS + "[set_aligned-baseline_pd]",
             REFERENCE + "test_l1_columns_match_the_per_record_filter")),
     Mutant("bank run boundary off by one", NUCA,
@@ -340,6 +345,56 @@ MUTANTS = [
     Mutant("hit tables equal whatever their counts", NUCA,
            "for field in fields(self))", "for field in fields(self)[1:])",
            ("tests/test_pass.py::test_hit_tables_compare_field_by_field",)),
+    # The LRU hits of a way aligned pass without a replay: the line links,
+    # the two filters, the gap scan and the blocks of whole sets.  These
+    # edits change no answer, so they are notes, not mutants:
+    # - a weaker filter (`ref - prev > ways` to `>= ways`, or the cold count
+    #   `>= ways` to `> ways`) leaves more references to the exact scan;
+    # - `prev.take(at) < last` to `<= last`: no position j of a gap has
+    #   prev[j] == last, since that would reference the gap's own line;
+    # - the stretch-end test `start < pending` to `start <= pending`, or the
+    #   scan's bound `at < pending` to `at <= pending`: the extra stage, or
+    #   position, reads only the reference itself or later ones the bound
+    #   drops, and the reference's own prev is `last`, not below it.
+    Mutant("LRU sure hit one reference too far", CACHE_CORE,
+           "hit & (ref - prev > ways)", "hit & (ref - prev > ways + 1)",
+           (CORE + "test_lru_hits_match_the_replay",
+            PASS + "[way_aligned-baseline]")),
+    Mutant("LRU line link ignores the set", CACHE_CORE,
+           "(t[1:] == t[:-1]) & (s[1:] == s[:-1])", "(t[1:] == t[:-1])",
+           (CORE + "test_lru_hits_match_the_replay",)),
+    Mutant("LRU cold-count miss one short", CACHE_CORE,
+           "cold[pending - 1] - cold[last] >= ways",
+           "cold[pending - 1] - cold[last] >= ways - 1",
+           (CORE + "test_lru_hits_match_the_replay",
+            PASS + "[way_aligned-baseline]")),
+    Mutant("LRU scan reads past its reference", CACHE_CORE,
+           '((prev.take(at, mode="clip") < last[part, None])\n'
+           '                     & (at < pending[part, None]))',
+           '(prev.take(at, mode="clip") < last[part, None])',
+           (CORE + "test_lru_hits_match_the_replay",
+            "tests/test_pass.py::"
+            "test_way_aligned_pass_matches_the_engine_on_sets_of_256_ways")),
+    Mutant("LRU scan stops a stretch early", CACHE_CORE,
+           "keep = ~miss & (start < pending)",
+           "keep = ~miss & (start + stretch < pending)",
+           (CORE + "test_lru_hits_match_the_replay",
+            "tests/test_pass.py::"
+            "test_way_aligned_pass_matches_the_engine_on_sets_of_256_ways")),
+    Mutant("LRU scan skips a row of each part", CACHE_CORE,
+           "part = slice(low, low + rows)", "part = slice(low, low + rows - 1)",
+           (CORE + "test_lru_hits_match_the_replay",)),
+    Mutant("LRU block cut inside a set", CACHE_CORE,
+           "ends = np.append(np.flatnonzero(np.diff(sets)) + 1, len(sets))",
+           "ends = np.arange(1, len(sets) + 1)",
+           (CORE + "test_lru_hits_match_the_replay",
+            CORE + "test_lru_hits_cut_a_long_stream_into_blocks_of_whole_sets")),
+    Mutant("unstable line order", CACHE_CORE,
+           'np.argsort(tags, kind="stable")', 'np.argsort(tags, kind="quicksort")',
+           (CORE + "test_lru_hits_match_the_replay",)),
+    Mutant("way aligned LRU bank replayed", NUCA,
+           "        elif per_set:\n", "        elif False:\n",
+           ("tests/test_pass.py::test_only_set_aligned_lru_passes_replay",)),
     # A run's totals follow from its counts in `metrics.RunStats`, which
     # the pass and the per-access engine share: the hand-built counts pin
     # them, with a memory latency other than the default.

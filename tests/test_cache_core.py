@@ -1,7 +1,12 @@
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cnfetcache import cache_core
 from cnfetcache.cache_core import BankPolicy, partial_disable, worst_groups
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
@@ -251,3 +256,68 @@ def test_bank_policy_rejects_bad_disabled_groups():
     assert BankPolicy([8, 8, 8, 8, 8, 8, 12, 12], {6, 7}).disabled == {6, 7}
     assert BankPolicy([6] * 4, {0, 3}).disabled == {0, 3}
     assert BankPolicy([6] * 4, shuffle=groups).disabled == frozenset()
+
+
+@st.composite
+def lru_streams(draw):
+    """(sets, tags, ways) sorted by set.  Each set runs a few phases, each
+    drawing its tags from a pool of at most `ways` of one small range that
+    every set shares, so a tag of an earlier phase comes back after a long
+    gap that holds fewer or more than `ways` distinct lines, and the same
+    tag repeats across neighbouring sets."""
+    ways = draw(st.sampled_from([1, 2, 3, 8]))
+    scale = draw(st.sampled_from([1, 257, 2 ** 40 + 1]))   # key widths
+    rnd = draw(st.randoms(use_true_random=False))
+    sets, tags = [], []
+    for set_index in sorted(draw(st.lists(st.integers(0, 9), min_size=1,
+                                          max_size=4, unique=True))):
+        for pool, length in draw(st.lists(st.tuples(
+                st.lists(st.integers(0, 2 * ways + 3), min_size=1,
+                         max_size=ways), st.integers(1, 80)), max_size=5)):
+            picked = [rnd.choice(pool) for _ in range(length)]
+            sets += [set_index] * length
+            tags += [tag * scale for tag in picked]
+    return (np.array(sets, dtype=np.int64), np.array(tags, dtype=np.uint64),
+            ways)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stream=lru_streams(), block=st.sampled_from([1, 7, 64, None]))
+def test_lru_hits_match_the_replay(stream, block):
+    # block: the references a block may hold (LRU_BLOCK_CELLS / ways), so
+    # small that most sets are blocks of their own and the scan reads one
+    # or a few gaps at a time; None keeps the default.
+    sets, tags, ways = stream
+    cells = cache_core.LRU_BLOCK_CELLS if block is None else block * ways
+    with mock.patch.object(cache_core, "LRU_BLOCK_CELLS", cells):
+        got = cache_core.lru_hits(sets, tags, ways)
+    assert got.tolist() == (cache_core.replay_lru(sets, tags, ways) >= 0).tolist()
+
+
+def test_lru_hits_cut_a_long_stream_into_blocks_of_whole_sets():
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(1, 400, 40)
+    sizes[7] = 3000                               # one set larger than a block
+    sets = np.repeat(np.arange(len(sizes)) * 3, sizes)
+    tags = rng.integers(0, 12, len(sets)).astype(np.uint64)
+    whole = np.concatenate([cache_core.lru_hits(sets[sets == s], tags[sets == s], 8)
+                            for s in np.unique(sets)])
+    blocks = []
+    real = cache_core._block_hits
+
+    def spy(block_sets, block_tags, ways):
+        blocks.append(block_sets)
+        return real(block_sets, block_tags, ways)
+
+    with mock.patch.object(cache_core, "LRU_BLOCK_CELLS", 8 * 1000), \
+            mock.patch.object(cache_core, "_block_hits", spy):
+        got = cache_core.lru_hits(sets, tags, 8)
+    assert got.tolist() == whole.tolist()
+    assert got.tolist() == (cache_core.replay_lru(sets, tags, 8) >= 0).tolist()
+    assert 5 < len(blocks) < len(sizes)
+    assert np.array_equal(np.concatenate(blocks), sets)
+    for before, block in zip(blocks, blocks[1:]):
+        assert before[-1] != block[0]             # no set is cut
+    assert all(len(block) <= 1000 or len(np.unique(block)) == 1
+               for block in blocks)
+    assert max(map(len, blocks)) == 3000

@@ -158,6 +158,49 @@ def test_pass_matches_the_engine_on_one_set_of_256_ways(policy, extra):
         _fields(_reference_stats(cfg, latmaps, records))
 
 
+@pytest.mark.parametrize("policy", ["baseline", "baseline_pd", "vawa_ng"])
+def test_way_aligned_pass_matches_the_engine_on_sets_of_256_ways(policy):
+    # 4 sets of 256 ways: a line comes back after hundreds of references,
+    # more than 256 distinct lines apart (a miss) or fewer (a hit).
+    cfg = ExperimentConfig.from_keys({"cache.capacity_bytes": 4 * 256 * 64,
+                                      "cache.ways": 256,
+                                      "layout": "way_aligned", "policy": policy,
+                                      "grouping.num_groups": 2})
+    lo, hi = cfg.cycle_range
+    latmaps = [LatencyMap(LayoutKind.WAY_ALIGNED, [lo, hi, lo + 1, hi], lo, hi)]
+    rng = np.random.default_rng(3)
+    lines = rng.integers(0, 300, 6000) * 4 + rng.integers(0, 4, 6000)
+    records = [TraceRecord(0, "RW"[i % 5 == 0], line * 64)
+               for i, line in enumerate(lines.tolist())]
+    stats = _pass_stats(cfg, latmaps, records)
+    assert 0 < stats.hits < stats.accesses - 4 * 300
+    assert _fields(stats) == _fields(_reference_stats(cfg, latmaps, records))
+
+
+@pytest.mark.parametrize("layout, replays", [("way_aligned", False),
+                                             ("set_aligned", True)])
+def test_only_set_aligned_lru_passes_replay(layout, replays):
+    """A way aligned table counts a hit at its set, so its LRU banks need
+    only `lru_hits`; a set aligned one counts each hit's way and depth."""
+    cfg = ExperimentConfig.from_keys({"cache.capacity_bytes": CAPACITY,
+                                      "nuca.enabled": True, "layout": layout})
+    latmaps = build_latency_maps(cfg)
+    records = generate_synthetic(SyntheticSpec(num_pages=64, length=3000,
+                                               num_cores=4))
+    calls = []
+    real = cache_core.replay_lru
+
+    def spy(sets, tags, ways):
+        calls.append(len(tags))
+        return real(sets, tags, ways)
+
+    with mock.patch.object(cache_core, "replay_lru", spy):
+        stats = _pass_stats(cfg, latmaps, records)
+    assert stats.hits > 0
+    assert (sum(calls) == len(records)) if replays else (calls == [])
+    assert _fields(stats) == _fields(_reference_stats(cfg, latmaps, records))
+
+
 @pytest.mark.parametrize("length", [0, 1])
 @pytest.mark.parametrize("l1", [False, True])
 @pytest.mark.parametrize("keys", [
