@@ -150,7 +150,8 @@ def count_hits(records, geometry, layout, policies, noc=None):
     the `noc_table` noc counts in its own row (a core id off the mesh is a
     ValueError); with noc None every core id shares one row.  Sorted by
     set once (`cache_core.set_order`), each bank's references are one run.
-    A bank that shuffles is replayed by `vasa.replay_shuffle`.  Any other
+    A bank that shuffles is replayed by `vasa.replay_shuffle`, one LRU
+    stack per set that never calls the engine's `vasa.shuffle`.  Any other
     bank runs full-way LRU (partial disabling is left to `price`): on a way
     aligned table, where a hit counts at its cell (its global set in its
     core's row), `cache_core.lru_hits` tells whether each reference hits

@@ -32,6 +32,8 @@ class WayGroups:
     groups: list          # list of way-index lists
 
     def __post_init__(self):
+        if not self.groups or not all(self.groups):
+            raise ValueError("way groups must be one or more non-empty lists")
         flat = sorted(w for g in self.groups for w in g)
         total = sum(len(g) for g in self.groups)
         if flat != list(range(total)):
@@ -44,8 +46,9 @@ class WayGroups:
     @classmethod
     def from_latency_map(cls, latmap, num_groups):
         ways = len(latmap.latencies)
-        if ways % num_groups != 0:
-            raise ValueError("num_groups must divide the way count")
+        if num_groups < 1 or ways % num_groups != 0:
+            raise ValueError("num_groups must be a positive divisor of the "
+                             "way count")
         per = ways // num_groups
         order = sorted(range(ways), key=lambda w: (latmap.latencies[w], w))
         return cls([sorted(order[i * per:(i + 1) * per])
@@ -64,8 +67,8 @@ def overhead_report(geometry):
 
 
 def shuffle(orders, groups, way):
-    """Place one access to a shuffling set; moving its contents is left to
-    the caller (`shift`).
+    """Place one access to a shuffling set for the per-access engine
+    (`access_vasa_ds`); moving its contents is left to the caller (`shift`).
 
     `orders` holds one most-recent-first list of valid ways per group of
     `groups`, made on the set's first access; `way` is the hit way, None
@@ -113,24 +116,62 @@ def shift(slots, chain, block):
 
 
 def replay_shuffle(sets, tags, groups):
-    """`cache_core.replay_lru` placed by `shuffle`, tags moved by `shift`.
-    A hit lands at depth 0 of the way that held the block before the
-    shuffle, a miss at -1 - the way it enters.  Returns the landings and
-    the moves of every set summed."""
-    ways = len(groups.group_of)
+    """Data shuffling over references sorted by set (`cache_core.set_order`),
+    each set replayed on its own from empty.
+
+    Laid end to end, fastest group first, the groups' most-recent-first
+    orders form one LRU stack of the set's tags: a hit, or a miss in a full
+    set, moves its tag to the front, and each group it passes hands its
+    least recent block (its tail) to the front of the next group.  Only
+    fills differ: with n blocks held, the new block enters the front of the
+    group that owns stack position n, in that group's way n - start, and
+    nothing moves.  So a set keeps one stack of tags and `way_of`, each
+    tag's way.  A hit in group k >= 1 passes ways down the tails, slowest
+    first: the tail of group k - 1 takes the hit's way, each faster tail
+    the old way of the next, and the hit block the old way of G0's tail,
+    for k + 1 moves.  A miss in a full set evicts the last tag and passes
+    its way down every other tail alike, one move per group.  That is the
+    placement `shuffle` and `shift` give the per-access engine, reached
+    without them.  A hit lands at depth 0 of the way that held the block
+    before the shuffle, a miss at -1 - the way it enters.  Returns the
+    landings and the moves of every set summed."""
+    sizes = [len(group) for group in groups.groups]
+    ways = sum(sizes)
+    ends = np.cumsum(sizes).tolist()
+    fills, down = [], []
+    for g, group in enumerate(groups.groups):
+        fills += [(ends[g] - len(group), way) for way in group]
+        # The tails a hit in group g passes its way down, slowest first.
+        chain = [end - 1 for end in ends[g - 1::-1]] if g else []
+        down += [(chain, len(chain) + 1 if chain else 0)] * len(group)
+    evict = ([end - 1 for end in ends[-2::-1]], len(sizes))
     landing, moves = np.empty(len(tags), dtype=np.int32), 0
     bounds = [0, *(np.flatnonzero(np.diff(sets)) + 1).tolist(), len(sets)]
     for start, end in zip(bounds, bounds[1:]):
-        out, held, orders = [], [None] * ways, []
+        out, stack, way_of = [], [], {}
         for tag in tags[start:end].tolist():
-            if tag in held:
-                way = held.index(tag)
-                chain, step = shuffle(orders, groups, way)
+            way = hit = way_of.get(tag)
+            if hit is not None:
                 out.append(way * ways)
+                at = stack.index(tag)
+                del stack[at]
+                chain, step = down[at]
+            elif len(stack) < ways:
+                at, way = fills[len(stack)]
+                stack.insert(at, tag)
+                way_of[tag] = way
+                out.append(-1 - way)
+                continue
             else:
-                chain, step = shuffle(orders, groups, None)
-                out.append(-1 - chain[0])
-            shift(held, chain, tag)
+                way = way_of.pop(stack.pop())
+                chain, step = evict
+            for at in chain:
+                held = stack[at]
+                way_of[held], way = way, way_of[held]
+            if hit is None:
+                out.append(-1 - way)
+            way_of[tag] = way
+            stack.insert(0, tag)
             moves += step
         landing[start:end] = out
     return landing, moves

@@ -40,6 +40,8 @@ NG_RUNS = ("tests/test_properties.py::"
            "test_nonuniform_groups_match_the_per_block_reference")
 STARTUP = "tests/test_startup.py::"
 ORACLE = "tests/test_vasa.py::test_engine_agrees_with_straight_line_oracle"
+DS_KERNEL = ("tests/test_vasa.py::"
+             "test_replay_shuffle_matches_the_straight_shuffle_replay")
 OBJECT_ENGINE = ("tests/test_reference_engine.py::"
                  "test_list_engines_match_object_reference")
 
@@ -149,7 +151,9 @@ MUTANTS = [
            "depth = stack.index(tag)", "depth = stack.index(tag) + 1",
            (PASS + "[set_aligned-baseline_pd]", PASS + "[set_aligned-vasa]")),
     Mutant("DS hit priced after the shuffle", VASA,
-           "out.append(way * ways)", "out.append(chain[0] * ways)",
+           "            if hit is None:\n                out.append(-1 - way)\n",
+           "            if hit is None:\n                out.append(-1 - way)\n"
+           "            else:\n                out[-1] = way * ways\n",
            (PASS + "[set_aligned-vasa_ds4]",)),
     Mutant("core rows swapped", NUCA,
            "(row * num_sets + sets)", "((rows - 1 - row) * num_sets + sets)",
@@ -200,20 +204,36 @@ MUTANTS = [
            "np.searchsorted(vpages, pages), len(vpages) - 1)",
            "np.searchsorted(vpages, pages), len(vpages))",
            (TRANSLATE,)),
-    # Data shuffling's one placement (`vasa.shuffle`), the engine's contents
-    # and the pass's tags that move along its chain.
+    # Data shuffling's two placements: the engine's (`vasa.shuffle`, with
+    # the contents `shift` moves) and the pass's LRU stack per set
+    # (`vasa.replay_shuffle`).  Each is the other's oracle, so the pass
+    # tests now catch the engine's placement mutants too.
     Mutant("DS hit way left off the chain", VASA,
            "        chain.append(way)\n", "",
-           (ORACLE, OBJECT_ENGINE)),
+           (ORACLE, OBJECT_ENGINE, PASS + "[set_aligned-vasa_ds4]")),
     Mutant("DS moves counted on a G0 hit", VASA,
            "return chain, len(chain) if k else 0", "return chain, len(chain)",
-           (ORACLE, OBJECT_ENGINE)),
+           (ORACLE, OBJECT_ENGINE, PASS + "[set_aligned-vasa_ds4]")),
     Mutant("DS free fill always takes the group's first way", VASA,
            "way = group[len(order)]", "way = group[0]",
-           (ORACLE, OBJECT_ENGINE)),
+           (ORACLE, OBJECT_ENGINE, PASS + "[set_aligned-vasa_ds4]")),
     Mutant("DS pass does not shift its tags", VASA,
-           "            shift(held, chain, tag)\n", "",
-           (PASS + "[set_aligned-vasa_ds2]", PASS + "[set_aligned-vasa_ds4]")),
+           "                way_of[held], way = way, way_of[held]\n",
+           "                way = way_of[held]\n",
+           (PASS + "[set_aligned-vasa_ds2]", PASS + "[set_aligned-vasa_ds4]",
+            DS_KERNEL)),
+    Mutant("DS chain one tail short", VASA,
+           "for end in ends[g - 1::-1]]", "for end in ends[g - 1:0:-1]]",
+           (DS_KERNEL, PASS + "[set_aligned-vasa_ds4]")),
+    Mutant("DS fill inserted at the front of the stack", VASA,
+           "stack.insert(at, tag)", "stack.insert(0, tag)",
+           (DS_KERNEL, PASS + "[set_aligned-vasa_ds4]")),
+    Mutant("DS full-miss moves counted one short", VASA,
+           "ends[-2::-1]], len(sizes))", "ends[-2::-1]], len(sizes) - 1)",
+           (DS_KERNEL, PASS + "[set_aligned-vasa_ds4]")),
+    Mutant("DS fill takes its group's ways in sorted order", VASA,
+           "way) for way in group]", "way) for way in sorted(group)]",
+           (DS_KERNEL,)),
     Mutant("DS dirty victim not written back", VASA,
            "    if ev_dirty:\n", "    if False:\n",
            (OBJECT_ENGINE,)),

@@ -283,8 +283,9 @@ def test_pass_replays_each_bank_with_its_own_policy():
 
 
 def test_pass_holds_no_values():
-    """The pass moves tags along `vasa.shuffle`'s chains itself: it builds no
-    CacheState and never runs the valued per-access engine."""
+    """The pass keeps its own DS stacks: it builds no CacheState and never
+    runs the valued per-access engine nor its placement, `vasa.shuffle` and
+    `vasa.shift`."""
     geometry = CacheGeometry(CAPACITY, 8, 64)
     groups = vasa.WayGroups([[0, 1], [2, 3], [4, 5], [6, 7]])
     latency = [6, 6, 7, 7, 8, 8, 12, 12]
@@ -302,7 +303,9 @@ def test_pass_holds_no_values():
     assert want.shuffle_moves > 0 and sum(want.counts) > 0
     forbidden = AssertionError("the pass reached the valued engine")
     with mock.patch.object(cache_core, "CacheState", side_effect=forbidden), \
-            mock.patch.object(vasa, "access_vasa_ds", side_effect=forbidden):
+            mock.patch.object(vasa, "access_vasa_ds", side_effect=forbidden), \
+            mock.patch.object(vasa, "shuffle", side_effect=forbidden), \
+            mock.patch.object(vasa, "shift", side_effect=forbidden):
         got = count()
     assert got == want
 

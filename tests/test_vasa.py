@@ -1,9 +1,15 @@
 import random
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cnfetcache.cache_core import BankPolicy
 from cnfetcache.nuca import NucaCache
 from cnfetcache.timing import CacheGeometry, LatencyMap, LayoutKind
-from cnfetcache.vasa import WayGroups, overhead_report, shift, shuffle
+from cnfetcache.vasa import (WayGroups, overhead_report, replay_shuffle, shift,
+                             shuffle)
 
 GEO_8WAY = CacheGeometry(8 * 64 * 4, 8, 64)          # 4 sets x 8 ways
 LATENCIES = [6, 6, 7, 7, 8, 8, 12, 12]
@@ -54,6 +60,18 @@ def _way_state(state):
 
 def test_way_groups_partition_by_latency():
     assert GROUPS.groups == [[0, 1], [2, 3], [4, 5], [6, 7]]
+
+
+@pytest.mark.parametrize("groups", [[], [[0, 1], []], [[]]])
+def test_way_groups_reject_an_empty_group_list_or_group(groups):
+    with pytest.raises(ValueError, match="non-empty"):
+        WayGroups(groups)
+
+
+@pytest.mark.parametrize("num_groups", [0, -2, 3])
+def test_way_groups_from_a_latency_map_need_a_positive_divisor(num_groups):
+    with pytest.raises(ValueError, match="positive divisor"):
+        WayGroups.from_latency_map(LATMAP, num_groups)
 
 
 def test_shuffle_hit_in_fastest_group():
@@ -312,3 +330,61 @@ def test_delay_registers_and_overhead():
     for ways, register_bytes in ((1, 1), (2, 1), (4, 2), (16, 8)):
         geo = CacheGeometry(ways * 64 * 4, ways, 64)
         assert overhead_report(geo)["delay_register_bytes"] == register_bytes
+
+
+# ---------------------------------------------------------------------------
+# The pass's DS kernel (`replay_shuffle`, one LRU stack per set) against a
+# straight replay of every set through the engine's `shuffle` and `shift`.
+# ---------------------------------------------------------------------------
+
+def _straight_replay(sets, tags, groups):
+    """Landings and summed moves of `shuffle` + `shift`, each set from empty."""
+    ways = len(groups.group_of)
+    slots, orders, out, moves = {}, {}, [], 0
+    for s, tag in zip(sets, tags):
+        held = slots.setdefault(s, [None] * ways)
+        way = held.index(tag) if tag in held else None
+        chain, step = shuffle(orders.setdefault(s, []), groups, way)
+        out.append(-1 - chain[0] if way is None else way * ways)
+        shift(held, chain, tag)
+        moves += step
+    return out, moves
+
+
+@st.composite
+def partitions(draw):
+    """1 to 9 ways in shuffled order, cut into groups of any sizes: one
+    group, 1-way groups, uneven and unsorted ones."""
+    ways = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(ways)))
+    cuts = sorted(draw(st.sets(st.integers(1, ways - 1))) if ways > 1 else [])
+    return WayGroups([list(order[a:b])
+                      for a, b in zip([0, *cuts], [*cuts, ways])])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(groups=partitions(), data=st.data())
+def test_replay_shuffle_matches_the_straight_shuffle_replay(groups, data):
+    ways = len(groups.group_of)
+    refs = data.draw(st.lists(st.tuples(st.integers(0, 3),
+                                        st.integers(0, ways + 3)),
+                              max_size=300))
+    refs.sort(key=lambda ref: ref[0])         # by set, stable
+    sets = np.array([s for s, _ in refs], dtype=np.int64)
+    tags = np.array([t for _, t in refs], dtype=np.uint64)
+    landing, moves = replay_shuffle(sets, tags, groups)
+    assert (landing.tolist(), moves) == _straight_replay(
+        sets.tolist(), tags.tolist(), groups)
+
+
+def test_replay_shuffle_fill_rule():
+    # With two 1-way groups, A fills G0's way 0 and B G1's way 1.  C enters
+    # way 0, A drops to way 1 and B, the slowest group's block, is evicted
+    # (LRU would evict A): two moves.  A then hits in way 1 (landing 1 * 2
+    # ways), and swapping back with C costs two more.
+    groups, tags = WayGroups([[0], [1]]), [10, 11, 12, 10]
+    want = ([-1, -2, -1, 2], 4)
+    landing, moves = replay_shuffle(np.zeros(len(tags), dtype=np.int64),
+                                    np.array(tags, dtype=np.uint64), groups)
+    assert (landing.tolist(), moves) == want
+    assert _straight_replay([0] * len(tags), tags, groups) == want
