@@ -11,7 +11,6 @@ Subcommands: gen-variation, simulate, profile, compare, gen-trace.
 """
 
 import argparse
-import copy
 import ctypes
 import math
 import numbers
@@ -121,8 +120,11 @@ def _broken_rule(value, meta):
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings, checked when the config is made: by the
+    constructor, `from_keys` or `dataclasses.replace`."""
+
     capacity_bytes: int = _key("cache.capacity_bytes", 2 * 1024 * 1024,
                                power_of_two=True)
     num_ways: int = _key("cache.ways", 8, power_of_two=True)
@@ -176,18 +178,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_keys(cls, keys):
-        cfg = cls()
+        values = {}
         for key, value in keys.items():
             attr = cls.KEYMAP.get(key)
             if attr is None:
                 raise ConfigError(f"unknown config key {key!r}")
-            if attr == "classes":
-                value = _int_list(value)
-            setattr(cfg, attr, value)
-        return cfg.validate()
-
-    def copy_with(self, **overrides):
-        return replace(copy.deepcopy(self), **overrides).validate()
+            values[attr] = _int_list(value) if attr == "classes" else value
+        return cls(**values)
 
     # -- derived pieces -------------------------------------------------
 
@@ -260,7 +257,7 @@ class ExperimentConfig:
         return self.granularity if self.granularity is not None else 1
 
     def workload_label(self):
-        # Single CSV cell: no commas.
+        # Semicolons, not commas, so that the CSV cell needs no quotes.
         if self.trace_path:
             return self.trace_path
         return (f"synthetic(pages={self.wl_num_pages};zipf={self.wl_zipf};"
@@ -294,7 +291,7 @@ class ExperimentConfig:
             if rule:
                 raise ConfigError(f"{key} must be {rule}, got {value}")
 
-    def validate(self):
+    def __post_init__(self):
         self._check_values()
         if self.num_banks & (self.num_banks - 1):
             raise ConfigError(f"nuca.rows x nuca.cols = {self.nuca_rows} x "
@@ -349,7 +346,6 @@ class ExperimentConfig:
                                   f"{bank_geometry.num_sets} sets of a bank")
         if self.nuca_enabled and self.wl_num_cores > len(self.noc):
             raise ConfigError("more trace cores than cores on the mesh")
-        return self
 
 
 ExperimentConfig.KEYMAP = {spec.metadata["key"]: spec.name
@@ -594,7 +590,6 @@ def run_sweep(configs, records):
     records = workload.as_trace(records)
     streams, latmaps, profiles = {}, {}, {}
     for cfg in configs:
-        cfg.validate()
         if cfg.l1_enabled not in streams:
             streams[cfg.l1_enabled] = llc_records(cfg, records)
     release_free_heap()
@@ -636,7 +631,6 @@ def run_sweep(configs, records):
 
 def run_experiment(cfg):
     """Simulate one config over the raw records it loads."""
-    cfg.validate()
     return run_sweep([cfg], load_records(cfg))[0]
 
 
@@ -666,8 +660,8 @@ def cmd_gen_variation(args):
     (timing.map_file is ignored), and summarize its distribution."""
     cfg = _config_from_args(args)
     nominal = cfg.nominal
-    latmap = build_latency_maps(cfg.copy_with(map_file=None,
-                                              nominal_count=nominal))[0]
+    latmap = build_latency_maps(replace(cfg, map_file=None,
+                                        nominal_count=nominal))[0]
     with open(args.out, "w") as fh:
         fh.write(timing.serialize_latency_map(latmap))
     hist = Counter(latmap.latencies)
@@ -765,12 +759,9 @@ def recipe_configs(base, recipe):
         raise ConfigError(f"unknown recipe {recipe!r}; choose from {sorted(RECIPES)}")
     expected_layout = "set_aligned" if recipe.startswith("set") else "way_aligned"
     want_nuca = recipe.endswith("nuca")
-    configs = []
-    for label, overrides in RECIPES[recipe]:
-        cfg = base.copy_with(layout=expected_layout, nuca_enabled=want_nuca,
-                             **overrides)
-        configs.append((label, cfg))
-    return configs
+    return [(label, replace(base, layout=expected_layout,
+                            nuca_enabled=want_nuca, **overrides))
+            for label, overrides in RECIPES[recipe]]
 
 
 def cmd_compare(args):
@@ -825,12 +816,9 @@ def cmd_compare(args):
             rec[ratio] = rec[col] / baseline[col] if baseline[col] else 1.0
         rows.append(rec)
 
-    lines = [",".join(header)]
-    for rec in rows:
-        lines.append(",".join(
-            rec[h] if isinstance(rec[h], str) else f"{rec[h]:.6f}"
-            for h in header))
-    text = "\n".join(lines) + "\n"
+    text = metrics.csv_text([header] + [
+        [rec[h] if isinstance(rec[h], str) else f"{rec[h]:.6f}" for h in header]
+        for rec in rows])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -6,6 +6,8 @@ reported in normalized units; dynamic energy charges each read, each write,
 and each block relocation performed by data shuffling as one extra write.
 """
 
+import csv
+import io
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -123,10 +125,19 @@ def stats_row(stats, params, policy, layout, workload):
     return [str(values[f]) for f in CSV_FIELDS]
 
 
+def csv_text(rows):
+    """The rows as CSV text, one line each; a cell holding a comma, a double
+    quote or a newline is quoted, every other cell is written as it is."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def write_stats_csv(rows):
-    return "".join(",".join(row) + "\n" for row in [CSV_FIELDS, *rows])
+    return csv_text([CSV_FIELDS, *rows])
 
 
 def write_histogram_csv(stats):
     hist = stats.hit_latency_histogram
-    return "cycles,count\n" + "".join(f"{c},{hist[c]}\n" for c in sorted(hist))
+    return csv_text([("cycles", "count"),
+                     *((c, hist[c]) for c in sorted(hist))])

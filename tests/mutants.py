@@ -299,6 +299,21 @@ MUTANTS = [
            "    rows, passes = [], {}\n",
            ("tests/test_cli.py::"
             "test_sweep_releases_the_heap_once_its_streams_are_built",)),
+    # A config is checked, and frozen, when it is made.
+    Mutant("config made without its check", CLI,
+           "    def __post_init__(self):\n",
+           "    def __post_init__(self):\n        return\n",
+           ("tests/test_cli.py::test_a_config_is_checked_when_it_is_made",)),
+    Mutant("config left mutable", CLI,
+           "@dataclass(frozen=True)\nclass ExperimentConfig:",
+           "@dataclass\nclass ExperimentConfig:",
+           ("tests/test_cli.py::test_a_config_cannot_be_changed_once_made",)),
+    # Every CSV goes through one writer, which quotes a cell with a comma.
+    Mutant("CSV cells joined by hand", METRICS,
+           'csv.writer(out, lineterminator="\\n").writerows(rows)',
+           'out.writelines(",".join(map(str, row)) + "\\n" for row in rows)',
+           ("tests/test_cli.py::"
+            "test_csv_cells_holding_a_comma_keep_their_column",)),
     # The latency-map inputs: the config owns them, the sweep shares maps
     # by them, and page mapping charges a set aligned bank its mean.
     Mutant("latency key without cnt.seed", CLI,

@@ -1,6 +1,6 @@
 """Fingerprints of what the CLI writes, to show that a change keeps it.
 
-Run by hand from anywhere; it is not part of the tier-1 suite:
+Run from anywhere:
 
     python tests/outputs.py              # the checkout this file is in
     python tests/outputs.py PATH         # the checkout at PATH
@@ -8,15 +8,21 @@ Run by hand from anywhere; it is not part of the tier-1 suite:
 Every command of COMMANDS runs, in order, as `python -m cnfetcache.cli`
 against PATH/src, in one fresh temporary directory that first holds the
 config files of CONFIG_FILES (a later command may read what an earlier one
-wrote).  The script prints one line per command, the sha256 of its stdout,
-stderr and exit code, and one line per file the command wrote, the sha256
-of the file.  A command that is meant to fail is compared by its error
-text.  Two checkouts write the same outputs when they print the same
-lines:
+wrote).  The script prints the Python and numpy versions it runs with, then
+one line per command, the sha256 of its stdout, stderr and exit code, and
+one line per file the command wrote, the sha256 of the file.  A command
+that is meant to fail is compared by its error text.  Two checkouts write
+the same outputs when they print the same lines:
 
     python tests/outputs.py > new.txt
     python tests/outputs.py ../parent > old.txt
     diff old.txt new.txt
+
+`outputs.txt` holds these lines for the last commit whose outputs changed.
+`test_outputs.py` runs the same commands in-process and compares its lines
+with that file, so tier-1 fails on any change of output.  A change that
+alters outputs on purpose regenerates the file and says which lines moved
+and why.
 
 The list covers `compare` for every recipe with and without the L1s, a
 config-file `compare` whose rows differ in `l1.enabled` and
@@ -28,8 +34,10 @@ parses the generated trace.
 
 import argparse
 import hashlib
+import importlib.metadata
 import itertools
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -113,9 +121,28 @@ def _digest(*parts):
     return hashlib.sha256(b"\0".join(parts)).hexdigest()
 
 
-def fingerprint(src):
-    """Run every command against the package in src; yield the lines."""
+def versions():
+    """The first line of the fingerprints: numpy's generator streams, and so
+    every digest, may change with the numpy or the Python version."""
+    return (f"# Python {platform.python_version()}, "
+            f"numpy {importlib.metadata.version('numpy')}")
+
+
+def run_in_child(src):
+    """A command runner: `python -m cnfetcache.cli` on the package in src,
+    giving (stdout, stderr, exit code)."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+    def run(argv, cwd):
+        done = subprocess.run([sys.executable, "-m", "cnfetcache.cli", *argv],
+                              cwd=cwd, env=env, capture_output=True)
+        return done.stdout, done.stderr, done.returncode
+    return run
+
+
+def fingerprint(run):
+    """Run every command through `run(argv, cwd)`; yield the lines after
+    the versions."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, keys in CONFIG_FILES.items():
@@ -123,11 +150,8 @@ def fingerprint(src):
                                             for line in _lines(keys)))
         for name, argv in COMMANDS:
             before = set(tmp.iterdir())
-            done = subprocess.run(
-                [sys.executable, "-m", "cnfetcache.cli", *argv], cwd=tmp,
-                env=env, capture_output=True)
-            code = str(done.returncode).encode()
-            yield f"{_digest(done.stdout, done.stderr, code)}  {name}"
+            stdout, stderr, code = run(argv, tmp)
+            yield f"{_digest(stdout, stderr, str(code).encode())}  {name}"
             for path in sorted(set(tmp.iterdir()) - before):
                 yield f"{_digest(path.read_bytes())}  {name} > {path.name}"
 
@@ -140,7 +164,8 @@ def main(argv=None):
     src = args.checkout.resolve() / "src"
     if not (src / "cnfetcache" / "cli.py").is_file():
         parser.error(f"no cnfetcache package under {src}")
-    for line in fingerprint(src):
+    print(versions(), flush=True)
+    for line in fingerprint(run_in_child(src)):
         print(line, flush=True)
     return 0
 
