@@ -68,14 +68,14 @@ def parse_config_file(path):
     return keys
 
 
-def _int_list(value):
+def _int_tuple(value):
     if isinstance(value, str):
         try:
-            return [int(x) for x in value.split(",") if x.strip()]
+            return tuple(int(x) for x in value.split(",") if x.strip())
         except ValueError:
             raise ConfigError(f"grouping.classes={value!r} is not a "
                               f"comma-separated list of integers") from None
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
 
 
 def _is_int(value):
@@ -89,8 +89,8 @@ _TYPES = {
     int: (_is_int, "an integer"),
     float: (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
             "a finite number"),
-    list: (lambda v: isinstance(v, list) and all(map(_is_int, v)),
-           "a list of integers"),
+    tuple: (lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+            "a tuple of integers"),
 }
 
 
@@ -101,8 +101,6 @@ def _key(key, default=None, *, minimum=None, maximum=None, above=None,
     `power_of_two`, a power of two, where given."""
     metadata = {"key": key, "minimum": minimum, "maximum": maximum,
                 "above": above, "power_of_two": power_of_two}
-    if isinstance(default, list):
-        return field(default_factory=default.copy, metadata=metadata)
     return field(default=default, metadata=metadata)
 
 
@@ -146,7 +144,7 @@ class ExperimentConfig:
     map_file: str = _key("timing.map_file")
     way_groups: int = _key("vasa.way_groups", 4, minimum=1)
     uniform_groups: int = _key("grouping.num_groups", 64, minimum=1)
-    classes: list = _key("grouping.classes", [6, 7])
+    classes: tuple = _key("grouping.classes", (6, 7))
     budget: int = _key("grouping.budget", 16, minimum=0)
     granularity: int = _key("grouping.granularity", minimum=1)
     pm_enabled: bool = _key("pagemap.enabled", False)
@@ -183,7 +181,7 @@ class ExperimentConfig:
             attr = cls.KEYMAP.get(key)
             if attr is None:
                 raise ConfigError(f"unknown config key {key!r}")
-            values[attr] = _int_list(value) if attr == "classes" else value
+            values[attr] = _int_tuple(value) if attr == "classes" else value
         return cls(**values)
 
     # -- derived pieces -------------------------------------------------
@@ -467,7 +465,7 @@ def build_machinery(cfg, latmaps):
                  for lm in latmaps]
         overhead = vawa.overhead_report()
     else:
-        built = [vawa.build_nonuniform_groups(lm, list(cfg.classes), cfg.budget,
+        built = [vawa.build_nonuniform_groups(lm, cfg.classes, cfg.budget,
                                               cfg.effective_granularity)
                  for lm in latmaps]
         banks = [BankPolicy(latency) for latency, _ in built]

@@ -127,9 +127,15 @@ def stats_row(stats, params, policy, layout, workload):
 
 def csv_text(rows):
     """The rows as CSV text, one line each; a cell holding a comma, a double
-    quote or a newline is quoted, every other cell is written as it is."""
+    quote or a newline is quoted, every other cell is written as it is.  The
+    writer quotes no carriage return but the line terminator's, so a row
+    with a cell holding one is written with every cell quoted."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
+    plain = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        carriage = any(isinstance(cell, str) and "\r" in cell for cell in row)
+        (quoted if carriage else plain).writerow(row)
     return out.getvalue()
 
 

@@ -148,12 +148,11 @@ def _parse_chunk(text, first_lineno, num_cores):
     return columns, lines
 
 
-# Byte tables of the scan: the ASCII bytes str.split() splits on, and the
-# value of each hex digit (255 for any other byte).
+# Byte tables of the scan: the ASCII bytes str.split() splits on, and, for
+# bytes.translate, the value of each hex digit (255 for any other byte).
 _SEPARATOR = np.array([b < 128 and chr(b).isspace() for b in range(256)])
-_DIGIT = np.full(256, 255, dtype=np.uint8)
-_DIGIT[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
-_DIGIT[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
+_DIGIT = bytes(int(chr(b), 16) if chr(b) in "0123456789abcdefABCDEF" else 255
+               for b in range(256))
 
 
 def _scan_chunk(data, num_cores):
@@ -166,41 +165,56 @@ def _scan_chunk(data, num_cores):
     optionally I or D, and 0x or 0X with 1 to 16 hex digits.  Every such
     line parses as `_parse_lines` parses it; every other form is left to
     `_parse_lines`.
+
+    The separators are found once.  Each ends a span of text that starts
+    just after the one before it, the first just before the text; the
+    spans a run of separators leaves empty are dropped, and the rest are
+    the fields.  A line's fields follow those of the line before it, so
+    its op, kind and address are read at offsets from its first field.
     """
     if not data.endswith(b"\n"):
         data += b"\n"
     text = np.frombuffer(data, dtype=np.uint8)
-    # Tokens fill the gaps between separators (all of them bytes <= 32),
-    # counting one just before the text, which reads the text's last byte:
-    # a newline, so the newlines up to a token's left bound number its line.
-    low = np.flatnonzero(text <= 32)
-    bounds = np.concatenate([[-1], low[_SEPARATOR[text[low]]]]).astype(np.int32)
-    gap = np.flatnonzero(np.diff(bounds) > 1)
-    starts, ends = bounds[gap] + 1, bounds[gap + 1]
-    line = np.cumsum(text[bounds] == ord("\n"))
-    lines = int(line[-1]) - 1       # the bound before the text counts twice
-    token_line = line[gap]
-    head = np.flatnonzero(np.diff(token_line, prepend=-1))
-    count = np.diff(head, append=len(starts))
-    record = text[starts[head]] != ord("#")
+    sep = np.flatnonzero(text <= 32)
+    byte = text.take(sep)
+    known = _SEPARATOR.take(byte)
+    if not known.all():
+        sep, byte = sep[known], byte[known]
+    newline = np.flatnonzero(byte == ord("\n"))     # each line's last span
+    lines = len(newline)
+    bounds = np.empty(len(sep) + 1, dtype=np.int32)
+    bounds[0], bounds[1:] = -1, sep
+    lo, hi = bounds[:-1], bounds[1:]     # span k is text[lo[k] + 1:hi[k]]
+    through = newline + 1                # fields up to each line's end
+    empty = np.flatnonzero(hi - lo == 1)
+    if len(empty):
+        lo, hi = np.delete(lo, empty), np.delete(hi, empty)
+        through -= np.searchsorted(empty, newline, "right")
+    count = np.diff(through, prepend=0)
+    head = through - count               # each line's first field
+    record = count > 0                   # not blank
+    head, count = head[record], count[record]
+    record = text.take(lo.take(head) + 1) != ord("#")      # not a comment
     head, count = head[record], count[record]
     if not len(head):
         return _columns([], [], [], []), lines
-    if not np.all((count == 3) | (count == 4)):
-        return None, lines
-    op_at, kind_at = starts[head + 1], starts[head + 2]
-    addr_start, addr_end = starts[head + count - 1], ends[head + count - 1]
     has_kind = count == 4
-    op, kind = text[op_at], text[kind_at]
-    if not (np.all(ends[head + 1] - op_at == 1)
-            and np.all((op == ord("R")) | (op == ord("W")))
-            and np.all(~has_kind | (ends[head + 2] - kind_at == 1))
-            and np.all(~has_kind | (kind == ord("I")) | (kind == ord("D")))
-            and np.all(text[addr_start] == ord("0"))
-            and np.all((text[addr_start + 1] | 0x20) == ord("x"))):
+    if not np.all(has_kind | (count == 3)):
         return None, lines
-    core = _scan_number(text, starts[head], ends[head], 18, 10, np.int64)
-    addr = _scan_number(text, addr_start + 2, addr_end, 16, 16, np.uint64)
+    op_at, kind_at = lo.take(head + 1) + 1, lo.take(head + 2) + 1
+    last = head + count - 1
+    addr_at, addr_end = lo.take(last) + 1, hi.take(last)
+    op, kind = text.take(op_at), text.take(kind_at)
+    if not (np.all(hi.take(head + 1) == op_at + 1)
+            and np.all((op == ord("R")) | (op == ord("W")))
+            and np.all(~has_kind | ((hi.take(head + 2) == kind_at + 1)
+                                    & ((kind == ord("I")) | (kind == ord("D")))))
+            and np.all(text.take(addr_at) == ord("0"))
+            and np.all((text.take(addr_at + 1) | 0x20) == ord("x"))):
+        return None, lines
+    digits = np.frombuffer(data.translate(_DIGIT), dtype=np.uint8)
+    core = _scan_number(digits, lo.take(head) + 1, hi.take(head), 18, 10, np.int64)
+    addr = _scan_number(digits, addr_at + 2, addr_end, 16, 16, np.uint64)
     if core is None or addr is None:
         return None, lines
     if num_cores is not None and np.any(core >= num_cores):
@@ -209,21 +223,24 @@ def _scan_chunk(data, num_cores):
             lines)
 
 
-def _scan_number(text, starts, ends, max_digits, base, dtype):
-    """Values of the tokens text[starts:ends], each 1 to max_digits digits
-    of the base, or None when any token is not."""
+def _scan_number(digits, starts, ends, max_digits, base, dtype):
+    """Values of the fields digits[starts:ends], each 1 to max_digits digits
+    of the base, or None when any field is not; digits holds the block's
+    bytes as hex digit values."""
     width = ends - starts
-    if width.min() < 1 or width.max() > max_digits:
+    narrowest, widest = int(width.min()), int(width.max())
+    if narrowest < 1 or widest > max_digits:
         return None
-    # Right-align the tokens, their digits padded on the left with zeros.
-    at = ends[:, None] + np.arange(-int(width.max()), 0, dtype=np.int32)
-    digits = _DIGIT.take(text.take(at, mode="clip"))
-    digits *= at >= starts[:, None]
-    if np.any(digits >= base):
-        return None
-    value = np.zeros(len(starts), dtype=dtype)
-    for column in digits.T:
-        value = value * base + column
+    value = np.zeros(len(ends), dtype=dtype)
+    # The digits `back` places from each field's end, 0 left of a field.
+    for back in range(widest, 0, -1):
+        digit = digits.take(ends - back)
+        if back > narrowest:
+            digit *= width >= back
+        if digit.max() >= base:
+            return None
+        value *= base
+        value += digit
     return value
 
 

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = "tests/test_reference_workload.py::"
+SCAN = REFERENCE + "test_generated_trace_parses_on_the_byte_scan"
 CORE = "tests/test_cache_core.py::"
 PASS = "tests/test_pass.py::test_pass_and_pricing_match_the_per_access_engine"
 PASS_COUNT = "tests/test_cli.py::test_compare_makes_one_pass_per_stream"
@@ -87,7 +88,7 @@ MUTANTS = [
     # The block reader's line numbers and block size, and the lines a
     # block that falls back is split into.
     Mutant("chunk line numbers off by one", WORKLOAD,
-           "lines = int(line[-1]) - 1", "lines = int(line[-1])",
+           "lines = len(newline)", "lines = len(newline) + 1",
            (REFERENCE + "test_parse_matches_the_per_line_parser",)),
     Mutant("fallback block's line count off by one", WORKLOAD,
            "first_lineno, num_cores), len(split) - 1",
@@ -116,11 +117,32 @@ MUTANTS = [
            "addr_end, 16, 16, np.uint64)", "addr_end, 17, 16, np.uint64)",
            (REFERENCE + "test_parse_rejects_values_beyond_the_columns",)),
     Mutant("scan accepts 19 decimal digits", WORKLOAD,
-           "ends[head], 18, 10, np.int64)", "ends[head], 19, 10, np.int64)",
+           "hi.take(head), 18, 10, np.int64)", "hi.take(head), 19, 10, np.int64)",
            (REFERENCE + "test_parse_rejects_values_beyond_the_columns",)),
     Mutant("scan splits on every control byte", WORKLOAD,
            "b < 128 and chr(b).isspace()", "b <= 32",
            (REFERENCE + "test_parse_matches_the_per_line_parser",)),
+    # The per-line scan: each line's fields are read at offsets from its
+    # first, after the empty spans of separator runs are dropped.  A scan
+    # that falls back where it need not parses the same records, so only
+    # the byte-scan test, whose per-line parser raises, catches the first
+    # two.
+    Mutant("scan reads the kind one field early", WORKLOAD,
+           "lo.take(head + 2) + 1", "lo.take(head + 1) + 1",
+           (SCAN,)),
+    Mutant("scan keeps the empty spans of separator runs", WORKLOAD,
+           "    if len(empty):\n", "    if False:\n",
+           (SCAN,)),
+    Mutant("scan drops the digit-validity check", WORKLOAD,
+           "        if digit.max() >= base:\n            return None\n", "",
+           (REFERENCE + "test_parse_matches_the_per_line_parser",)),
+    Mutant("scan loses a block's unended last line", WORKLOAD,
+           '    if not data.endswith(b"\\n"):\n        data += b"\\n"\n', "",
+           (REFERENCE + "test_parse_matches_the_per_line_parser",)),
+    Mutant("scan counts an empty span at a line end in the next line", WORKLOAD,
+           'np.searchsorted(empty, newline, "right")',
+           'np.searchsorted(empty, newline, "left")',
+           (REFERENCE + "test_parse_matches_the_per_line_parser", SCAN)),
     Mutant("run collapse ignores the set", WORKLOAD,
            "(np.diff(sets, prepend=-1) != 0)", "(np.arange(len(sets)) == 0)",
            (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
@@ -310,10 +332,20 @@ MUTANTS = [
            ("tests/test_cli.py::test_a_config_cannot_be_changed_once_made",)),
     # Every CSV goes through one writer, which quotes a cell with a comma.
     Mutant("CSV cells joined by hand", METRICS,
-           'csv.writer(out, lineterminator="\\n").writerows(rows)',
-           'out.writelines(",".join(map(str, row)) + "\\n" for row in rows)',
+           "(quoted if carriage else plain).writerow(row)",
+           'out.write(",".join(map(str, row)) + "\\n")',
            ("tests/test_cli.py::"
             "test_csv_cells_holding_a_comma_keep_their_column",)),
+    Mutant("CSV row with a carriage return left unquoted", METRICS,
+           "(quoted if carriage else plain)", "plain",
+           ("tests/test_cli.py::"
+            "test_csv_cells_holding_a_carriage_return_keep_their_row",)),
+    Mutant("config classes kept in a list", CLI,
+           "return tuple(int(x) for x in value.split(\",\") if x.strip())",
+           "return [int(x) for x in value.split(\",\") if x.strip()]",
+           ("tests/test_cli.py::test_config_file_round_trip",
+            "tests/test_cli.py::"
+            "test_a_variant_shares_no_mutable_state_with_its_base")),
     # The latency-map inputs: the config owns them, the sweep shares maps
     # by them, and page mapping charges a set aligned bank its mean.
     Mutant("latency key without cnt.seed", CLI,

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import importlib
+import io
 import os
 import pkgutil
 import re
@@ -45,7 +46,7 @@ def test_config_file_round_trip(tmp_path):
     cfg = ExperimentConfig.from_keys(keys)
     assert cfg.num_ways == 8
     assert cfg.policy == "vawa_ng"
-    assert cfg.classes == [6, 7]
+    assert cfg.classes == (6, 7)
     assert cfg.wl_zipf == 1.1
 
 
@@ -123,7 +124,7 @@ def test_inconsistent_configs_rejected(keys):
     {"policy": "nope"},
     {"policy": "vasa_ds", "way_groups": 3},
     {"num_ways": "8"},
-    {"classes": [7, 6], "policy": "vawa_ng", "layout": "way_aligned"},
+    {"classes": (7, 6), "policy": "vawa_ng", "layout": "way_aligned"},
 ])
 def test_a_config_is_checked_when_it_is_made(values):
     # The constructor, and so `dataclasses.replace`, checks every value
@@ -141,6 +142,23 @@ def test_a_config_cannot_be_changed_once_made():
     variant = dataclasses.replace(cfg, policy="vasa_ds")
     assert (cfg.policy, variant.policy) == ("vasa", "vasa_ds")
     assert dataclasses.replace(variant, policy="vasa") == cfg
+
+
+def test_a_variant_shares_no_mutable_state_with_its_base():
+    # Every value of a config is immutable, so a variant made by
+    # `dataclasses.replace` cannot change its base, or the base the variant.
+    base = _config(policy="vawa_ng", layout="way_aligned")
+    variant = dataclasses.replace(base, budget=8)
+    for config in (base, variant):
+        for spec in dataclasses.fields(config):
+            value = getattr(config, spec.name)
+            assert isinstance(value, (bool, int, float, str, tuple, type(None))), (
+                spec.name, value)
+    with pytest.raises(AttributeError):
+        base.classes.append(5)
+    assert base.classes == variant.classes == (6, 7)
+    with pytest.raises(ConfigError, match="must be a tuple of integers"):
+        dataclasses.replace(base, classes=[6, 7])
 
 
 def test_valid_policy_layout_combinations():
@@ -273,6 +291,24 @@ def test_csv_cells_holding_a_comma_keep_their_column(tmp_path):
     header, *rows = csv.reader(out.read_text().splitlines())
     assert [len(row) for row in rows] == [len(header)] * 2
     assert [row[0] for row in rows] == list(map(str, configs))
+
+
+def test_csv_cells_holding_a_carriage_return_keep_their_row(tmp_path):
+    # A trace path with a carriage return is one quoted cell that reads
+    # back whole, and the header, which has none, is written as before.
+    trace = tmp_path / "a\rb.txt"
+    assert main(["gen-trace", "--set", "workload.length=500",
+                 "--out", str(trace)]) == 0
+    stats = tmp_path / "stats.csv"
+    assert main(["simulate", "--set", f"workload.trace={trace}",
+                 "--set", "cache.capacity_bytes=65536",
+                 "--out", str(stats)]) == 0
+    with open(stats, newline="") as fh:
+        text = fh.read()
+    header, row = csv.reader(io.StringIO(text, newline=""))
+    assert text.startswith(",".join(metrics.CSV_FIELDS) + "\n")
+    assert len(row) == len(header)
+    assert row[header.index("workload")] == str(trace)
 
 
 def test_cli_error_paths(tmp_path):

@@ -307,20 +307,36 @@ def test_parse_matches_the_per_line_parser(text_lines, chunk, num_cores,
     assert got == want
 
 
-def test_generated_trace_parses_on_the_byte_scan(tmp_path):
-    # gen-trace's output is all plain records, so no chunk of it needs the
-    # per-line parser.
+# gen-trace's output, and copies of it in the other forms the byte scan
+# takes whole: each is a list of lines, newlines kept.
+TRACE_FORMS = {
+    "as-written": lambda lines: lines,
+    "tab-separated": lambda lines: [line.replace(" ", "\t") for line in lines],
+    "mixed-3-and-4-fields": lambda lines: [
+        line.replace(" D ", " ", 1) if i % 2 else line
+        for i, line in enumerate(lines)],
+    "commented": lambda lines: [
+        f"# block {i}\t of  the trace\n\n  \t\n  #\n{line}" if i % 97 == 0
+        else line for i, line in enumerate(lines)],
+    "crlf": lambda lines: [line.replace("\n", "\r\n") for line in lines],
+}
+
+
+@pytest.mark.parametrize("form", TRACE_FORMS)
+def test_generated_trace_parses_on_the_byte_scan(tmp_path, form):
+    # Every line of each form is blank, a comment or a plain record, so no
+    # block of it needs the per-line parser.
     path = tmp_path / "trace.txt"
     assert cli.main(["gen-trace", "--set", "workload.length=20000",
                      "--set", "workload.num_cores=4",
                      "--set", "workload.instr_stream=true",
                      "--out", str(path)]) == 0
+    text = "".join(TRACE_FORMS[form](path.read_text().splitlines(keepends=True)))
     with mock.patch.object(workload, "_parse_lines",
                            side_effect=AssertionError("per-line parse")):
-        with open(path) as fh:
-            trace = parse_trace(fh, num_cores=4)
+        trace = parse_trace(text, num_cores=4)
     assert len(trace) == 20_000
-    assert list(trace) == reference_parse_trace(path.read_text())
+    assert list(trace) == reference_parse_trace(text)
 
 
 @pytest.mark.parametrize("line, message", [
