@@ -144,11 +144,20 @@ def bypass_access(state, line_addr, write, value):
     return AccessResult(False, value=state.memory.get(line_addr, 0))
 
 
+def index_type(largest):
+    """The type of an index column whose values are at most largest: int32
+    below 2^31, else int64.  Never narrower: numpy 2 keeps the type of an
+    array times a Python int, so an int8 or int16 rank times a set count
+    would wrap around."""
+    return np.int32 if largest < 1 << 31 else np.int64
+
+
 def set_order(sets):
     """Indices that sort references by set, each set's in stream order (a
-    radix sort for keys of 16 bits or fewer)."""
-    return np.argsort(sets.astype(np.min_scalar_type(sets.max(initial=0))),
-                      kind="stable")
+    radix sort for keys of 16 bits or fewer), in `index_type`."""
+    order = np.argsort(sets.astype(np.min_scalar_type(sets.max(initial=0))),
+                       kind="stable")
+    return order.astype(index_type(len(sets) - 1), copy=False)
 
 
 def replay_lru(sets, tags, ways):
@@ -185,12 +194,14 @@ def replay_two_way(sets, tags):
     x_i is [x_i, x_(i-1)], so x_i hits, at depth 1, when it equals x_(i-2),
     and by induction lands in way i % 2, hit or miss.
     """
-    rank = np.arange(len(sets))
-    first = np.flatnonzero(np.diff(sets, prepend=-1))
-    rank -= np.repeat(first, np.diff(first, append=len(sets)))
-    way = (rank % 2).astype(np.int32)
+    index = index_type(len(sets))
+    first = np.flatnonzero(np.diff(sets, prepend=-1)).astype(index)
+    rank = np.arange(len(sets), dtype=index)
+    rank -= np.repeat(first, np.diff(first, append=index(len(sets))))
     hit = np.zeros(len(sets), dtype=bool)
     hit[2:] = (tags[2:] == tags[:-2]) & (rank[2:] >= 2)
+    way = (rank % 2).astype(np.int32)
+    del rank
     return np.where(hit, 2 * way + 1, -1 - way)
 
 

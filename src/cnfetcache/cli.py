@@ -575,8 +575,15 @@ def run_sweep(configs, records):
     Each l1.enabled value gets one LLC stream, each distinct set of
     latency-map inputs one set of maps (no consumer mutates a map) and
     each (profiled stream, page size) one page profile.  The streams are
-    built before anything else, and the front end's freed temporaries are
-    then handed back to the OS (`release_free_heap`).
+    built before anything else.  The sweep takes the raw records over:
+    unless a row profiles the raw stream (pagemap.count_raw), it drops them
+    once the streams are built, so a caller that passes them straight in,
+    as `cmd_compare` and `run_experiment` do, frees an L1 run's raw columns
+    there.  (CPython 3.11 and later keep no reference to a call's
+    arguments in the caller; on 3.10 the records stay until the sweep
+    returns.)  The front end's freed temporaries are then handed back to
+    the OS (`release_free_heap`), before the latency maps, whose first
+    sampling imports `numpy.random`, and before the passes.
 
     The first loop builds each row and files it under its pass.  Rows of
     one pass read the same stream, untranslated, on the same banks; a row
@@ -590,6 +597,8 @@ def run_sweep(configs, records):
     for cfg in configs:
         if cfg.l1_enabled not in streams:
             streams[cfg.l1_enabled] = llc_records(cfg, records)
+    if not any(cfg.pm_enabled and cfg.pm_count_raw for cfg in configs):
+        records = None
     release_free_heap()
     rows, passes = [], {}
     for position, cfg in enumerate(configs):
@@ -788,8 +797,8 @@ def cmd_compare(args):
     # Every row loads the same records; a NUCA row, if there is one, also
     # checks the trace's cores against the mesh (every mesh has the same
     # four cores).
-    records = load_records(min(configs, key=lambda cfg: not cfg.nuca_enabled))
-    outputs = run_sweep(configs, records)
+    outputs = run_sweep(configs, load_records(
+        min(configs, key=lambda cfg: not cfg.nuca_enabled)))
     rows = []
     baseline = None
     header = ["label", "policy", "pm", "mean_hit_latency", "amat", "miss_rate",

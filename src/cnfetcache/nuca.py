@@ -176,16 +176,22 @@ def count_hits(records, geometry, layout, policies, noc=None):
     outside = np.flatnonzero((row < 0) | (row >= rows))
     if outside.size:
         raise ValueError(f"core id {row[outside[0]]} is not on the mesh")
+    # Sets, cells and the table's flat index share one type.
+    index = cache_core.index_type(rows * max(num_sets, banks * groups * depths))
     sets = ((trace.addr >> geometry.offset_bits)
-            & (num_sets - 1)).astype(np.int64)
+            & (num_sets - 1)).astype(index)
     order = cache_core.set_order(sets)
     tags = (trace.addr >> (geometry.offset_bits + geometry.set_bits))[order]
     # The rows of a set share its replay; only the count tells them apart.
+    if noc is not None:
+        row = row.astype(index)
     cells = (row * num_sets + sets)[order]
+    del row
     sets = sets[order]
     del order
     hits, landings, moves = [], [], 0
-    bounds = np.searchsorted(sets, np.arange(banks + 1) * bank_sets).tolist()
+    bounds = np.searchsorted(sets, np.arange(banks + 1, dtype=index)
+                             * bank_sets).tolist()
     for policy, run in zip(policies, map(slice, bounds, bounds[1:])):
         if policy.shuffle is not None:
             landed, step = vasa.replay_shuffle(sets[run], tags[run],
@@ -198,10 +204,14 @@ def count_hits(records, geometry, layout, policies, noc=None):
             landed = cache_core.replay_lru(sets[run], tags[run], ways)
         hits.append(landed >= 0)
         landings.append(landed)
+    del sets, tags
     hit = np.concatenate(hits)
+    del hits
     index = cells[hit]
+    del cells
     if not per_set:
         landing = np.concatenate(landings)[hit]
+        del landings
         index = index // bank_sets * groups * depths + landing
     counts = np.bincount(index, minlength=rows * banks * groups * depths)
     return HitTable(counts, (rows, banks, groups, depths), per_set,

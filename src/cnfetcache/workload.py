@@ -121,13 +121,20 @@ def parse_trace(stream, num_cores=None):
         stream = io.StringIO(stream)
     elif not hasattr(stream, "read"):
         stream = io.StringIO("".join(stream))
-    chunks, lineno = [_columns([], [], [], [])], 0
+    # Each column's blocks, joined one column at a time and dropped once
+    # joined, so the peak is the blocks and one joined column.
+    columns, lineno = [[part] for part in _columns([], [], [], [])], 0
     while text := stream.read(PARSE_BLOCK_CHARS):
         text += stream.readline()
-        columns, lines = _parse_chunk(text, lineno, num_cores)
-        chunks.append(columns)
+        parts, lines = _parse_chunk(text, lineno, num_cores)
+        for column, part in zip(columns, parts):
+            column.append(part)
         lineno += lines
-    return Trace(*map(np.concatenate, zip(*chunks)))
+    joined = []
+    for column in columns:
+        joined.append(np.concatenate(column))
+        column.clear()
+    return Trace(*joined)
 
 
 def _parse_chunk(text, first_lineno, num_cores):
@@ -335,32 +342,47 @@ def l1_filter(records, config):
     _, first, core_rank, accesses = np.unique(
         key.astype(np.min_scalar_type(key.max(initial=0))),
         return_index=True, return_inverse=True, return_counts=True)
+    num_cores = len(first)
+    core_rank = core_rank.astype(cache_core.index_type(num_cores - 1))
+    # A position enters the merge key of the output as 2 * position + 1.
+    index = cache_core.index_type(2 * len(trace) + 1)
     parts = []
     for instr, geometry in ((True, config.icache), (False, config.dcache)):
-        ways = geometry.num_ways
-        positions = np.flatnonzero(trace.instr == instr)
+        ways, num_sets = geometry.num_ways, geometry.num_sets
+        positions = np.flatnonzero(trace.instr == instr).astype(index)
         line = trace.addr[positions] >> geometry.offset_bits
-        sets = (core_rank[positions] * geometry.num_sets
-                + (line & (geometry.num_sets - 1)).astype(np.int64))
+        # The L1 sets and their slots (set * ways + way) share one type.
+        sets = core_rank[positions].astype(
+            cache_core.index_type(num_cores * num_sets * ways - 1), copy=False)
+        sets *= num_sets
+        sets += (line & (num_sets - 1)).astype(sets.dtype)
         order = cache_core.set_order(sets)
         sets, line = sets[order], line[order]
-        runs = np.flatnonzero((np.diff(sets, prepend=-1) != 0)
-                              | (np.diff(line, prepend=line[:1]) != 0))
+        runs = np.flatnonzero((np.diff(sets, prepend=sets[:1] - 1) != 0)
+                              | (np.diff(line, prepend=line[:1]) != 0)
+                              ).astype(index)
         writes = np.logical_or.reduceat(trace.write[positions[order]], runs)
         positions, sets, line = positions[order[runs]], sets[runs], line[runs]
+        del order, runs
         landing = (cache_core.replay_two_way(sets, line) if ways == 2
                    else cache_core.replay_lru(sets, line, ways))
         fill = landing < 0
         # Each slot's references in stream order: its lives start at fills.
         slot = sets * ways + np.where(fill, -1 - landing, landing // ways)
-        by_slot = np.argsort(slot, kind="stable")
-        lives = np.flatnonzero(fill[by_slot])
+        del sets, landing
+        by_slot = cache_core.set_order(slot)
+        lives = np.flatnonzero(fill[by_slot]).astype(index)
         dirty = np.logical_or.reduceat(writes[by_slot], lives)[:-1]
+        del writes
         born, evicting = by_slot[lives[:-1]], by_slot[lives[1:]]
+        del by_slot, lives
         evicted = dirty & (slot[born] == slot[evicting])
+        del slot, dirty
         parts.append((positions[fill], positions[evicting[evicted]],
                       line[born[evicted]] << geometry.offset_bits))
+        del positions, line, fill, born, evicting, evicted
     fills, victim_at, victim_addr = map(np.concatenate, zip(*parts))
+    del parts
     # A write-back goes out just ahead of the fill of the miss evicting it.
     order = np.argsort(np.concatenate([2 * victim_at, 2 * fills + 1]))
     source = np.concatenate([victim_at, fills])[order]
@@ -368,7 +390,7 @@ def l1_filter(records, config):
     out = Trace(trace.core[source], writeback,
                 trace.instr[source] & ~writeback,
                 np.concatenate([victim_addr, trace.addr[fills]])[order])
-    misses = np.bincount(core_rank[fills], minlength=len(first))
+    misses = np.bincount(core_rank[fills], minlength=num_cores)
     order = np.argsort(first)
     cores = trace.core[first[order]].tolist()
     return L1FilterResult(out, dict(zip(cores, accesses[order].tolist())),

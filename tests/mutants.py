@@ -65,6 +65,7 @@ VAWA = "cnfetcache/vawa.py"
 CACHE_CORE = "cnfetcache/cache_core.py"
 METRICS = "cnfetcache/metrics.py"
 TOTALS = "tests/test_metrics.py::test_totals_follow_from_the_counts"
+NARROW = "tests/test_index_columns.py::"
 LATENCY_KEY = ("tests/test_cli.py::"
                "test_sweep_keeps_rows_with_different_latency_inputs_apart")
 
@@ -144,7 +145,8 @@ MUTANTS = [
            'np.searchsorted(empty, newline, "left")',
            (REFERENCE + "test_parse_matches_the_per_line_parser", SCAN)),
     Mutant("run collapse ignores the set", WORKLOAD,
-           "(np.diff(sets, prepend=-1) != 0)", "(np.arange(len(sets)) == 0)",
+           "(np.diff(sets, prepend=sets[:1] - 1) != 0)",
+           "(np.arange(len(sets)) == 0)",
            (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
     Mutant("not-UTF-8 error names the next line", WORKLOAD,
            'bad = text.count("\\n", 0, exc.start)',
@@ -374,13 +376,12 @@ MUTANTS = [
     # The one LRU replay: its input order, the bank runs of the pass, and
     # the L1's reading of its landings.
     Mutant("unstable set order", CACHE_CORE,
-           '(initial=0))),\n                      kind="stable")',
-           '(initial=0))),\n                      kind="quicksort")',
+           '(initial=0))),\n                       kind="stable")',
+           '(initial=0))),\n                       kind="quicksort")',
            (PASS + "[set_aligned-baseline_pd]",
             REFERENCE + "test_l1_columns_match_the_per_record_filter")),
     Mutant("bank run boundary off by one", NUCA,
-           "np.arange(banks + 1) * bank_sets)",
-           "np.arange(banks + 1) * bank_sets + 1)",
+           "* bank_sets).tolist()", "* bank_sets + 1).tolist()",
            ("tests/test_pass.py::"
             "test_pass_replays_each_bank_with_its_own_policy",)),
     Mutant("fill way decoded as a hit way", WORKLOAD,
@@ -483,6 +484,24 @@ MUTANTS = [
            "        stats.writes += 1\n", "        pass\n",
            (PASS + "[set_aligned-baseline]",
             "tests/test_pass.py::test_dirty_evictions_and_fills_are_not_charged")),
+    # The sweep's release of the raw records, and the narrow index columns
+    # of the L1 filter and the pass (`cache_core.index_type`).
+    Mutant("raw stream dropped although a row profiles it", CLI,
+           "    if not any(cfg.pm_enabled and cfg.pm_count_raw for cfg in "
+           "configs):\n        records = None\n",
+           "    records = None\n",
+           ("tests/test_cli.py::"
+            "test_sweep_keeps_the_raw_records_for_a_row_that_profiles_them",)),
+    Mutant("index column narrowed to int16", WORKLOAD,
+           "cache_core.index_type(num_cores * num_sets * ways - 1), copy=False)",
+           "np.int16, copy=False)",
+           (NARROW + "test_l1_filter_on_wide_streams_matches_the_per_record_filter",)),
+    Mutant("pass sets narrowed to int16", NUCA,
+           "& (num_sets - 1)).astype(index)", "& (num_sets - 1)).astype(np.int16)",
+           (NARROW + "test_count_hits_on_wide_streams_matches_the_int64_pass",)),
+    Mutant("index type int32 up to 2^31", CACHE_CORE,
+           "largest < 1 << 31 else", "largest <= 1 << 31 else",
+           (NARROW + "test_index_type_is_int32_below_2_to_the_31",)),
 ]
 
 

@@ -939,23 +939,46 @@ def test_benchmark_compare_csvs_are_pinned(tmp_path, recipe):
     assert hashlib.sha256(csv).hexdigest() == sha256
 
 
-@pytest.mark.parametrize("recipe, bound", [("way-nuca", 64), ("set-uca", 52)])
-def test_sweep_peak_memory_per_reference(recipe, bound):
-    # The tracemalloc peak of a 100k-reference sweep, with the records
-    # already loaded.  Measured at 59.2 (way-nuca) and 47.6 (set-uca) bytes
-    # per reference when these bounds were set; a bound may only get
-    # tighter.
+def test_sweep_keeps_the_raw_records_for_a_row_that_profiles_them():
+    # A sweep drops the raw records once its LLC streams are built, unless
+    # a row profiles the raw stream: that row then maps pages from the
+    # raw records, as it does when run alone.
+    base = _config(**{"l1.enabled": True, "workload.num_cores": 2,
+                      "workload.num_pages": 512, "workload.page_bytes": 512,
+                      "pagemap.page_bytes": 512})
+    configs = [cfg for _, cfg in recipe_configs(base, "way-uca")]
+    raw = dataclasses.replace(configs[-1], pm_count_raw=True)
+    swept = run_sweep(configs + [raw], cli.load_records(base))
+    alone = run_experiment(raw)
+    assert (swept[-1].stats_row(), swept[-1].notes) == \
+        (alone.stats_row(), alone.notes)
+    assert swept[-1].stats_row() != swept[-2].stats_row()
+
+
+@pytest.mark.parametrize("recipe, l1, bound", [
+    ("way-nuca", False, 58), ("set-uca", False, 27), ("set-uca", True, 64)],
+    ids=["way-nuca", "set-uca", "set-uca-l1"])
+def test_sweep_peak_memory_per_reference(recipe, l1, bound):
+    # The tracemalloc peak of a 100k-reference sweep.  Without the L1 the
+    # records are loaded beforehand and held; with it they are loaded
+    # under the trace and handed over, so the sweep's release of the raw
+    # columns shows.  Measured at 52.8 (way-nuca), 24.8 (set-uca) and 59.0
+    # (set-uca with the L1) bytes per reference when these bounds were
+    # set; a bound may only get tighter.
     base = ExperimentConfig.from_keys({
         "cache.capacity_bytes": 256 * 1024, "workload.length": 100_000,
         "workload.num_cores": 4, "workload.num_pages": 4096,
         "workload.page_bytes": 512, "pagemap.page_bytes": 512,
-        "grouping.num_groups": 16, "workload.seed": 1})
-    records = cli.load_records(base)
+        "grouping.num_groups": 16, "workload.seed": 1, "l1.enabled": l1})
+    records = None if l1 else cli.load_records(base)
     configs = [cfg for _, cfg in recipe_configs(base, recipe)]
     tracemalloc.start()
     try:
-        run_sweep(configs, records)
+        if l1:
+            run_sweep(configs, cli.load_records(base))
+        else:
+            run_sweep(configs, records)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(records) <= bound
+    assert peak / base.wl_length <= bound
