@@ -160,13 +160,25 @@ def set_order(sets):
     return order.astype(index_type(len(sets) - 1), copy=False)
 
 
+def run_starts(*keys):
+    """Where each run of equal keys begins, in columns sorted so that equal
+    keys are adjacent: 0 (unless they are empty), and each position whose
+    key in any column differs from the one before it.  Neighbour
+    comparisons alone find them, so keys of any integer type work."""
+    head = np.zeros(len(keys[0]), dtype=bool)
+    head[:1] = True
+    for key in keys:
+        head[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(head)
+
+
 def replay_lru(sets, tags, ways):
     """LRU over references sorted by set (`set_order`), each set replayed
     on its own from empty: ways fill in order, and a full set evicts its
     least recent way.  Returns each reference's landing: way * ways + depth
     on a hit (depth 0 is the most recent line), -1 - way on a miss."""
     landing = np.empty(len(tags), dtype=np.int32)
-    bounds = [0, *(np.flatnonzero(np.diff(sets)) + 1).tolist(), len(sets)]
+    bounds = [*run_starts(sets).tolist(), len(sets)]
     for start, end in zip(bounds, bounds[1:]):
         out, stack, where = [], [], {}   # stack: tags, most recent first
         for tag in tags[start:end].tolist():
@@ -195,7 +207,7 @@ def replay_two_way(sets, tags):
     and by induction lands in way i % 2, hit or miss.
     """
     index = index_type(len(sets))
-    first = np.flatnonzero(np.diff(sets, prepend=-1)).astype(index)
+    first = run_starts(sets).astype(index)
     rank = np.arange(len(sets), dtype=index)
     rank -= np.repeat(first, np.diff(first, append=index(len(sets))))
     hit = np.zeros(len(sets), dtype=bool)
@@ -216,7 +228,7 @@ def lru_hits(sets, tags, ways):
     before the gap.  The sets are run in blocks (`LRU_BLOCK_CELLS`).
     """
     hit = np.empty(len(tags), dtype=bool)
-    ends = np.append(np.flatnonzero(np.diff(sets)) + 1, len(sets))
+    ends = np.append(run_starts(sets)[1:], len(sets))
     start = 0
     while start < len(tags):
         # The last set end within the block's size, or else the first one.
@@ -249,11 +261,10 @@ def _block_hits(sets, tags, ways):
     """
     sets, tags = _narrow(sets), _narrow(tags)
     order = np.argsort(tags, kind="stable").astype(np.int32)
-    s, t = sets[order], tags[order]
-    same = np.flatnonzero((t[1:] == t[:-1]) & (s[1:] == s[:-1]))
     prev = np.full(len(tags), -1, dtype=np.int32)
-    prev[order[1:][same]] = order[same]
-    del order, s, t, same
+    prev[order[1:]] = order[:-1]
+    prev[order[run_starts(tags[order], sets[order])]] = -1
+    del order
     ref = np.arange(len(tags), dtype=np.int32)
     cold = np.cumsum(prev < 0, dtype=np.int32)   # cold references in 0..k
     hit = prev >= 0

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cache_core import run_starts
 from .workload import Trace, as_trace
 
 
@@ -44,15 +45,12 @@ class PageProfile:
         cores = np.asarray(cores, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         self.pages, self.cores, self.run_counts = pages, cores, counts
-        # True at each page's first run.
-        head = np.concatenate(([True], pages[1:] != pages[:-1]))[:len(pages)]
-        starts = np.flatnonzero(head)
+        starts = run_starts(pages)   # each page's first run
         self.page_ids = pages[starts]
         self.totals = np.add.reduceat(counts, starts) if len(starts) else counts
         # Sorted by page, then most accesses, then lowest core, each page's
         # block starts with its dominant core.
-        page_of = np.cumsum(head) - 1
-        self.dominant = cores[np.lexsort((cores, -counts, page_of))[starts]]
+        self.dominant = cores[np.lexsort((cores, -counts, pages))[starts]]
 
     @cached_property
     def counts(self):
@@ -141,9 +139,7 @@ def profile_trace(records, page_bytes):
     pages = trace.addr // page_bytes
     order = np.lexsort((trace.core, pages))
     pages, cores = pages[order], trace.core[order]
-    # The first reference of each (page, core) run; none in an empty trace.
-    starts = np.flatnonzero(np.concatenate((
-        [len(pages) > 0], (pages[1:] != pages[:-1]) | (cores[1:] != cores[:-1]))))
+    starts = run_starts(pages, cores)   # each (page, core) run's first
     counts = np.diff(np.append(starts, len(pages)))
     return PageProfile(pages[starts], cores[starts], counts)
 
@@ -204,14 +200,25 @@ def translate(vaddr, mapping, page_bytes):
 
 
 def translate_trace(trace, mapping, page_bytes):
-    """The trace with each address rewritten by `translate`."""
+    """The trace with each address rewritten by `translate`, built in place
+    in its one output column: each address's page, less the mapped page
+    the search puts it at (0 exactly where its page is mapped), then how
+    far that mapping moves its addresses, (frame - page) * page_bytes
+    modulo 2^64, or 0, plus the address."""
     if not mapping:
         return trace
     vpages, frames = np.array(sorted(mapping.items()), dtype=np.uint64).T
-    pages, offsets = np.divmod(trace.addr, page_bytes)
-    at = np.minimum(np.searchsorted(vpages, pages), len(vpages) - 1)
-    addr = np.where(vpages[at] == pages, frames[at] * page_bytes + offsets,
-                    trace.addr)
+    moves = (frames - vpages) * page_bytes
+    addr = trace.addr // page_bytes
+    # A page past the last mapped one is put at it ("clip"), which also
+    # lets take write straight into its output.
+    at = np.searchsorted(vpages, addr)
+    addr -= vpages.take(at, mode="clip")
+    mapped = addr == 0
+    moves.take(at, out=addr, mode="clip")
+    del at
+    addr *= mapped
+    addr += trace.addr
     return Trace(trace.core, trace.write, trace.instr, addr)
 
 

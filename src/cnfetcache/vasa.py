@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache_core import AccessResult
+from .cache_core import AccessResult, run_starts
 
 DELAY_REGISTER_BITS = 4
 # Register file for shuffle buffering and way latency bookkeeping, plus the
@@ -146,7 +146,7 @@ def replay_shuffle(sets, tags, groups):
         down += [(chain, len(chain) + 1 if chain else 0)] * len(group)
     evict = ([end - 1 for end in ends[-2::-1]], len(sizes))
     landing, moves = np.empty(len(tags), dtype=np.int32), 0
-    bounds = [0, *(np.flatnonzero(np.diff(sets)) + 1).tolist(), len(sets)]
+    bounds = [*run_starts(sets).tolist(), len(sets)]
     for start, end in zip(bounds, bounds[1:]):
         out, stack, way_of = [], [], {}
         for tag in tags[start:end].tolist():

@@ -358,9 +358,7 @@ def l1_filter(records, config):
         sets += (line & (num_sets - 1)).astype(sets.dtype)
         order = cache_core.set_order(sets)
         sets, line = sets[order], line[order]
-        runs = np.flatnonzero((np.diff(sets, prepend=sets[:1] - 1) != 0)
-                              | (np.diff(line, prepend=line[:1]) != 0)
-                              ).astype(index)
+        runs = cache_core.run_starts(sets, line).astype(index)
         writes = np.logical_or.reduceat(trace.write[positions[order]], runs)
         positions, sets, line = positions[order[runs]], sets[runs], line[runs]
         del order, runs

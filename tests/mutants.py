@@ -45,6 +45,10 @@ DS_KERNEL = ("tests/test_vasa.py::"
              "test_replay_shuffle_matches_the_straight_shuffle_replay")
 OBJECT_ENGINE = ("tests/test_reference_engine.py::"
                  "test_list_engines_match_object_reference")
+DOUBLING = ("tests/test_relations.py::"
+            "test_doubling_each_reference_adds_one_hit_per_reference")
+DS_G0_SHARE = ("tests/test_mechanisms.py::"
+               "test_data_shuffling_moves_hits_into_the_fastest_group")
 
 
 class Mutant(NamedTuple):
@@ -145,8 +149,7 @@ MUTANTS = [
            'np.searchsorted(empty, newline, "left")',
            (REFERENCE + "test_parse_matches_the_per_line_parser", SCAN)),
     Mutant("run collapse ignores the set", WORKLOAD,
-           "(np.diff(sets, prepend=sets[:1] - 1) != 0)",
-           "(np.arange(len(sets)) == 0)",
+           "cache_core.run_starts(sets, line)", "cache_core.run_starts(line)",
            (REFERENCE + "test_l1_columns_match_the_per_record_filter",)),
     Mutant("not-UTF-8 error names the next line", WORKLOAD,
            'bad = text.count("\\n", 0, exc.start)',
@@ -181,9 +184,9 @@ MUTANTS = [
            (PASS + "[set_aligned-vasa_ds4]",)),
     Mutant("core rows swapped", NUCA,
            "(row * num_sets + sets)", "((rows - 1 - row) * num_sets + sets)",
-           (PASS + "[way_aligned-baseline]",)),
+           (PASS + "[way_aligned-baseline]", DOUBLING)),
     Mutant("PM addresses not translated", PAGEMAP,
-           "frames[at] * page_bytes + offsets", "pages * page_bytes + offsets",
+           "    addr *= mapped\n", "    addr *= 0\n",
            (PASS + "[way_aligned-vawa_ug]", TRANSLATE)),
     Mutant("pass key ignoring the mapping", CLI,
            "if mapping is not None or any(", "if any(",
@@ -200,7 +203,7 @@ MUTANTS = [
     # Two on the merged pass and the one PD depth rule.
     Mutant("shuffling bank sent down the LRU branch", NUCA,
            "if policy.shuffle is not None:", "if False:",
-           (PASS + "[set_aligned-vasa_ds2]",)),
+           (PASS + "[set_aligned-vasa_ds2]", DS_G0_SHARE)),
     Mutant("disabled ways left out of the depth rule", NUCA,
            "        elif off:\n", "        elif False:\n",
            (PASS + "[set_aligned-baseline_pd]",)),
@@ -225,8 +228,7 @@ MUTANTS = [
            "        if False:\n            llc = pagemap",
            (PASS + "[way_aligned-vawa_ug]",)),
     Mutant("translation search not clamped", PAGEMAP,
-           "np.searchsorted(vpages, pages), len(vpages) - 1)",
-           "np.searchsorted(vpages, pages), len(vpages))",
+           'addr -= vpages.take(at, mode="clip")', "addr -= vpages.take(at)",
            (TRANSLATE,)),
     # Data shuffling's two placements: the engine's (`vasa.shuffle`, with
     # the contents `shift` moves) and the pass's LRU stack per set
@@ -284,8 +286,8 @@ MUTANTS = [
            "while width < span:", "while width < span - 1:",
            (INVENTORY,)),
     Mutant("dominant core tie to the highest id", PAGEMAP,
-           "np.lexsort((cores, -counts, page_of))",
-           "np.lexsort((-cores, -counts, page_of))",
+           "np.lexsort((cores, -counts, pages))",
+           "np.lexsort((-cores, -counts, pages))",
            (DOMINANT,)),
     # Non-uniform grouping's runs (the four of the plain-list NG change),
     # re-expressed against the block reduction and the array fill.
@@ -429,7 +431,7 @@ MUTANTS = [
            (CORE + "test_lru_hits_match_the_replay",
             PASS + "[way_aligned-baseline]")),
     Mutant("LRU line link ignores the set", CACHE_CORE,
-           "(t[1:] == t[:-1]) & (s[1:] == s[:-1])", "(t[1:] == t[:-1])",
+           "run_starts(tags[order], sets[order])", "run_starts(tags[order])",
            (CORE + "test_lru_hits_match_the_replay",)),
     Mutant("LRU cold-count miss one short", CACHE_CORE,
            "cold[pending - 1] - cold[last] >= ways",
@@ -453,10 +455,17 @@ MUTANTS = [
            "part = slice(low, low + rows)", "part = slice(low, low + rows - 1)",
            (CORE + "test_lru_hits_match_the_replay",)),
     Mutant("LRU block cut inside a set", CACHE_CORE,
-           "ends = np.append(np.flatnonzero(np.diff(sets)) + 1, len(sets))",
+           "ends = np.append(run_starts(sets)[1:], len(sets))",
            "ends = np.arange(1, len(sets) + 1)",
            (CORE + "test_lru_hits_match_the_replay",
             CORE + "test_lru_hits_cut_a_long_stream_into_blocks_of_whole_sets")),
+    # The one run scan that every kernel, the L1 filter and the page
+    # profile share.
+    Mutant("run starts read only the first key", CACHE_CORE,
+           "    for key in keys:\n", "    for key in keys[:1]:\n",
+           (CORE + "test_run_starts_match_the_per_element_reference",
+            CORE + "test_run_starts_of_edge_columns",
+            REFERENCE + "test_l1_columns_match_the_per_record_filter")),
     Mutant("unstable line order", CACHE_CORE,
            'np.argsort(tags, kind="stable")', 'np.argsort(tags, kind="quicksort")',
            (CORE + "test_lru_hits_match_the_replay",)),

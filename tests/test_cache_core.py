@@ -321,3 +321,53 @@ def test_lru_hits_cut_a_long_stream_into_blocks_of_whole_sets():
     assert all(len(block) <= 1000 or len(np.unique(block)) == 1
                for block in blocks)
     assert max(map(len, blocks)) == 3000
+
+
+def _reference_run_starts(*keys):
+    """Each position whose keys differ from the ones before it, per element."""
+    rows = list(zip(*(key.tolist() for key in keys)))
+    return [i for i, row in enumerate(rows) if i == 0 or row != rows[i - 1]]
+
+
+@st.composite
+def run_keys(draw):
+    """One to three key columns of one length, each int32, int64 or uint64
+    over a few values among which its type's extremes are likely, sorted
+    together, so that equal keys are adjacent and a later key often
+    changes inside a run of the first."""
+    length = draw(st.integers(0, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        dtype = draw(st.sampled_from([np.int32, np.int64, np.uint64]))
+        info = np.iinfo(dtype)
+        edges = [info.min, info.min + 1, 0, 1, info.max - 1, info.max]
+        pool = draw(st.lists(st.sampled_from(edges)
+                             | st.integers(info.min, info.max),
+                             min_size=1, max_size=4))
+        columns.append(np.array([draw(st.sampled_from(pool))
+                                 for _ in range(length)], dtype=dtype))
+    order = np.lexsort(columns[::-1])
+    return [column[order] for column in columns]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(keys=run_keys())
+def test_run_starts_match_the_per_element_reference(keys):
+    assert (cache_core.run_starts(*keys).tolist()
+            == _reference_run_starts(*keys))
+
+
+TOP = 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("keys, starts", [
+    ([np.array([], dtype=np.uint64)], []),
+    ([np.array([7], dtype=np.int32), np.array([TOP], dtype=np.uint64)], [0]),
+    ([np.array([0, TOP, TOP, 0], dtype=np.uint64)], [0, 1, 3]),
+    ([np.array([-1, -1, 0], dtype=np.int64)], [0, 2]),
+    ([np.array([5, 5, 5, 5], dtype=np.int32),
+      np.array([0, 0, TOP, TOP], dtype=np.uint64),
+      np.array([2, 3, 3, 3], dtype=np.int64)], [0, 1, 2]),
+], ids=["empty", "one", "0-and-2^64-1", "int64-minus-one", "later-keys"])
+def test_run_starts_of_edge_columns(keys, starts):
+    assert cache_core.run_starts(*keys).tolist() == starts

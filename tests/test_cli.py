@@ -956,13 +956,13 @@ def test_sweep_keeps_the_raw_records_for_a_row_that_profiles_them():
 
 
 @pytest.mark.parametrize("recipe, l1, bound", [
-    ("way-nuca", False, 58), ("set-uca", False, 27), ("set-uca", True, 64)],
+    ("way-nuca", False, 52), ("set-uca", False, 27), ("set-uca", True, 60)],
     ids=["way-nuca", "set-uca", "set-uca-l1"])
 def test_sweep_peak_memory_per_reference(recipe, l1, bound):
     # The tracemalloc peak of a 100k-reference sweep.  Without the L1 the
     # records are loaded beforehand and held; with it they are loaded
     # under the trace and handed over, so the sweep's release of the raw
-    # columns shows.  Measured at 52.8 (way-nuca), 24.8 (set-uca) and 59.0
+    # columns shows.  Measured at 47.9 (way-nuca), 24.8 (set-uca) and 54.7
     # (set-uca with the L1) bytes per reference when these bounds were
     # set; a bound may only get tighter.
     base = ExperimentConfig.from_keys({
